@@ -27,9 +27,9 @@ from .model import (
 from .oracle import (
     EigenSolveResult,
     RadialGrid,
+    confirm,
     fd_eigensolve,
     fd_eigenvalues_richardson,
-    match_energy,
     node_count,
 )
 from .quantize import (
@@ -58,13 +58,13 @@ __all__ = [
     "closed_form_n0",
     "closed_form_n1",
     "coefficient_sequence",
+    "confirm",
     "constraint_polynomial",
     "effective_momentum_squared",
     "energy_from_termination",
     "eval_series",
     "fd_eigensolve",
     "fd_eigenvalues_richardson",
-    "match_energy",
     "node_count",
     "normalize",
     "ode_residual",

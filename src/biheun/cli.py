@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import PhysicalSystem, turning_points
-from .oracle import RadialGrid, fd_eigensolve, match_energy
-from .quantize import normalize, solve_family, wavefunction
+from .oracle import Confirmation, RadialGrid, confirm, node_count
+from .quantize import QuasiExactSolution, normalize, solve_family, wavefunction
 from .verify import run_acceptance
 
 EXIT_OK = 0
@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"tol must be positive (got {self.tol})")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
+        if self.r_min is not None and self.r_max is None:
+            raise ConfigError("--r-min needs --r-max (the auto grid sets its own r_min)")
         self.n_values()
         self.l_values()
 
@@ -114,13 +116,25 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
 
 
 def _grid_for(config: RunConfig, sys: PhysicalSystem, eps_hint: float) -> RadialGrid:
-    if config.r_min is not None and config.r_max is not None:
+    if config.r_max is None:
+        return RadialGrid.auto(sys, epsilon_hint=eps_hint, points=config.grid_points)
+    if config.r_min is not None:
         return RadialGrid(config.r_min, config.r_max, config.grid_points)
-    grid = RadialGrid.auto(sys, epsilon_hint=eps_hint, points=config.grid_points)
-    if config.r_max is not None:
-        h = config.r_max / (config.grid_points + 1)
-        grid = RadialGrid(h, config.grid_points * h, config.grid_points)
-    return grid
+    h = config.r_max / (config.grid_points + 1)
+    return RadialGrid(h, config.grid_points * h, config.grid_points)
+
+
+def _confirm(config: RunConfig, sol: QuasiExactSolution, branch: int,
+             grid: RadialGrid, vector: bool = False) -> Confirmation:
+    """Oracle check of one solution at its Sturm level; SolverError if refuted."""
+    c = confirm(sol.system(), sol.epsilon, sol.level, grid, config.tol, vector=vector)
+    if not c.passed:
+        raise SolverError(
+            f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
+            f"l={sol.l}, branch={branch}): level {c.level} reads "
+            f"{c.richardson} (Richardson), gap {c.gap:.3e}"
+        )
+    return c
 
 
 def cmd_spectrum(config: RunConfig) -> None:
@@ -139,18 +153,8 @@ def cmd_spectrum(config: RunConfig) -> None:
                 row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon,
                        sol.residuals.constraint, sol.residuals.ode_sup]
                 if config.verify:
-                    res = fd_eigensolve(
-                        sol.system(),
-                        _grid_for(config, sol.system(), sol.epsilon),
-                        2 * n + l + 8,
-                    )
-                    m = match_energy(res, sol.epsilon, config.tol)
-                    if m is None:
-                        raise SolverError(
-                            f"oracle did not confirm epsilon={sol.epsilon} "
-                            f"for (n={n}, l={l}, branch={branch})"
-                        )
-                    row.append(m[1])
+                    grid = _grid_for(config, sol.system(), sol.epsilon)
+                    row.append(_confirm(config, sol, branch, grid).gap)
                 rows.append(row)
     _emit(config, header, rows, diagnostics)
 
@@ -165,14 +169,16 @@ def cmd_wavefunction(config: RunConfig) -> None:
         raise ConfigError(f"branch {config.branch} out of range: {len(sols)} branches")
     sol = sols[config.branch]
 
-    sys = sol.system()
-    grid = _grid_for(config, sys, sol.epsilon)
-    res = fd_eigensolve(sys, grid, 2 * n + l + 8)
-    m = match_energy(res, sol.epsilon, config.tol)
-    if m is None:
-        raise SolverError(f"oracle spectrum has no level near epsilon={sol.epsilon}")
+    grid = _grid_for(config, sol.system(), sol.epsilon)
+    c = _confirm(config, sol, config.branch, grid, vector=True)
+    nodes = node_count(c.vector)
+    if nodes != c.level:
+        raise SolverError(
+            f"oracle eigenvector at level {c.level} has {nodes} nodes "
+            f"for (n={n}, l={l}, branch={config.branch})"
+        )
     r = grid.nodes()
-    r_oracle = normalize(r, res.vectors[m[0]] / r)
+    r_oracle = normalize(r, c.vector / r)
     r_poly = normalize(r, wavefunction(sol, r))
     if np.dot(r_poly, r_oracle) < 0:
         r_oracle = -r_oracle
@@ -182,8 +188,7 @@ def cmd_wavefunction(config: RunConfig) -> None:
             for ri, p, o in zip(r, r_poly, r_oracle)]
     diagnostics = {
         "epsilon": sol.epsilon, "beta": sol.beta, "b": sol.b_root,
-        "oracle_index": m[0], "oracle_gap": m[1],
-        "node_count": res.node_counts[m[0]],
+        "oracle_index": c.level, "oracle_gap": c.gap, "node_count": nodes,
     }
     _emit(config, header, rows, diagnostics)
 
@@ -233,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", type=int, dest="grid_points")
         p.add_argument("--r-min", type=float, dest="r_min")
         p.add_argument("--r-max", type=float, dest="r_max")
-        p.add_argument("--tol", type=float, help="oracle matching tolerance (relative)")
+        p.add_argument("--tol", type=float,
+                       help="oracle tolerance on the Richardson gap (relative)")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path (default: stdout)")
 

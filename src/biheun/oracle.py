@@ -3,7 +3,8 @@
 Discretizes f'' + [2 eps + alpha/r - l(l+1)/r^2 - beta r - k r^2] f = 0 with
 the standard second-order central stencil on a uniform grid and Dirichlet
 boundaries. Eigenvalues come from bisection on the Sturm sequence of the
-symmetric tridiagonal matrix, eigenvectors from inverse iteration (LAPACK
+symmetric tridiagonal matrix, computed only at the requested levels, and
+eigenvectors, only when asked for, from inverse iteration (LAPACK
 stebz/stein via scipy). The operator eigenvalue lambda maps to eps = lambda/2.
 
 This module never touches the Heun machinery; it exists to confirm (or
@@ -82,64 +83,110 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class EigenSolveResult:
-    """Lowest eigenpairs of the discretized radial operator.
+    """Eigenvalues of the discretized radial operator at the requested levels.
 
-    ``vectors[i]`` samples f(r) = r R(r) on the grid nodes, L2-normalized
-    (sum f^2 h = 1) with positive leading sign.
+    ``energies[i]`` belongs to the i-th requested level (0 = ground state). When
+    eigenvectors were asked for, ``vectors[i]`` samples f(r) = r R(r) on the
+    grid nodes, L2-normalized (sum f^2 h = 1) with positive leading sign, and
+    ``node_counts[i]`` is its node count; otherwise ``vectors`` is None and
+    ``node_counts`` is empty.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray  # shape (count, points)
+    vectors: np.ndarray | None  # shape (len(levels), points)
     node_counts: tuple[int, ...]
     grid: RadialGrid
 
 
+@dataclass(frozen=True)
+class Confirmation:
+    """Outcome of checking one energy against the oracle level at ``level``.
+
+    ``gap`` = |richardson - epsilon|; ``vector`` is the level's coarse-grid
+    eigenvector (as in EigenSolveResult), or None unless it was asked for.
+    """
+
+    level: int
+    plain: float
+    richardson: float
+    gap: float
+    passed: bool
+    vector: np.ndarray | None
+
+
 def fd_eigensolve(
-    sys: PhysicalSystem, grid: RadialGrid, count: int
+    sys: PhysicalSystem, grid: RadialGrid, levels: range, vectors: bool = False
 ) -> EigenSolveResult:
-    """Lowest ``count`` eigenvalues/eigenvectors of the radial problem on grid."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1 (got {count})")
-    if count > grid.points - 2:
-        raise ValueError(f"count={count} exceeds points-2={grid.points - 2}")
+    """Eigenvalues at ``levels`` (consecutive, ascending) of the radial problem
+    on grid, plus their eigenvectors when ``vectors`` is true."""
+    if levels.step != 1 or len(levels) < 1 or levels.start < 0:
+        raise ValueError(f"levels must be a non-empty range from >= 0 (got {levels})")
+    if levels.stop > grid.points - 2:
+        raise ValueError(f"levels {levels} exceed points-2={grid.points - 2}")
     r = grid.nodes()
     h = grid.spacing
     v = -sys.alpha / r + sys.beta * r + sys.k * r * r + sys.l * (sys.l + 1) / (r * r)
     diag = 2.0 / (h * h) + v
     off = np.full(grid.points - 1, -1.0 / (h * h))
-    lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    select = (levels.start, levels.stop - 1)
+    if not vectors:
+        lam = eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=select
+        )
+        return EigenSolveResult(energies=lam / 2.0, vectors=None, node_counts=(), grid=grid)
+    lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=select)
     vec = vec.T / h**0.5  # columns to rows; sum f^2 h = 1
     for i in range(len(vec)):
         nz = np.nonzero(np.abs(vec[i]) > 1e-10 * np.max(np.abs(vec[i])))[0]
         if len(nz) and vec[i][nz[0]] < 0:
             vec[i] = -vec[i]
     nodes = tuple(node_count(f) for f in vec)
-    return EigenSolveResult(
-        energies=lam / 2.0, vectors=vec, node_counts=nodes, grid=grid
-    )
+    return EigenSolveResult(energies=lam / 2.0, vectors=vec, node_counts=nodes, grid=grid)
 
 
-def fd_eigenvalues_richardson(
-    sys: PhysicalSystem, grid: RadialGrid, count: int
-) -> np.ndarray:
+def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     """One Richardson step: (4 E_{h/2} - E_h) / 3, cancelling the h^2 error."""
-    coarse = fd_eigensolve(sys, grid, count).energies
-    fine = fd_eigensolve(sys, grid.refined(), count).energies
     return (4.0 * fine - coarse) / 3.0
 
 
-def match_energy(
-    result: EigenSolveResult, epsilon: float, rel_tol: float
-) -> tuple[int, float] | None:
-    """Index and gap of the closest eigenvalue, or None if outside tolerance."""
-    if len(result.energies) == 0:
-        raise ValueError("empty eigensolve result")
-    gaps = np.abs(result.energies - epsilon)
-    i = int(np.argmin(gaps))
-    gap = float(gaps[i])
-    if gap <= rel_tol * max(1.0, abs(epsilon)):
-        return i, gap
-    return None
+def fd_eigenvalues_richardson(
+    sys: PhysicalSystem, grid: RadialGrid, levels: range
+) -> np.ndarray:
+    """Richardson-extrapolated eigenvalues at ``levels`` from grid and grid.refined()."""
+    coarse = fd_eigensolve(sys, grid, levels).energies
+    fine = fd_eigensolve(sys, grid.refined(), levels).energies
+    return _richardson(coarse, fine)
+
+
+def confirm(
+    sys: PhysicalSystem,
+    epsilon: float,
+    level: int,
+    grid: RadialGrid,
+    rel_tol: float,
+    vector: bool = False,
+) -> Confirmation:
+    """Check epsilon against the oracle eigenvalue at index ``level``.
+
+    By Sturm oscillation a bound state with m nodes is level m of its
+    potential, so the caller passes the node count of its own solution and
+    the oracle computes that one eigenvalue on grid and on grid.refined().
+    Passes when the Richardson gap is within rel_tol * max(1, |epsilon|).
+    """
+    levels = range(level, level + 1)
+    coarse = fd_eigensolve(sys, grid, levels, vectors=vector)
+    fine = fd_eigensolve(sys, grid.refined(), levels)
+    plain = float(coarse.energies[0])
+    rich = float(_richardson(coarse.energies, fine.energies)[0])
+    gap = abs(rich - epsilon)
+    return Confirmation(
+        level=level,
+        plain=plain,
+        richardson=rich,
+        gap=gap,
+        passed=gap <= rel_tol * max(1.0, abs(epsilon)),
+        vector=coarse.vectors[0] if vector else None,
+    )
 
 
 def node_count(vector: np.ndarray, floor: float = 1e-10) -> int:

@@ -16,7 +16,7 @@ fixed potential.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -31,8 +31,8 @@ from .heun import (
 )
 from .model import PhysicalSystem, turning_points
 
-# Roots of the constraint polynomial with |Im| above this (scale-aware)
-# are discarded as non-real.
+# Roots of the constraint polynomial, and zeros of H, with |Im| above this
+# (scale-aware) are discarded as non-real.
 ROOT_IMAG_TOL = 1e-8
 
 # Coefficient growth in the polynomial-in-b construction degrades beyond this.
@@ -60,9 +60,6 @@ class ConstraintPolynomial:
 class ResidualReport:
     constraint: float
     ode_sup: float
-    oracle_gap: float | None = None
-    oracle_index: int | None = None
-    node_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -89,15 +86,20 @@ class QuasiExactSolution:
     def heun_parameters(self) -> HeunParameters:
         return to_heun_params(self.system(), self.epsilon)
 
-    def with_oracle(
-        self, gap: float, index: int, node_count: int
-    ) -> "QuasiExactSolution":
-        return replace(
-            self,
-            residuals=replace(
-                self.residuals, oracle_gap=gap, oracle_index=index, node_count=node_count
-            ),
-        )
+    @property
+    def level(self) -> int:
+        """Number of positive real zeros of H: the radial nodes of the state.
+
+        By Sturm oscillation this is the state's level (0 = ground state) in
+        the spectrum of its own potential. Zeros of H are counted directly,
+        because sampling R misses far nodes under the Gaussian tail.
+        """
+        cs = np.trim_zeros(self.heun_coefficients, "b")
+        if len(cs) < 2:
+            return 0
+        z = Polynomial(cs).roots()
+        real = np.abs(z.imag) <= ROOT_IMAG_TOL * (1.0 + np.abs(z.real))
+        return int(np.sum(real & (z.real > 0)))
 
 
 def energy_from_termination(n: int, l: int, K: float, b: float) -> float:

@@ -47,3 +47,12 @@ def test_criterion_7_vieta_residuals():
 
 def test_criterion_8_off_manifold_negative_control():
     _run(verify.criterion_8)
+
+
+def test_run_acceptance_reports_elapsed(monkeypatch):
+    stub = lambda: verify.CriterionResult(9, "stub", True, "ok")  # noqa: E731
+    monkeypatch.setattr(verify, "ALL_CRITERIA", (stub,))
+    lines = []
+    (res,) = verify.run_acceptance(echo=lines.append)
+    assert res.elapsed_s is not None and res.elapsed_s >= 0.0
+    assert lines == [f"[PASS] criterion 9: stub -- ok [{res.elapsed_s:.2f} s]"]

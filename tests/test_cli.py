@@ -50,6 +50,18 @@ class TestSpectrum:
         assert lines[0].endswith(",oracle_gap")
         assert float(lines[1].split(",")[-1]) < 1e-4
 
+    def test_verify_uses_richardson_gap(self, capsys):
+        # the plain FD gap here is ~1e-5, so the pre-Richardson check exited 3
+        code, out, _ = run_cli(
+            ["spectrum", "--n", "12", "--l", "0", "--alpha", "2.5104973228641434",
+             "--k", "1.131957662517573", "--verify"],
+            capsys,
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 13
+        assert max(float(row.split(",")[-1]) for row in rows) < 1e-7
+
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
         _, out1, _ = run_cli(args, capsys)
@@ -125,6 +137,17 @@ class TestWavefunction:
         worst = max(abs(float(line.split(",")[3])) for line in lines[1:])
         assert worst < 1e-3
 
+    def test_oracle_level_is_node_count(self, capsys):
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", "3", "--l", "1", "--alpha", "1", "--k", "1",
+             "--branch", "1", "--grid-points", "3000", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["oracle_index"] == diag["node_count"] == 2
+        assert diag["oracle_gap"] < 1e-7
+
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
             ["wavefunction", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
@@ -146,6 +169,25 @@ class TestConfigHandling:
             ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "-1"], capsys
         )
         assert code == 2
+
+    def test_r_min_without_r_max(self, capsys):
+        code, _, err = run_cli(
+            ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
+             "--verify", "--r-min", "0.01"],
+            capsys,
+        )
+        assert code == 2
+        assert "--r-max" in err
+
+    def test_r_min_with_r_max(self, capsys):
+        code, out, _ = run_cli(
+            ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
+             "--verify", "--r-min", "0.002", "--r-max", "12", "--grid-points", "3000",
+             "--tol", "1e-2"],
+            capsys,
+        )
+        assert code == 0
+        assert float(out.strip().split("\n")[1].split(",")[-1]) < 1e-2
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(["spectrum", "--config", "/nonexistent.json"], capsys)

@@ -3,7 +3,7 @@ import pytest
 
 from biheun.heun import coefficient_sequence
 from biheun.model import PhysicalSystem
-from biheun.oracle import RadialGrid, fd_eigensolve, match_energy
+from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import (
     closed_form_n0,
     closed_form_n1,
@@ -206,11 +206,11 @@ class TestWavefunction:
         sol = closed_form_n0(0, 1.0, 1.0)
         sys = sol.system()
         grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon, points=4000)
-        res = fd_eigensolve(sys, grid, 2)
-        idx, _ = match_energy(res, sol.epsilon, 1e-4)
+        c = confirm(sys, sol.epsilon, sol.level, grid, 1e-4, vector=True)
+        assert c.passed
         r = grid.nodes()
         r_poly = normalize(r, wavefunction(sol, r))
-        r_orac = normalize(r, res.vectors[idx] / r)
+        r_orac = normalize(r, c.vector / r)
         overlap = abs(np.trapezoid(r_poly * r_orac * r * r, r))
         assert overlap >= 0.99999
 
