@@ -33,14 +33,11 @@ from .oracle import (
     node_count,
 )
 from .quantize import (
-    ConstraintPolynomial,
     QuasiExactSolution,
     closed_form_n0,
     closed_form_n1,
-    constraint_polynomial,
     energy_from_termination,
     normalize,
-    solve_b_roots,
     solve_family,
     wavefunction,
 )
@@ -48,7 +45,6 @@ from .verify import run_acceptance
 
 __all__ = [
     "CoefficientSequence",
-    "ConstraintPolynomial",
     "EigenSolveResult",
     "HeunParameters",
     "PhysicalSystem",
@@ -59,7 +55,6 @@ __all__ = [
     "closed_form_n1",
     "coefficient_sequence",
     "confirm",
-    "constraint_polynomial",
     "effective_momentum_squared",
     "energy_from_termination",
     "eval_series",
@@ -70,7 +65,6 @@ __all__ = [
     "ode_residual",
     "recurrence_factors",
     "run_acceptance",
-    "solve_b_roots",
     "solve_family",
     "to_heun_params",
     "turning_points",

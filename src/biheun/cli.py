@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,8 +44,8 @@ class SolverError(RuntimeError):
 @dataclass
 class RunConfig:
     command: str
-    n: str = "0"
-    l: str = "0"
+    n: str | int = "0"  # INT or A..B
+    l: str | int = "0"
     alpha: float = 0.0
     k: float = 1.0
     beta: float | None = None  # turning-points only
@@ -64,16 +66,37 @@ class RunConfig:
         return _parse_range(self.l, "l")
 
     def validate(self) -> None:
+        for name, hint in typing.get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            kinds = typing.get_args(hint) or (hint,)
+            if float in kinds:
+                kinds += (int,)
+            # bool is an int subclass: accept it only where a bool is expected
+            if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+                raise ConfigError(
+                    f"{name} must be {RunConfig.__annotations__[name]} (got {value!r})"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite (got {value})")
         if self.k <= 0:
             raise ConfigError(f"k must be positive (got {self.k})")
+        if self.alpha < 0:
+            raise ConfigError(f"alpha must be non-negative (got {self.alpha})")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive (got {self.tol})")
+        if self.grid_points < 16:
+            raise ConfigError(f"grid_points must be >= 16 (got {self.grid_points})")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
         if self.r_min is not None and self.r_max is None:
             raise ConfigError("--r-min needs --r-max (the auto grid sets its own r_min)")
-        self.n_values()
-        self.l_values()
+        if self.r_min is not None and self.r_min <= 0:
+            raise ConfigError(f"r_min must be positive (got {self.r_min})")
+        if self.r_max is not None and self.r_max <= (self.r_min or 0.0):
+            raise ConfigError(f"r_max must exceed r_min and 0 (got {self.r_max})")
+        single = len(self.n_values()) == len(self.l_values()) == 1
+        if self.command in ("wavefunction", "turning-points") and not single:
+            raise ConfigError(f"{self.command} takes a single n and l, not a range")
 
 
 def _parse_range(spec: str, name: str) -> list[int]:
@@ -163,8 +186,6 @@ def cmd_wavefunction(config: RunConfig) -> None:
     n = config.n_values()[0]
     l = config.l_values()[0]
     sols = solve_family(n, l, config.alpha, config.k)
-    if not sols:
-        raise SolverError(f"no quasi-exact solution for (n={n}, l={l})")
     if not (0 <= config.branch < len(sols)):
         raise ConfigError(f"branch {config.branch} out of range: {len(sols)} branches")
     sol = sols[config.branch]

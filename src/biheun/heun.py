@@ -54,13 +54,6 @@ class CoefficientSequence:
     coefficients: np.ndarray
     terminated_at: int | None = None
 
-    @property
-    def c0(self) -> float:
-        return float(self.coefficients[0])
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
 
 def to_heun_params(sys: PhysicalSystem, epsilon: float) -> HeunParameters:
     """Map a physical system plus energy to bi-confluent Heun parameters."""
@@ -169,23 +162,23 @@ def horner(coeffs_ascending: np.ndarray, z: float) -> float:
     return float(acc)
 
 
-def ode_residual(hp: HeunParameters, seq: CoefficientSequence, z: float) -> float:
-    """|H'' + (-2z - b + (1+a)/z) H' + (-2-a+c+D/z) H| at z > 0.
+def ode_residual(hp: HeunParameters, coeffs: np.ndarray, z: float) -> float:
+    """Relative residual of the Heun ODE for H = sum coeffs[j] z^j at one z > 0.
 
-    H, H', H'' are the exact term-wise values of the truncated series, so a
-    terminated polynomial gives zero up to floating rounding.
+    |H'' + (-2z - b + (1+a)/z) H' + (-2-a+c+D/z) H| divided by its
+    absolute-value (backward-error) scale, in which every monomial and ODE
+    coefficient enters with |.|, floored at 1. Cancellation inside H(z)
+    therefore cannot shrink the denominator below the rounding floor of the
+    evaluation, and a solution of the ODE reads at the level of rounding.
     """
     if z <= 0:
         raise ValueError(f"z must be positive (got {z})")
-    cs = seq.coefficients
-    j = np.arange(len(cs))
-    d1 = cs[1:] * j[1:]
-    d2 = d1[1:] * j[1 : len(d1)]
-    h = horner(cs, z)
-    h1 = horner(d1, z) if len(d1) else 0.0
-    h2 = horner(d2, z) if len(d2) else 0.0
-    return abs(
-        h2
-        + (-2.0 * z - hp.b + (1.0 + hp.a) / z) * h1
-        + (-2.0 - hp.a + hp.c + hp.D / z) * h
-    )
+    coef1 = -2.0 * z - hp.b + (1.0 + hp.a) / z
+    coef0 = -2.0 - hp.a + hp.c + hp.D / z
+    # term j of H'' + coef1 H' + coef0 H is c_j z^j [j(j-1)/z^2 + coef1 j/z + coef0]
+    j = np.arange(len(coeffs))
+    terms = coeffs * z**j
+    d2, d1 = j * (j - 1) / (z * z), j / z
+    residual = abs(terms @ (d2 + coef1 * d1 + coef0))
+    scale = np.abs(terms) @ (d2 + abs(coef1) * d1 + abs(coef0))
+    return float(residual / max(scale, 1.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Scale-aware tolerance for deciding a quartic root is real.
-REAL_ROOT_IMAG_TOL = 1e-9
+QUARTIC_IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     real: list[complex] = []
     cplx: list[complex] = []
     for z in polished:
-        if abs(z.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(z.real)):
+        if abs(z.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(z.real)):
             real.append(complex(z.real, 0.0))
         else:
             cplx.append(z)

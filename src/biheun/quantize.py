@@ -4,9 +4,17 @@ Forcing c_{n+1} = c_{n+2} = 0 in the Heun series pins the energy through
 
     c = 2(n + l + 1) + 1   =>   eps = K^2 (n + l + 3/2) - K^2 b^2 / 8
 
-and leaves one scalar condition, -2 c_{n-1}(b) + (n b - D(b)) c_n(b) = 0,
-a degree-(n+1) polynomial in b. Each real root b fixes a linear coefficient
-beta = b K^3 for which the radial problem has a polynomial bound state.
+and leaves the recurrence linear in b:
+
+    b (j+l+1) c_j = (j+1)(j+2l+2) c_{j+1} + 2(n+1-j) c_{j-1} + (alpha/K) c_j,
+
+for j = 0..n with c_{-1} = c_{n+1} = 0, i.e. M c = b W c with W = diag(j+l+1).
+Both off-diagonals of M are positive, so W^-1 M is similar to a symmetric
+tridiagonal (Jacobi) matrix: its n+1 eigenvalues are the admissible b, real
+and distinct, and its eigenvectors are the coefficients of H (the
+Bender-Dunne orthogonal-polynomial structure of quasi-exactly solvable
+problems). Each b fixes a linear coefficient beta = b K^3 for which the
+radial problem has a polynomial bound state.
 
 Note: every root defines a *different* potential. The quasi-exact spectrum
 is a constraint manifold in (alpha, beta, k, l), not a spectrum of one
@@ -15,45 +23,13 @@ fixed potential.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from scipy.linalg import eigh_tridiagonal
 
-from .heun import (
-    CoefficientSequence,
-    HeunParameters,
-    coefficient_sequence,
-    horner,
-    ode_residual,
-    to_heun_params,
-)
+from .heun import HeunParameters, ode_residual, to_heun_params
 from .model import PhysicalSystem, turning_points
-
-# Roots of the constraint polynomial, and zeros of H, with |Im| above this
-# (scale-aware) are discarded as non-real.
-ROOT_IMAG_TOL = 1e-8
-
-# Coefficient growth in the polynomial-in-b construction degrades beyond this.
-DEFAULT_DEGREE_CAP = 32
-
-
-@dataclass(frozen=True)
-class ConstraintPolynomial:
-    """Degree-(n+1) polynomial in b whose real roots admit termination at degree n."""
-
-    n: int
-    l: int
-    alpha_over_K: float
-    coeffs: np.ndarray  # ascending
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, b: float) -> float:
-        return horner(self.coeffs, b)
 
 
 @dataclass(frozen=True)
@@ -64,7 +40,11 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class QuasiExactSolution:
-    """One terminated solution: degree n, root b, induced beta, energy, H coefficients."""
+    """One terminated solution: degree n, root b, induced beta, energy, H coefficients.
+
+    ``level`` is the state's index (0 = ground state) in the spectrum of its
+    own potential: the number of positive zeros of H, i.e. radial nodes.
+    """
 
     n: int
     l: int
@@ -74,6 +54,7 @@ class QuasiExactSolution:
     beta: float
     epsilon: float
     heun_coefficients: np.ndarray  # c_0..c_n of the degree-n polynomial H
+    level: int
     residuals: ResidualReport
 
     @property
@@ -86,21 +67,6 @@ class QuasiExactSolution:
     def heun_parameters(self) -> HeunParameters:
         return to_heun_params(self.system(), self.epsilon)
 
-    @property
-    def level(self) -> int:
-        """Number of positive real zeros of H: the radial nodes of the state.
-
-        By Sturm oscillation this is the state's level (0 = ground state) in
-        the spectrum of its own potential. Zeros of H are counted directly,
-        because sampling R misses far nodes under the Gaussian tail.
-        """
-        cs = np.trim_zeros(self.heun_coefficients, "b")
-        if len(cs) < 2:
-            return 0
-        z = Polynomial(cs).roots()
-        real = np.abs(z.imag) <= ROOT_IMAG_TOL * (1.0 + np.abs(z.real))
-        return int(np.sum(real & (z.real > 0)))
-
 
 def energy_from_termination(n: int, l: int, K: float, b: float) -> float:
     """eps = K^2 (n + l + 3/2) - K^2 b^2 / 8, from c = 2(n+l+1)+1."""
@@ -109,93 +75,37 @@ def energy_from_termination(n: int, l: int, K: float, b: float) -> float:
     return K * K * (n + l + 1.5) - K * K * b * b / 8.0
 
 
-def constraint_polynomial(
-    n: int, l: int, alpha_over_K: float, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> ConstraintPolynomial:
-    """Build the termination condition as an exact polynomial in b.
+def _recurrence_defect(
+    n: int, l: int, alpha_over_K: float, b: float, coeffs: np.ndarray
+) -> float:
+    """max_j |(M - b W) c|_j relative to max_j (|M| + |b| W) |c|, the scale of its terms.
 
-    Runs the 3-term recurrence with c = 2(n+l+1)+1 over polynomial-in-b
-    arithmetic (each c_j is a degree-j polynomial in b; D = -b(l+1) +
-    alpha/K) and returns -2 c_{n-1} + (n b - D) c_n for n >= 1, or
-    b(l+1) - alpha/K for n = 0.
+    Normwise, not row by row: a row whose terms all vanish exactly (odd j at
+    alpha = 0, b = 0) holds only rounding noise, which a row-wise ratio
+    would report as a defect of order 1.
     """
-    if n < 0 or l < 0:
-        raise ValueError(f"n and l must be non-negative (got n={n}, l={l})")
-    if n > degree_cap:
-        warnings.warn(
-            f"degree n={n} exceeds the cap {degree_cap}; coefficient growth may "
-            "make roots unreliable",
-            stacklevel=2,
-        )
-
-    D = Polynomial([alpha_over_K, -(l + 1.0)])
-    if n == 0:
-        poly = -D
-        return ConstraintPolynomial(n=0, l=l, alpha_over_K=alpha_over_K, coeffs=poly.coef)
-
-    a = 2.0 * l + 1.0
-    c = 2.0 * (n + l + 1) + 1.0
-    c_prev = Polynomial([1.0])  # c_0
-    c_cur = -D / (1.0 + a)  # c_1
-    for j in range(1, n):
-        c_next = (
-            (2.0 * j + a - c) * c_prev + (Polynomial([0.0, float(j)]) - D) * c_cur
-        ) / ((j + 1.0) * (a + j + 1.0))
-        c_prev, c_cur = c_cur, c_next
-    poly = -2.0 * c_prev + (Polynomial([0.0, float(n)]) - D) * c_cur
-    coeffs = np.asarray(poly.coef, dtype=float)
-    if len(coeffs) != n + 2:
-        coeffs = np.pad(coeffs, (0, n + 2 - len(coeffs)))
-    return ConstraintPolynomial(n=n, l=l, alpha_over_K=alpha_over_K, coeffs=coeffs)
-
-
-def solve_b_roots(poly: ConstraintPolynomial) -> tuple[list[float], int]:
-    """All real roots of the constraint polynomial, ascending, Newton-polished.
-
-    Returns (roots, discarded_complex_count). Raises on degree-0 input.
-    """
-    coeffs = np.trim_zeros(poly.coeffs, "b")
-    if len(coeffs) < 2:
-        raise ValueError("constraint polynomial has degree 0; no roots to solve")
-    scale = float(np.max(np.abs(coeffs)))
-    raw = Polynomial(coeffs).roots()
-
-    deriv = np.polyder(coeffs[::-1])
-    real: list[float] = []
-    discarded = 0
-    for z in raw:
-        for _ in range(4):
-            dp = np.polyval(deriv, z)
-            if dp == 0:
-                break
-            step = np.polyval(coeffs[::-1], z) / dp
-            if not np.isfinite(step):
-                break
-            z = z - step
-        if abs(z.imag) <= ROOT_IMAG_TOL * (1.0 + abs(z.real)):
-            real.append(float(z.real))
-        else:
-            discarded += 1
-    real.sort()
-    for b in real:
-        if abs(poly(b)) > 1e-12 * scale * max(1.0, abs(b)) ** poly.degree:
-            warnings.warn(
-                f"root b={b} polished to |P(b)|={abs(poly(b)):.3e}, above target",
-                stacklevel=2,
-            )
-    return real, discarded
+    j = np.arange(n + 1.0)
+    terms = np.array([
+        (j + 1) * (j + 2 * l + 2) * np.append(coeffs[1:], 0.0),
+        2 * (n + 1 - j) * np.append(0.0, coeffs[:-1]),
+        alpha_over_K * coeffs,
+        -b * (j + l + 1) * coeffs,
+    ])
+    scale = np.max(np.abs(terms).sum(axis=0))
+    return float(np.max(np.abs(terms.sum(axis=0))) / scale) if scale else 0.0
 
 
 def _assemble_solution(
-    n: int, l: int, alpha: float, k: float, b: float, poly: ConstraintPolynomial
+    n: int, l: int, alpha: float, k: float, b: float, coeffs: np.ndarray, level: int
 ) -> QuasiExactSolution:
     K = k ** 0.25
     beta = b * K**3
     eps = energy_from_termination(n, l, K, b)
     sys = PhysicalSystem(alpha=alpha, beta=beta, k=k, l=l)
-    hp = to_heun_params(sys, eps)
-    seq = coefficient_sequence(hp, n + 8)
-    ode_sup = _ode_residual_sup(sys, eps, hp, seq)
+    residuals = ResidualReport(
+        constraint=_recurrence_defect(n, l, alpha / K, b, coeffs),
+        ode_sup=_ode_residual_sup(sys, eps, coeffs),
+    )
     return QuasiExactSolution(
         n=n,
         l=l,
@@ -204,39 +114,35 @@ def _assemble_solution(
         b_root=b,
         beta=beta,
         epsilon=eps,
-        heun_coefficients=seq.coefficients[: n + 1].copy(),
-        residuals=ResidualReport(constraint=abs(poly(b)), ode_sup=ode_sup),
+        heun_coefficients=coeffs,
+        level=level,
+        residuals=residuals,
     )
 
 
 def _ode_residual_sup(
-    sys: PhysicalSystem,
-    epsilon: float,
-    hp: HeunParameters,
-    seq: CoefficientSequence,
-    n_samples: int = 50,
+    sys: PhysicalSystem, epsilon: float, coeffs: np.ndarray, n_samples: int = 50
 ) -> float:
-    """Sup of the Heun ODE residual over z in (0, 2*K*r4]."""
+    """Sup of the relative Heun ODE residual over z in (0, 2*K*r4]."""
+    hp = to_heun_params(sys, epsilon)
     tp = turning_points(sys, epsilon)
     r4 = max((abs(z) for z in tp.roots), default=1.0)
     z_hi = 2.0 * sys.K * max(r4, 1.0)
     zs = np.linspace(z_hi / n_samples, z_hi, n_samples)
-    return max(ode_residual(hp, seq, z) for z in zs)
+    return max(ode_residual(hp, coeffs, z) for z in zs)
 
 
 def closed_form_n0(l: int, alpha: float, K: float) -> QuasiExactSolution:
-    """The unique n=0 solution: b = alpha/(K(l+1)), H = 1.
+    """The unique n=0 solution: b = alpha/(K(l+1)), H = 1, level 0.
 
-    eps = K^2 (l + 3/2) - (1/8) (alpha/(l+1))^2 / K^2 ... in scaled form
-    eps = K^2 (l + 3/2) - K^2 b^2 / 8 with b = alpha/(K(l+1)).
+    Its energy is eps = K^2 (l + 3/2) - K^2 b^2 / 8.
     """
     b = alpha / (K * (l + 1.0))
-    poly = constraint_polynomial(0, l, alpha / K)
-    return _assemble_solution(0, l, alpha, K**4, b, poly)
+    return _assemble_solution(0, l, alpha, K**4, b, np.array([1.0]), level=0)
 
 
 def closed_form_n1(l: int, alpha: float, K: float) -> list[QuasiExactSolution]:
-    """Both n=1 branches in closed form.
+    """Both n=1 branches in closed form, ascending b (levels 1 and 0).
 
     The termination quadratic is
 
@@ -245,29 +151,53 @@ def closed_form_n1(l: int, alpha: float, K: float) -> list[QuasiExactSolution]:
     with roots
 
         b = (alpha/K)(l+3/2)/((l+1)(l+2))
-            +- sqrt[ (alpha/K)^2 / (4 (l+1)^2 (l+2)^2) + 4/(l+2) ].
+            +- sqrt[ (alpha/K)^2 / (4 (l+1)^2 (l+2)^2) + 4/(l+2) ],
+
+    and H = 1 + (b (l+1) - alpha/K) z / (2l+2).
     """
     aK = alpha / K
     mid = aK * (l + 1.5) / ((l + 1.0) * (l + 2.0))
     disc = aK * aK / (4.0 * (l + 1.0) ** 2 * (l + 2.0) ** 2) + 4.0 / (l + 2.0)
-    poly = constraint_polynomial(1, l, aK)
     return [
-        _assemble_solution(1, l, alpha, K**4, b, poly)
-        for b in sorted((mid - disc**0.5, mid + disc**0.5))
+        _assemble_solution(
+            1, l, alpha, K**4, b, np.array([1.0, (b * (l + 1.0) - aK) / (2.0 * l + 2.0)]),
+            level=level,
+        )
+        for b, level in ((mid - disc**0.5, 1), (mid + disc**0.5, 0))
     ]
 
 
 def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolution]:
-    """All quasi-exact solutions of degree n: one per real root of the constraint.
+    """All n+1 quasi-exact solutions of degree n, in ascending b order.
 
-    Returns solutions in ascending b order; empty list if no real roots.
+    Solves M c = b W c (module docstring) as the symmetric tridiagonal
+    eigenproblem S v = b v, S = P^-1 W^-1 M P with P diagonal and positive;
+    H's coefficients are c = P v scaled to c_0 = 1.
+
+    ``level`` is n - i for the i-th b in ascending order: the eigenvector of
+    the m-th largest eigenvalue of a Jacobi matrix with positive
+    off-diagonals has m sign changes, so the coefficients of that H change
+    sign n - i times. By Descartes's rule this bounds H's positive zeros;
+    they reach the bound, which ``oracle.confirm`` checks independently by
+    finding the energy at exactly that level.
     """
     if k <= 0:
         raise ValueError(f"k must be positive (got {k})")
-    K = k ** 0.25
-    poly = constraint_polynomial(n, l, alpha / K)
-    roots, _ = solve_b_roots(poly)
-    return [_assemble_solution(n, l, alpha, k, b, poly) for b in roots]
+    if n < 0 or l < 0:
+        raise ValueError(f"n and l must be non-negative (got n={n}, l={l})")
+    aK = alpha / k ** 0.25
+    j = np.arange(n + 1.0)
+    w = j + l + 1  # diagonal of W
+    up = (j[:-1] + 1) * (j[:-1] + 2 * l + 2) / w[:-1]  # (W^-1 M)_{j, j+1}
+    down = 2 * (n - j[:-1]) / w[1:]  # (W^-1 M)_{j+1, j}
+    off = np.sqrt(up * down)
+    b_roots, vectors = eigh_tridiagonal(aK / w, off)
+    scale = np.append(1.0, np.cumprod(off / up))  # P: p_{j+1}/p_j = sqrt(down/up)
+    coeffs = scale[:, None] * vectors
+    return [
+        _assemble_solution(n, l, alpha, k, float(b), coeffs[:, i] / coeffs[0, i], n - i)
+        for i, b in enumerate(b_roots)
+    ]
 
 
 def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:

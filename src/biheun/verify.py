@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heun import (
-    TERMINATION_RTOL,
-    HeunParameters,
-    coefficient_sequence,
-    horner,
-    to_heun_params,
-)
+from .heun import TERMINATION_RTOL, HeunParameters, coefficient_sequence, to_heun_params
 from .model import PhysicalSystem, turning_points, vieta_residuals
 from .oracle import (
     Confirmation,
@@ -28,14 +22,7 @@ from .oracle import (
     fd_eigensolve,
     fd_eigenvalues_richardson,
 )
-from .quantize import (
-    QuasiExactSolution,
-    closed_form_n0,
-    closed_form_n1,
-    constraint_polynomial,
-    solve_b_roots,
-    solve_family,
-)
+from .quantize import QuasiExactSolution, closed_form_n0, closed_form_n1, solve_family
 
 
 @dataclass(frozen=True)
@@ -101,42 +88,6 @@ def termination_residual(sol: QuasiExactSolution, beta_override: float | None = 
     return float(max(abs(cs[n + 1]), abs(cs[n + 2])) / scale)
 
 
-def relative_ode_residual_sup(sol: QuasiExactSolution, n_samples: int = 50) -> float:
-    """ODE residual / local solution scale, sup over 50 points z in (0, 2 K r4].
-
-    The local scale is the absolute-value (backward-error) evaluation scale:
-    every monomial and ODE coefficient enters with |.|, so cancellation in
-    H(z) itself does not shrink the denominator below the rounding floor of
-    the evaluation.
-    """
-    hp = sol.heun_parameters()
-    cs = sol.heun_coefficients
-    j = np.arange(len(cs))
-    d1 = cs[1:] * j[1:]
-    d2 = d1[1:] * j[1 : len(d1)] if len(d1) > 1 else np.zeros(0)
-
-    sys = sol.system()
-    tp = turning_points(sys, sol.epsilon)
-    r4 = max((abs(z) for z in tp.roots), default=1.0)
-    z_hi = 2.0 * sol.K * max(r4, 1.0)
-    worst = 0.0
-    for z in np.linspace(z_hi / n_samples, z_hi, n_samples):
-        h = horner(cs, z)
-        h1 = horner(d1, z) if len(d1) else 0.0
-        h2 = horner(d2, z) if len(d2) else 0.0
-        coef1 = -2.0 * z - hp.b + (1.0 + hp.a) / z
-        coef0 = -2.0 - hp.a + hp.c + hp.D / z
-        residual = abs(h2 + coef1 * h1 + coef0 * h)
-        scale = max(
-            horner(np.abs(d2), z)
-            + abs(coef1) * horner(np.abs(d1), z)
-            + abs(coef0) * horner(np.abs(cs), z),
-            1.0,
-        )
-        worst = max(worst, residual / scale)
-    return worst
-
-
 def _confirm(sol: QuasiExactSolution) -> Confirmation:
     """Oracle check of sol at its Sturm level: Richardson on 6,000 points, 1e-5."""
     sys = sol.system()
@@ -174,13 +125,13 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """n=1 closed form vs companion-matrix roots and the oracle."""
+    """n=1 closed form vs the solve_family roots and the oracle."""
     worst_root = worst_gap = 0.0
     ok = True
     for l in (0, 1, 2):
         for alpha in (0.0, 1.0):
             sols = closed_form_n1(l, alpha, 1.0)
-            roots, _ = solve_b_roots(constraint_polynomial(1, l, alpha))
+            roots = [s.b_root for s in solve_family(1, l, alpha, 1.0)]
             if len(roots) != 2:
                 ok = False
                 continue
@@ -196,7 +147,7 @@ def criterion_2() -> CriterionResult:
                 ok = ok and c.passed and rel_plain <= 1e-5
     return CriterionResult(
         2,
-        "n=1 closed form vs quadratic roots (1e-12) and oracle (1e-5)",
+        "n=1 closed form vs solve_family roots (1e-12) and oracle (1e-5)",
         ok,
         f"worst root mismatch={worst_root:.2e}, worst plain oracle gap={worst_gap:.2e}",
     )
@@ -216,7 +167,7 @@ def criterion_3() -> CriterionResult:
                     worst_term = max(worst_term, term)
                     if term > 1e-10:
                         ok = False
-                    ode = relative_ode_residual_sup(sol)
+                    ode = sol.residuals.ode_sup
                     worst_ode = max(worst_ode, ode)
                     if ode > 1e-9:
                         ok = False

@@ -189,6 +189,38 @@ class TestConfigHandling:
         assert code == 0
         assert float(out.strip().split("\n")[1].split(",")[-1]) < 1e-2
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["spectrum", "--k", "nan"], None),
+            (["spectrum", "--alpha", "nan"], None),
+            (["spectrum", "--alpha", "inf"], None),
+            (["spectrum", "--tol", "nan"], None),
+            (["spectrum", "--verify", "--r-max", "nan"], None),
+            (["spectrum", "--verify", "--r-min", "inf", "--r-max", "12"], None),
+            (["spectrum", "--verify", "--r-min", "0", "--r-max", "12"], None),
+            (["spectrum", "--verify", "--r-min", "5", "--r-max", "3"], None),
+            (["spectrum", "--alpha", "-1"], None),
+            (["spectrum", "--verify", "--grid-points", "5"], None),
+            (["spectrum"], '{"alpha": "x"}'),
+            (["spectrum"], '{"k": null}'),
+            (["spectrum"], '{"grid_points": 6000.5}'),
+            (["spectrum"], '{"verify": 1}'),
+            (["spectrum"], '{"out": 3}'),
+            (["wavefunction", "--n", "0..1"], None),
+            (["wavefunction", "--l", "0..2"], None),
+            (["turning-points", "--l", "0..2", "--epsilon", "1"], None),
+        ],
+    )
+    def test_rejects_invalid_input(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("config error: ")
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(["spectrum", "--config", "/nonexistent.json"], capsys)
         assert code == 2

@@ -169,22 +169,28 @@ class TestOdeResidual:
         hp = HeunParameters(a=1.0, b=2.0**0.5, c=5.0, d=0.0)
         seq = coefficient_sequence(hp, 10)
         for z in (0.3, 1.0, 2.5, 7.0):
-            assert ode_residual(hp, seq, z) < 1e-12
+            assert ode_residual(hp, seq.coefficients, z) < 1e-12
 
     def test_constant_solution(self):
         hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
         seq = coefficient_sequence(hp, 5)
-        assert ode_residual(hp, seq, 1.0) == 0.0
+        assert ode_residual(hp, seq.coefficients, 1.0) == 0.0
 
     def test_wrong_c_shifts_residual(self):
         hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
         seq = coefficient_sequence(hp, 5)
         bad = HeunParameters(a=1.0, b=1.0, c=3.1, d=-2.0)
         # residual shifts by exactly 0.1 * |H(z)| = 0.1
-        assert ode_residual(bad, seq, 1.0) == pytest.approx(0.1)
+        assert ode_residual(bad, seq.coefficients, 1.0) == pytest.approx(0.1)
+
+    def test_relative_to_absolute_value_scale(self):
+        # c off by 10 with H == 1: residual 10 over the scale |coef0| |H| = 10
+        seq = coefficient_sequence(HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0), 5)
+        bad = HeunParameters(a=1.0, b=1.0, c=13.0, d=-2.0)
+        assert ode_residual(bad, seq.coefficients, 1.0) == pytest.approx(1.0)
 
     def test_rejects_z_zero(self):
         hp = HeunParameters(a=1.0, b=0.0, c=0.0, d=0.0)
         seq = coefficient_sequence(hp, 5)
         with pytest.raises(ValueError):
-            ode_residual(hp, seq, 0.0)
+            ode_residual(hp, seq.coefficients, 0.0)

@@ -182,13 +182,19 @@ class TestConfirm:
                     assert not confirm(sys, sol.epsilon, wrong, grid, 1e-5).passed
 
 
+def _positive_zeros(coeffs):
+    """Positive real zeros of the polynomial with ascending coefficients."""
+    z = np.roots(coeffs[::-1])
+    return int(np.sum((np.abs(z.imag) <= 1e-8 * (1.0 + np.abs(z.real))) & (z.real > 0)))
+
+
 def test_level_is_sturm_index():
     """For n <= 12 the zeros of H number n - branch, and the oracle eigenvector
     at that level has as many nodes."""
     for n in range(13):
         for l in range(4):
             for branch, sol in enumerate(solve_family(n, l, 1.5, 1.0)):
-                assert sol.level == n - branch
+                assert sol.level == n - branch == _positive_zeros(sol.heun_coefficients)
                 sys = sol.system()
                 grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon, points=2000)
                 levels = range(sol.level, sol.level + 1)

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from biheun.heun import coefficient_sequence
-from biheun.model import PhysicalSystem
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import (
     closed_form_n0,
     closed_form_n1,
-    constraint_polynomial,
     energy_from_termination,
     normalize,
-    solve_b_roots,
     solve_family,
     wavefunction,
 )
@@ -31,35 +28,40 @@ class TestEnergyFromTermination:
             energy_from_termination(0, 0, 0.0, 1.0)
 
 
+def _n1_quadratic(l, aK, b):
+    """The n=1 termination quadratic, (l+1)(l+2) b^2 - aK(2l+3) b + aK^2 - 2(2l+2)."""
+    return (l + 1) * (l + 2) * b * b - aK * (2 * l + 3) * b + aK * aK - 2.0 * (2 * l + 2)
+
+
 class TestConstraintPolynomial:
+    """The termination constraint, solved by solve_family."""
+
     def test_n0_linear(self):
-        poly = constraint_polynomial(0, 2, 3.0)
-        assert np.allclose(poly.coeffs, [-3.0, 3.0])  # 3b - 3
+        # 3b - 3 = 0 for l = 2, alpha/K = 3
+        (sol,) = solve_family(0, 2, 3.0, 1.0)
+        assert sol.b_root == pytest.approx(1.0, rel=1e-15)
 
     def test_n1_quadratic_shape(self):
-        # proportional to {aK^2 - 2(2l+2), -aK(2l+3), (l+1)(l+2)} ascending
         for l in (0, 1, 3):
             for aK in (0.0, 0.5, 2.0):
-                poly = constraint_polynomial(1, l, aK)
-                want = np.array(
-                    [aK * aK - 2.0 * (2 * l + 2), -aK * (2 * l + 3), (l + 1) * (l + 2)]
-                )
-                ratio = poly.coeffs[2] / want[2]
-                assert np.allclose(poly.coeffs, ratio * want, atol=1e-13)
+                for sol in solve_family(1, l, aK, 1.0):
+                    scale = (l + 1) * (l + 2) * sol.b_root**2 + 2.0 * (2 * l + 2)
+                    assert abs(_n1_quadratic(l, aK, sol.b_root)) < 1e-13 * scale
 
     def test_degree_is_n_plus_one(self):
-        for n in range(7):
-            poly = constraint_polynomial(n, 1, 1.0)
-            assert poly.degree == n + 1
-            assert poly.coeffs[-1] != 0.0
+        for n in (*range(7), 20, 40):
+            roots = [sol.b_root for sol in solve_family(n, 1, 1.0, 1.0)]
+            assert len(roots) == n + 1
+            assert np.all(np.diff(roots) > 0)
 
     def test_evaluates_recurrence_combination(self):
-        # P(b) == -2 c_{n-1}(b) + (n b - D) c_n(b) at sample b values
+        # H's coefficients obey the forward recurrence and
+        # -2 c_{n-1}(b) + (n b - D) c_n(b) vanishes at each root
         n, l, aK = 3, 1, 1.0
-        poly = constraint_polynomial(n, l, aK)
         a = 2.0 * l + 1.0
         c = 2.0 * (n + l + 1) + 1.0
-        for b in (-1.7, 0.0, 0.4, 2.2):
+        for sol in solve_family(n, l, aK, 1.0):
+            b = sol.b_root
             D = -b * (l + 1.0) + aK
             cs = np.zeros(n + 1)
             cs[0] = 1.0
@@ -68,55 +70,35 @@ class TestConstraintPolynomial:
                 cs[j + 1] = ((2 * j + a - c) * cs[j - 1] + (j * b - D) * cs[j]) / (
                     (j + 1) * (a + j + 1)
                 )
-            want = -2.0 * cs[n - 1] + (n * b - D) * cs[n]
-            assert poly(b) == pytest.approx(want, rel=1e-12, abs=1e-14)
+            assert np.allclose(sol.heun_coefficients, cs, rtol=1e-12, atol=1e-14)
+            assert abs(-2.0 * cs[n - 1] + (n * b - D) * cs[n]) < 1e-12
+            assert sol.residuals.constraint < 1e-14
 
     def test_n2_roots_terminate(self):
-        poly = constraint_polynomial(2, 0, 1.0)
-        roots, _ = solve_b_roots(poly)
-        assert roots
-        scale = np.max(np.abs(poly.coeffs))
-        for b in roots:
-            assert abs(poly(b)) < 1e-10 * scale
-            eps = energy_from_termination(2, 0, 1.0, b)
-            sys = PhysicalSystem(alpha=1.0, beta=b, k=1.0, l=0)
-            from biheun.heun import to_heun_params
-
-            seq = coefficient_sequence(to_heun_params(sys, eps), 8)
-            assert seq.terminated_at == 2
-
-    def test_degree_cap_warning(self):
-        with pytest.warns(UserWarning):
-            constraint_polynomial(33, 0, 1.0)
+        for l, alpha, k in ((0, 1.0, 1.0), (1, 2.5, 0.3)):
+            sols = solve_family(2, l, alpha, k)
+            assert len(sols) == 3
+            for sol in sols:
+                seq = coefficient_sequence(sol.heun_parameters(), 8)
+                assert seq.terminated_at == 2
 
 
 class TestSolveBRoots:
+    """Roots b of the termination constraint, from solve_family."""
+
     def test_linear_root(self):
-        poly = constraint_polynomial(0, 0, 1.0)
-        roots, discarded = solve_b_roots(poly)
-        assert roots == [1.0]
-        assert discarded == 0
+        assert [sol.b_root for sol in solve_family(0, 0, 1.0, 1.0)] == [1.0]
 
     def test_n1_alpha_zero(self):
-        poly = constraint_polynomial(1, 0, 0.0)
-        roots, _ = solve_b_roots(poly)
+        roots = [sol.b_root for sol in solve_family(1, 0, 0.0, 1.0)]
         assert np.allclose(roots, [-np.sqrt(2.0), np.sqrt(2.0)], rtol=1e-14)
 
     def test_n1_matches_closed_form(self):
-        poly = constraint_polynomial(1, 0, 1.0)
-        roots, _ = solve_b_roots(poly)
+        roots = [sol.b_root for sol in solve_family(1, 0, 1.0, 1.0)]
         sols = closed_form_n1(0, 1.0, 1.0)
         assert len(roots) == 2
         for root, sol in zip(roots, sols):
             assert abs(root - sol.b_root) < 1e-12
-
-    def test_rejects_degree_zero(self):
-        from biheun.quantize import ConstraintPolynomial
-
-        with pytest.raises(ValueError):
-            solve_b_roots(
-                ConstraintPolynomial(n=0, l=0, alpha_over_K=0.0, coeffs=np.array([1.0]))
-            )
 
 
 class TestClosedForms:
@@ -146,10 +128,18 @@ class TestClosedForms:
     def test_n1_roots_satisfy_quadratic(self):
         for l in (0, 1, 2):
             for alpha in (0.0, 0.5, 1.0, 2.0):
-                poly = constraint_polynomial(1, l, alpha)
                 for sol in closed_form_n1(l, alpha, 1.0):
-                    scale = np.max(np.abs(poly.coeffs))
-                    assert abs(poly(sol.b_root)) < 1e-12 * scale
+                    scale = max((l + 1) * (l + 2), alpha * (2 * l + 3), 2.0 * (2 * l + 2))
+                    assert abs(_n1_quadratic(l, alpha, sol.b_root)) < 1e-12 * scale
+
+    def test_levels_and_coefficients(self):
+        assert closed_form_n0(1, 2.0, 1.0).level == 0
+        for l, alpha, K in ((0, 0.0, 1.0), (2, 1.5, 1.3)):
+            closed = closed_form_n1(l, alpha, K)
+            assert [s.level for s in closed] == [1, 0]
+            for got, ref in zip(closed, solve_family(1, l, alpha, K**4)):
+                assert np.allclose(got.heun_coefficients, ref.heun_coefficients, rtol=1e-12)
+                assert got.residuals.ode_sup < 1e-14
 
 
 class TestSolveFamily:
