@@ -9,12 +9,9 @@ eigensolver.
 """
 
 from .heun import (
-    CoefficientSequence,
     HeunParameters,
     coefficient_sequence,
-    eval_series,
     ode_residual,
-    recurrence_factors,
     to_heun_params,
 )
 from .model import (
@@ -44,7 +41,6 @@ from .quantize import (
 from .verify import run_acceptance
 
 __all__ = [
-    "CoefficientSequence",
     "EigenSolveResult",
     "HeunParameters",
     "PhysicalSystem",
@@ -57,13 +53,11 @@ __all__ = [
     "confirm",
     "effective_momentum_squared",
     "energy_from_termination",
-    "eval_series",
     "fd_eigensolve",
     "fd_eigenvalues_richardson",
     "node_count",
     "normalize",
     "ode_residual",
-    "recurrence_factors",
     "run_acceptance",
     "solve_family",
     "to_heun_params",

@@ -94,6 +94,10 @@ class RunConfig:
             raise ConfigError(f"r_min must be positive (got {self.r_min})")
         if self.r_max is not None and self.r_max <= (self.r_min or 0.0):
             raise ConfigError(f"r_max must exceed r_min and 0 (got {self.r_max})")
+        if self.r_max is not None:
+            h = _explicit_grid(self).spacing  # the oracle also halves h: 2/(h/2)^2 = 8/h^2
+            if h * h <= 8.0 / _sys.float_info.max:
+                raise ConfigError(f"r_max {self.r_max} gives a grid whose 1/h^2 overflows")
         single = len(self.n_values()) == len(self.l_values()) == 1
         if self.command in ("wavefunction", "turning-points") and not single:
             raise ConfigError(f"{self.command} takes a single n and l, not a range")
@@ -138,13 +142,18 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _grid_for(config: RunConfig, sys: PhysicalSystem, eps_hint: float) -> RadialGrid:
-    if config.r_max is None:
-        return RadialGrid.auto(sys, epsilon_hint=eps_hint, points=config.grid_points)
+def _explicit_grid(config: RunConfig) -> RadialGrid:
+    """The grid set by --r-max (and --r-min, else the first node at r = h)."""
     if config.r_min is not None:
         return RadialGrid(config.r_min, config.r_max, config.grid_points)
     h = config.r_max / (config.grid_points + 1)
     return RadialGrid(h, config.grid_points * h, config.grid_points)
+
+
+def _grid_for(config: RunConfig, sys: PhysicalSystem, eps_hint: float) -> RadialGrid:
+    if config.r_max is None:
+        return RadialGrid.auto(sys, epsilon_hint=eps_hint, points=config.grid_points)
+    return _explicit_grid(config)
 
 
 def _confirm(config: RunConfig, sol: QuasiExactSolution, branch: int,

@@ -1,4 +1,4 @@
-"""Bi-confluent Heun parameter map, 3-term recurrence, series evaluation.
+"""Bi-confluent Heun parameter map, 3-term recurrence, relative ODE residual.
 
 The equation solved by H(z) is
 
@@ -25,10 +25,6 @@ import numpy as np
 
 from .model import PhysicalSystem
 
-# Two consecutive coefficients below this (relative to the running max)
-# mark a terminated sequence.
-TERMINATION_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class HeunParameters:
@@ -42,21 +38,13 @@ class HeunParameters:
         return -self.b * (self.a + 1.0) / 2.0 - self.d / 2.0
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """Series coefficients c_0..c_N with c_0 = 1, plus termination marker.
-
-    ``terminated_at`` = n means |c_{n+1}| and |c_{n+2}| fell below the
-    relative termination tolerance (and, by the 3-term structure, every
-    later coefficient is then annihilated as well).
-    """
-
-    coefficients: np.ndarray
-    terminated_at: int | None = None
-
-
 def to_heun_params(sys: PhysicalSystem, epsilon: float) -> HeunParameters:
-    """Map a physical system plus energy to bi-confluent Heun parameters."""
+    """Map a physical system plus energy to bi-confluent Heun parameters.
+
+    c is derived from epsilon, so it carries epsilon's rounding scaled by
+    2/K^2; on the termination manifold ``QuasiExactSolution.heun_parameters``
+    sets c = 2(n+l+1)+1 exactly instead.
+    """
     K = sys.K
     b = sys.beta / K**3
     return HeunParameters(
@@ -67,26 +55,12 @@ def to_heun_params(sys: PhysicalSystem, epsilon: float) -> HeunParameters:
     )
 
 
-def recurrence_factors(hp: HeunParameters, l: int, n: int) -> tuple[float, float]:
-    """(E_{n-1}, A_n) of the compact recurrence c_{n+1} = E_{n-1} c_{n-1} + A_n c_n.
+def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:
+    """c_0..c_{n_coeffs} by the 3-term recurrence, c_0 = 1.
 
-    E_{n-1} = [2(n+l) + (1-c)] / [(n+1)(2(l+1)+n)]
-    A_n     = (n b - D)        / [(n+1)(2(l+1)+n)]
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
-    denom = (n + 1.0) * (2.0 * (l + 1) + n)
-    e = (2.0 * (n + l) + (1.0 - hp.c)) / denom
-    a_n = (n * hp.b - hp.D) / denom
-    return e, a_n
-
-
-def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> CoefficientSequence:
-    """Generate c_0..c_{n_coeffs} by the 3-term recurrence, c_0 = 1.
-
-    Sets ``terminated_at`` to the first n for which c_{n+1} and c_{n+2}
-    both vanish within TERMINATION_RTOL of the running coefficient scale;
-    all later coefficients are forced to exact zero in that case.
+    On the termination manifold c_{n+1}, c_{n+2} and every later coefficient
+    come out at rounding level; off it, ``verify.termination_residual`` reads
+    from them how far termination fails.
     """
     if n_coeffs < 0:
         raise ValueError(f"n_coeffs must be >= 0 (got {n_coeffs})")
@@ -99,67 +73,7 @@ def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> CoefficientSequen
         cs[j + 1] = ((2.0 * j + a - c) * cs[j - 1] + (j * b - D) * cs[j]) / (
             (j + 1.0) * (a + j + 1.0)
         )
-
-    terminated_at = None
-    running_max = abs(cs[0])
-    for n in range(n_coeffs - 1):
-        # scale relative to the whole sequence AND to the trailing pair: a
-        # smoothly decaying (entire, non-terminating) series eventually dips
-        # below the global scale, but only true termination shows the abrupt
-        # rounding-level drop against c_{n-1}, c_n.
-        local = max(abs(cs[n]), abs(cs[n - 1]) if n >= 1 else abs(cs[n]))
-        bound = TERMINATION_RTOL * min(running_max, local) if local > 0 else 0.0
-        if abs(cs[n + 1]) <= bound and abs(cs[n + 2]) <= bound:
-            terminated_at = n
-            cs[n + 1 :] = 0.0
-            break
-        running_max = max(running_max, abs(cs[n + 1]))
-    return CoefficientSequence(coefficients=cs, terminated_at=terminated_at)
-
-
-def eval_series(
-    hp: HeunParameters,
-    z: float,
-    order: int | None = None,
-    tail_tol: float | None = None,
-    max_terms: int = 2000,
-) -> float:
-    """Evaluate H(z) = sum c_j z^j on z >= 0 by Horner's scheme.
-
-    Exactly one of ``order`` (fixed truncation) or ``tail_tol`` must be
-    given. In tail-tolerance mode the truncation order is raised until the
-    last two partial terms |c_j z^j| fall below tail_tol, failing if
-    ``max_terms`` coefficients do not suffice.
-    """
-    if z < 0:
-        raise ValueError(f"z must be non-negative (got {z})")
-    if (order is None) == (tail_tol is None):
-        raise ValueError("specify exactly one of order or tail_tol")
-
-    if order is not None:
-        seq = coefficient_sequence(hp, order)
-        return horner(seq.coefficients, z)
-
-    n = 32
-    while n <= max_terms:
-        seq = coefficient_sequence(hp, n)
-        cs = seq.coefficients
-        if seq.terminated_at is not None:
-            return horner(cs, z)
-        zp = z ** (n - 1) if z > 0 else 0.0
-        if abs(cs[-2]) * zp <= tail_tol and abs(cs[-1]) * zp * max(z, 1.0) <= tail_tol:
-            return horner(cs, z)
-        n *= 2
-    raise RuntimeError(
-        f"series tail below {tail_tol} not reached within {max_terms} terms"
-    )
-
-
-def horner(coeffs_ascending: np.ndarray, z: float) -> float:
-    acc = 0.0
-    for c in coeffs_ascending[::-1]:
-        acc = acc * z + c
-    return float(acc)
+    return cs
 
 
 def ode_residual(hp: HeunParameters, coeffs: np.ndarray, z: float) -> float:

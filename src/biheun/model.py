@@ -116,13 +116,14 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     cplx.sort(key=lambda z: (z.real, z.imag))
     ordered = tuple(real + cplx)
 
-    residuals = _vieta_residuals(ordered, sys, epsilon)
+    residuals = vieta_residuals(ordered, sys, epsilon)
     return TurningPointSet(roots=ordered, real_count=len(real), vieta_residuals=residuals)
 
 
-def _vieta_residuals(
+def vieta_residuals(
     roots: tuple[complex, ...], sys: PhysicalSystem, epsilon: float
 ) -> tuple[float, float, float, float]:
+    """Absolute defects of the four Vieta identities for the quartic roots."""
     r1, r2, r3, r4 = roots
     e1 = r1 + r2 + r3 + r4
     e2 = r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4
@@ -135,10 +136,3 @@ def _vieta_residuals(
         abs(e3 - sys.alpha / k),
         abs(e4 - sys.l * (sys.l + 1) / k),
     )
-
-
-def vieta_residuals(
-    tp: TurningPointSet, sys: PhysicalSystem, epsilon: float
-) -> tuple[float, float, float, float]:
-    """Absolute defects of the four Vieta identities for the quartic roots."""
-    return _vieta_residuals(tp.roots, sys, epsilon)

@@ -87,14 +87,12 @@ class EigenSolveResult:
 
     ``energies[i]`` belongs to the i-th requested level (0 = ground state). When
     eigenvectors were asked for, ``vectors[i]`` samples f(r) = r R(r) on the
-    grid nodes, L2-normalized (sum f^2 h = 1) with positive leading sign, and
-    ``node_counts[i]`` is its node count; otherwise ``vectors`` is None and
-    ``node_counts`` is empty.
+    grid nodes, L2-normalized (sum f^2 h = 1) with positive leading sign;
+    otherwise ``vectors`` is None.
     """
 
     energies: np.ndarray
     vectors: np.ndarray | None  # shape (len(levels), points)
-    node_counts: tuple[int, ...]
     grid: RadialGrid
 
 
@@ -133,15 +131,14 @@ def fd_eigensolve(
         lam = eigh_tridiagonal(
             diag, off, eigvals_only=True, select="i", select_range=select
         )
-        return EigenSolveResult(energies=lam / 2.0, vectors=None, node_counts=(), grid=grid)
+        return EigenSolveResult(energies=lam / 2.0, vectors=None, grid=grid)
     lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=select)
     vec = vec.T / h**0.5  # columns to rows; sum f^2 h = 1
     for i in range(len(vec)):
         nz = np.nonzero(np.abs(vec[i]) > 1e-10 * np.max(np.abs(vec[i])))[0]
         if len(nz) and vec[i][nz[0]] < 0:
             vec[i] = -vec[i]
-    nodes = tuple(node_count(f) for f in vec)
-    return EigenSolveResult(energies=lam / 2.0, vectors=vec, node_counts=nodes, grid=grid)
+    return EigenSolveResult(energies=lam / 2.0, vectors=vec, grid=grid)
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:

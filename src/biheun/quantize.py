@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .heun import HeunParameters, ode_residual, to_heun_params
+from .heun import HeunParameters, ode_residual
 from .model import PhysicalSystem, turning_points
 
 
@@ -65,7 +65,13 @@ class QuasiExactSolution:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
 
     def heun_parameters(self) -> HeunParameters:
-        return to_heun_params(self.system(), self.epsilon)
+        return _manifold_parameters(self.n, self.l, self.b_root, self.alpha / self.K)
+
+
+def _manifold_parameters(n: int, l: int, b: float, alpha_over_K: float) -> HeunParameters:
+    """Heun parameters with c = 2(n+l+1)+1 exact, not 2 eps/K^2 + b^2/4 from the
+    rounded energy, whose cancellation against b^2/4 loses c's digits at large b."""
+    return HeunParameters(2.0 * l + 1.0, b, 2.0 * (n + l + 1) + 1.0, -2.0 * alpha_over_K)
 
 
 def energy_from_termination(n: int, l: int, K: float, b: float) -> float:
@@ -102,9 +108,10 @@ def _assemble_solution(
     beta = b * K**3
     eps = energy_from_termination(n, l, K, b)
     sys = PhysicalSystem(alpha=alpha, beta=beta, k=k, l=l)
+    hp = _manifold_parameters(n, l, b, alpha / K)
     residuals = ResidualReport(
         constraint=_recurrence_defect(n, l, alpha / K, b, coeffs),
-        ode_sup=_ode_residual_sup(sys, eps, coeffs),
+        ode_sup=_ode_residual_sup(sys, eps, hp, coeffs),
     )
     return QuasiExactSolution(
         n=n,
@@ -121,10 +128,10 @@ def _assemble_solution(
 
 
 def _ode_residual_sup(
-    sys: PhysicalSystem, epsilon: float, coeffs: np.ndarray, n_samples: int = 50
+    sys: PhysicalSystem, epsilon: float, hp: HeunParameters, coeffs: np.ndarray,
+    n_samples: int = 50,
 ) -> float:
     """Sup of the relative Heun ODE residual over z in (0, 2*K*r4]."""
-    hp = to_heun_params(sys, epsilon)
     tp = turning_points(sys, epsilon)
     r4 = max((abs(z) for z in tp.roots), default=1.0)
     z_hi = 2.0 * sys.K * max(r4, 1.0)

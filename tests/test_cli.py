@@ -62,6 +62,16 @@ class TestSpectrum:
         assert len(rows) == 13
         assert max(float(row.split(",")[-1]) for row in rows) < 1e-7
 
+    def test_large_b_ode_residual(self, capsys):
+        # b ~ 3e7: c recomputed from the rounded energy read 4.992, not 5
+        code, out, _ = run_cli(
+            ["spectrum", "--n", "1", "--alpha", "1e6", "--k", "1e-6"], capsys
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert all(float(row.split(",")[7]) <= 1e-12 for row in rows)
+
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
         _, out1, _ = run_cli(args, capsys)
@@ -210,6 +220,7 @@ class TestConfigHandling:
             (["wavefunction", "--n", "0..1"], None),
             (["wavefunction", "--l", "0..2"], None),
             (["turning-points", "--l", "0..2", "--epsilon", "1"], None),
+            (["spectrum", "--n", "2", "--l", "1", "--r-max", "1e-300", "--verify"], None),
         ],
     )
     def test_rejects_invalid_input(self, capsys, tmp_path, argv, config):

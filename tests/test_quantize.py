@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from biheun.heun import coefficient_sequence
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import (
     closed_form_n0,
@@ -11,6 +10,7 @@ from biheun.quantize import (
     solve_family,
     wavefunction,
 )
+from biheun.verify import TERMINATION_RTOL, termination_residual
 
 
 class TestEnergyFromTermination:
@@ -79,8 +79,7 @@ class TestConstraintPolynomial:
             sols = solve_family(2, l, alpha, k)
             assert len(sols) == 3
             for sol in sols:
-                seq = coefficient_sequence(sol.heun_parameters(), 8)
-                assert seq.terminated_at == 2
+                assert termination_residual(sol) <= TERMINATION_RTOL
 
 
 class TestSolveBRoots:
@@ -167,10 +166,15 @@ class TestSolveFamily:
             )
 
     def test_termination_of_every_root(self):
-        for n in (2, 4, 6):
+        for n in (2, 4, 6, 12, 13, 20):
             for sol in solve_family(n, 0, 1.0, 1.0):
-                seq = coefficient_sequence(sol.heun_parameters(), n + 6)
-                assert seq.terminated_at == n
+                assert termination_residual(sol) <= TERMINATION_RTOL
+
+    def test_manifold_parameters_at_large_b(self):
+        # c = 2 eps/K^2 + b^2/4 from the rounded energy reads 4.992 here, not 5
+        for sol in solve_family(1, 0, 1e6, 1e-6):
+            assert sol.heun_parameters().c == 5.0
+            assert sol.residuals.ode_sup <= 1e-12
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
