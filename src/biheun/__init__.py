@@ -17,7 +17,6 @@ from .heun import (
 from .model import (
     PhysicalSystem,
     TurningPointSet,
-    effective_momentum_squared,
     turning_points,
     vieta_residuals,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "closed_form_n1",
     "coefficient_sequence",
     "confirm",
-    "effective_momentum_squared",
     "energy_from_termination",
     "fd_eigensolve",
     "fd_eigenvalues_richardson",

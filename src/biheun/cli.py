@@ -52,7 +52,6 @@ class RunConfig:
     epsilon: float | None = None  # turning-points only
     branch: int = 0  # wavefunction only
     grid_points: int = 6000
-    r_min: float | None = None
     r_max: float | None = None
     tol: float = 1e-5
     verify: bool = False
@@ -88,16 +87,11 @@ class RunConfig:
             raise ConfigError(f"grid_points must be >= 16 (got {self.grid_points})")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
-        if self.r_min is not None and self.r_max is None:
-            raise ConfigError("--r-min needs --r-max (the auto grid sets its own r_min)")
-        if self.r_min is not None and self.r_min <= 0:
-            raise ConfigError(f"r_min must be positive (got {self.r_min})")
-        if self.r_max is not None and self.r_max <= (self.r_min or 0.0):
-            raise ConfigError(f"r_max must exceed r_min and 0 (got {self.r_max})")
         if self.r_max is not None:
-            h = _explicit_grid(self).spacing  # the oracle also halves h: 2/(h/2)^2 = 8/h^2
-            if h * h <= 8.0 / _sys.float_info.max:
-                raise ConfigError(f"r_max {self.r_max} gives a grid whose 1/h^2 overflows")
+            try:
+                RadialGrid(self.r_max, self.grid_points)
+            except ValueError as exc:
+                raise ConfigError(f"--r-max: {exc}") from exc
         single = len(self.n_values()) == len(self.l_values()) == 1
         if self.command in ("wavefunction", "turning-points") and not single:
             raise ConfigError(f"{self.command} takes a single n and l, not a range")
@@ -142,18 +136,10 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _explicit_grid(config: RunConfig) -> RadialGrid:
-    """The grid set by --r-max (and --r-min, else the first node at r = h)."""
-    if config.r_min is not None:
-        return RadialGrid(config.r_min, config.r_max, config.grid_points)
-    h = config.r_max / (config.grid_points + 1)
-    return RadialGrid(h, config.grid_points * h, config.grid_points)
-
-
 def _grid_for(config: RunConfig, sys: PhysicalSystem, eps_hint: float) -> RadialGrid:
     if config.r_max is None:
         return RadialGrid.auto(sys, epsilon_hint=eps_hint, points=config.grid_points)
-    return _explicit_grid(config)
+    return RadialGrid(config.r_max, config.grid_points)
 
 
 def _confirm(config: RunConfig, sol: QuasiExactSolution, branch: int,
@@ -258,37 +244,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_system=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        if with_system:
-            p.add_argument("--n", help="polynomial degree, INT or A..B")
-            p.add_argument("--l", help="orbital quantum number, INT or A..B")
-            p.add_argument("--alpha", type=float, help="Coulomb strength (scaled)")
-            p.add_argument("--k", type=float, help="harmonic coefficient, > 0")
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--r-min", type=float, dest="r_min")
-        p.add_argument("--r-max", type=float, dest="r_max")
-        p.add_argument("--tol", type=float,
-                       help="oracle tolerance on the Richardson gap (relative)")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path (default: stdout)")
 
+    def system(p):
+        common(p)
+        p.add_argument("--l", help="orbital quantum number, INT or A..B")
+        p.add_argument("--alpha", type=float, help="Coulomb strength (scaled)")
+        p.add_argument("--k", type=float, help="harmonic coefficient, > 0")
+
+    def family(p):
+        """The flags of the commands that solve (n, l) families and call the oracle."""
+        system(p)
+        p.add_argument("--n", help="polynomial degree, INT or A..B")
+        p.add_argument("--grid-points", type=int, dest="grid_points")
+        p.add_argument("--r-max", type=float, dest="r_max")
+        p.add_argument("--tol", type=float,
+                       help="oracle tolerance on the Richardson gap (relative)")
+
     p = sub.add_parser("spectrum", help="quasi-exact energies per (n, l) family")
-    common(p)
+    family(p)
     p.add_argument("--verify", action="store_true",
                    help="confirm each energy against the finite-difference oracle")
 
     p = sub.add_parser("wavefunction", help="polynomial vs oracle wavefunction")
-    common(p)
+    family(p)
     p.add_argument("--branch", type=int, help="which b root (ascending order)")
 
     p = sub.add_parser("turning-points", help="quartic roots and Vieta residuals")
-    common(p)
+    system(p)
     p.add_argument("--beta", type=float, help="explicit linear coefficient")
     p.add_argument("--epsilon", type=float, help="energy at which to evaluate")
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
-    common(p, with_system=False)
+    common(p)
     return parser
 
 

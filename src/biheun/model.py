@@ -1,4 +1,4 @@
-"""Physical system in scaled units, effective momentum curve, classical turning points.
+"""Physical system in scaled units and its classical turning points.
 
 The radial problem is taken in the dimensionless form
 
@@ -58,19 +58,6 @@ class TurningPointSet:
     @property
     def real_roots(self) -> list[float]:
         return [r.real for r in self.roots[: self.real_count]]
-
-
-def effective_momentum_squared(sys: PhysicalSystem, epsilon: float, r: float) -> float:
-    """P^2(r) = 2 eps + alpha/r - l(l+1)/r^2 - beta*r - k*r^2 at radius r > 0."""
-    if r <= 0:
-        raise ValueError(f"r must be positive (got {r})")
-    return (
-        2.0 * epsilon
-        + sys.alpha / r
-        - sys.l * (sys.l + 1) / r**2
-        - sys.beta * r
-        - sys.k * r**2
-    )
 
 
 def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> np.ndarray:

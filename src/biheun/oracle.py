@@ -1,11 +1,13 @@
 """Independent finite-difference eigensolver for the radial equation.
 
-Discretizes f'' + [2 eps + alpha/r - l(l+1)/r^2 - beta r - k r^2] f = 0 with
-the standard second-order central stencil on a uniform grid and Dirichlet
-boundaries. Eigenvalues come from bisection on the Sturm sequence of the
-symmetric tridiagonal matrix, computed only at the requested levels, and
-eigenvectors, only when asked for, from inverse iteration (LAPACK
-stebz/stein via scipy). The operator eigenvalue lambda maps to eps = lambda/2.
+Discretizes f'' + [2 eps + alpha/r - l(l+1)/r^2 - beta r - k r^2] f = 0 on
+(0, r_edge) with the second-order central stencil on a uniform grid and
+Dirichlet walls at r = 0 and r = r_edge. Eigenvalues come from bisection on
+the Sturm sequence of the symmetric tridiagonal matrix, computed only at the
+requested levels, and eigenvectors, only when asked for, from inverse
+iteration (LAPACK stebz/stein via scipy). The operator eigenvalue lambda maps
+to eps = lambda/2. One Richardson step between h and h/2 on the same walls
+cancels the h^2 error.
 
 This module never touches the Heun machinery; it exists to confirm (or
 refute) quasi-exact energies and wavefunctions independently.
@@ -22,35 +24,39 @@ from .model import PhysicalSystem, turning_points
 
 DEFAULT_POINTS = 6000
 
-# K^2 rmax^2 / 2 >= 27 puts the Gaussian tail below 1e-12.
+# K^2 r_edge^2 / 2 >= 27 puts the Gaussian tail below 1e-12.
 _GAUSSIAN_TAIL_EXPONENT = 27.0
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid r_i = r_min + i*h with Dirichlet ends.
+    """Uniform grid on (0, r_edge): nodes r_i = i*h, i = 1..points, h = r_edge/(points+1).
 
-    Auto-sized grids put the first node at r_min = h so that the implicit
-    left boundary sits exactly at r = 0 (where f = 0 for every l); this
-    keeps the stencil second-order accurate.
+    The Dirichlet walls sit at r = 0, where f = r R vanishes for every l, and
+    at r = r_edge; neither is a node. ``refined()`` halves h between the same
+    walls, so Richardson extrapolation always compares one problem.
     """
 
-    r_min: float
-    r_max: float
+    r_edge: float
     points: int
 
     def __post_init__(self) -> None:
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max (got {self.r_min}, {self.r_max})")
+        if not 0 < self.r_edge < np.inf:
+            raise ValueError(f"r_edge must be positive and finite (got {self.r_edge})")
         if self.points < 16:
             raise ValueError(f"points must be >= 16 (got {self.points})")
+        # the refined stencil 2/(h/2)^2 = 8/h^2 must stay finite; written as a
+        # product, the test cannot raise when h^2 underflows or overflows
+        h = self.spacing
+        if h * h <= 8.0 / np.finfo(float).max:
+            raise ValueError(f"r_edge {self.r_edge} gives a grid whose 1/h^2 overflows")
 
     @property
     def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.points - 1)
+        return self.r_edge / (self.points + 1)
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.points)
+        return self.spacing * np.arange(1, self.points + 1)
 
     @classmethod
     def auto(
@@ -59,7 +65,7 @@ class RadialGrid:
         epsilon_hint: float | None = None,
         points: int = DEFAULT_POINTS,
     ) -> "RadialGrid":
-        """Turning-point-aware domain: r_max covers 1.5x the outer turning
+        """Turning-point-aware domain: r_edge covers 1.5x the outer turning
         point and the radius where the Gaussian envelope drops below 1e-12."""
         K = sys.K
         r_gauss = (2.0 * _GAUSSIAN_TAIL_EXPONENT) ** 0.5 / K
@@ -67,18 +73,11 @@ class RadialGrid:
             epsilon_hint = K * K * (sys.l + 1.5)
         tp = turning_points(sys, epsilon_hint)
         r_outer = max((z.real for z in tp.roots if abs(z.imag) == 0.0), default=0.0)
-        r_edge = max(1.5 * r_outer, r_gauss)
-        h = r_edge / (points + 1)
-        return cls(r_min=h, r_max=points * h, points=points)
+        return cls(max(1.5 * r_outer, r_gauss), points)
 
     def refined(self) -> "RadialGrid":
-        """Grid with exactly halved spacing covering the same domain."""
-        h2 = self.spacing / 2.0
-        if abs(self.r_min - self.spacing) < 1e-12 * self.spacing:
-            # aligned grid: keep the implicit boundaries at 0 and r_max + h
-            n = 2 * self.points + 1
-            return RadialGrid(r_min=h2, r_max=n * h2, points=n)
-        return RadialGrid(r_min=self.r_min, r_max=self.r_max, points=2 * self.points - 1)
+        """The same walls with exactly half the spacing."""
+        return RadialGrid(self.r_edge, 2 * self.points + 1)
 
 
 @dataclass(frozen=True)

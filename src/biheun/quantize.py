@@ -201,6 +201,13 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     b_roots, vectors = eigh_tridiagonal(aK / w, off)
     scale = np.append(1.0, np.cumprod(off / up))  # P: p_{j+1}/p_j = sqrt(down/up)
     coeffs = scale[:, None] * vectors
+    for i in range(n + 1):
+        # c_0 underflows when the eigenvector lives at large j (alpha/K >> n)
+        if not np.all(np.abs(coeffs[:, i]) < abs(coeffs[0, i]) * np.finfo(float).max):
+            raise RuntimeError(
+                f"H's coefficients overflow for (n={n}, l={l}, branch={i}): "
+                f"c_0 underflowed to {coeffs[0, i]:.1e} before scaling to 1"
+            )
     return [
         _assemble_solution(n, l, alpha, k, float(b), coeffs[:, i] / coeffs[0, i], n - i)
         for i, b in enumerate(b_roots)

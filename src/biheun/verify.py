@@ -245,8 +245,7 @@ def criterion_6() -> CriterionResult:
         sys = PhysicalSystem(alpha=alpha, beta=abs(beta), k=k, l=l)
         sys_s = PhysicalSystem(alpha=alpha / K, beta=abs(beta) / K**3, k=1.0, l=l)
         grid = RadialGrid.auto(sys, points=2000)
-        h_s = grid.spacing * K
-        grid_s = RadialGrid(r_min=h_s, r_max=grid.points * h_s, points=grid.points)
+        grid_s = RadialGrid(grid.r_edge * K, grid.points)
         e1 = fd_eigensolve(sys, grid, range(3)).energies
         e2 = fd_eigensolve(sys_s, grid_s, range(3)).energies
         err = float(np.max(np.abs(e1 - K * K * e2) / np.maximum(1.0, np.abs(e1))))

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from biheun.cli import main
+from biheun.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -71,6 +72,16 @@ class TestSpectrum:
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 2
         assert all(float(row.split(",")[7]) <= 1e-12 for row in rows)
+
+    def test_underflowed_c0_is_solver_error(self, capsys):
+        # alpha/K >> n: the lowest-b eigenvectors live at large j and c_0
+        # underflows to 0; scaling by it printed nan rows with exit 0
+        code, out, err = run_cli(
+            ["spectrum", "--n", "25", "--l", "0", "--alpha", "1e4", "--k", "1"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "(n=25, l=0, branch=0)" in err
 
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
@@ -180,25 +191,6 @@ class TestConfigHandling:
         )
         assert code == 2
 
-    def test_r_min_without_r_max(self, capsys):
-        code, _, err = run_cli(
-            ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
-             "--verify", "--r-min", "0.01"],
-            capsys,
-        )
-        assert code == 2
-        assert "--r-max" in err
-
-    def test_r_min_with_r_max(self, capsys):
-        code, out, _ = run_cli(
-            ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
-             "--verify", "--r-min", "0.002", "--r-max", "12", "--grid-points", "3000",
-             "--tol", "1e-2"],
-            capsys,
-        )
-        assert code == 0
-        assert float(out.strip().split("\n")[1].split(",")[-1]) < 1e-2
-
     @pytest.mark.parametrize(
         "argv, config",
         [
@@ -207,9 +199,9 @@ class TestConfigHandling:
             (["spectrum", "--alpha", "inf"], None),
             (["spectrum", "--tol", "nan"], None),
             (["spectrum", "--verify", "--r-max", "nan"], None),
-            (["spectrum", "--verify", "--r-min", "inf", "--r-max", "12"], None),
-            (["spectrum", "--verify", "--r-min", "0", "--r-max", "12"], None),
-            (["spectrum", "--verify", "--r-min", "5", "--r-max", "3"], None),
+            (["spectrum", "--verify", "--r-max", "0"], None),
+            (["spectrum", "--verify", "--r-max", "-3"], None),
+            (["wavefunction", "--r-max", "0"], None),
             (["spectrum", "--alpha", "-1"], None),
             (["spectrum", "--verify", "--grid-points", "5"], None),
             (["spectrum"], '{"alpha": "x"}'),
@@ -221,6 +213,7 @@ class TestConfigHandling:
             (["wavefunction", "--l", "0..2"], None),
             (["turning-points", "--l", "0..2", "--epsilon", "1"], None),
             (["spectrum", "--n", "2", "--l", "1", "--r-max", "1e-300", "--verify"], None),
+            (["spectrum", "--verify"], '{"r_min": 0.002, "r_max": 12}'),
         ],
     )
     def test_rejects_invalid_input(self, capsys, tmp_path, argv, config):
@@ -273,3 +266,41 @@ class TestConfigHandling:
             capsys,
         )
         assert code == 3
+
+
+COMMON = {"--config", "--format", "--out"}
+SYSTEM = COMMON | {"--l", "--alpha", "--k"}
+FAMILY = SYSTEM | {"--n", "--grid-points", "--r-max", "--tol"}
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("spectrum", FAMILY | {"--verify"}),
+        ("wavefunction", FAMILY | {"--branch"}),
+        ("turning-points", SYSTEM | {"--beta", "--epsilon"}),
+        ("verify", COMMON),
+    ],
+)
+def test_each_command_takes_only_the_flags_it_reads(command, options):
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = sub.choices[command]._actions
+    assert {o for a in actions for o in a.option_strings} - {"-h", "--help"} == options
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["turning-points", "--epsilon", "1", "--tol", "1e-3"],
+        ["turning-points", "--epsilon", "1", "--n", "2"],
+        ["verify", "--grid-points", "100"],
+        ["verify", "--r-max", "12"],
+    ],
+)
+def test_ignored_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()

@@ -3,7 +3,6 @@ import pytest
 
 from biheun.model import (
     PhysicalSystem,
-    effective_momentum_squared,
     turning_points,
     vieta_residuals,
 )
@@ -32,31 +31,6 @@ class TestPhysicalSystem:
     def test_invalid_inputs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PhysicalSystem(**kwargs)
-
-
-class TestEffectiveMomentum:
-    def test_oscillator_zero_crossing(self):
-        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        assert effective_momentum_squared(sys, epsilon=2.0, r=2.0) == 0.0
-
-    def test_centrifugal_dominates_at_origin(self):
-        sys = PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=1)
-        v = effective_momentum_squared(sys, epsilon=1.0, r=1e-8)
-        assert v < -1e15  # ~ -l(l+1)/r^2
-
-    def test_matches_quartic_over_r_squared(self):
-        sys = PhysicalSystem(alpha=1.0, beta=1.0, k=1.0, l=1)
-        eps, r = 3.0, 1.0
-        p2 = effective_momentum_squared(sys, eps, r)
-        q = np.polyval(quartic_coeffs(sys, eps), r)
-        assert p2 == pytest.approx(q / r**2, rel=1e-14)
-
-    def test_rejects_nonpositive_r(self):
-        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        with pytest.raises(ValueError):
-            effective_momentum_squared(sys, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            effective_momentum_squared(sys, 1.0, -1.0)
 
 
 class TestTurningPoints:

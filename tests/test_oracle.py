@@ -27,20 +27,21 @@ def oscillator():
 
 class TestRadialGrid:
     def test_spacing(self):
-        grid = RadialGrid(r_min=0.01, r_max=10.0, points=1000)
-        assert grid.spacing == pytest.approx((10.0 - 0.01) / 999)
-        assert len(grid.nodes()) == 1000
+        grid = RadialGrid(r_edge=10.0, points=999)
+        assert grid.spacing == 10.0 / 1000
+        assert len(grid.nodes()) == 999
+        assert grid.nodes()[-1] == pytest.approx(10.0 - grid.spacing, rel=1e-15)
 
     def test_auto_covers_gaussian_tail(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
         grid = RadialGrid.auto(sys)
-        assert sys.K**2 * (grid.r_max + grid.spacing) ** 2 / 2.0 >= 27.0
+        assert sys.K**2 * grid.r_edge**2 / 2.0 >= 27.0
 
     def test_auto_covers_turning_point(self):
         sys = PhysicalSystem(alpha=0.0, beta=-8.0, k=1.0, l=0)
         grid = RadialGrid.auto(sys, epsilon_hint=5.0)
         # outer turning point of 2*5 + 8r - r^2 is beyond r = 9
-        assert grid.r_max > 1.4 * 9.0
+        assert grid.r_edge > 1.4 * 9.0
 
     def test_refined_halves_spacing(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
@@ -48,13 +49,35 @@ class TestRadialGrid:
         fine = grid.refined()
         assert fine.spacing == pytest.approx(grid.spacing / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1), points=100),
+            RadialGrid(r_edge=12.0, points=3000),
+            RadialGrid(r_edge=12.0, points=3000).refined(),
+        ],
+        ids=["auto", "explicit", "refined"],
+    )
+    def test_walls_at_zero_and_edge(self, grid):
+        # the first node is one spacing from the wall at r = 0, on every grid
+        assert grid.nodes()[0] == grid.spacing
+        fine = grid.refined()
+        assert fine.r_edge == grid.r_edge
+        assert fine.spacing == grid.spacing / 2.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialGrid(r_min=0.0, r_max=1.0, points=100)
+            RadialGrid(r_edge=0.0, points=100)
         with pytest.raises(ValueError):
-            RadialGrid(r_min=2.0, r_max=1.0, points=100)
+            RadialGrid(r_edge=-1.0, points=100)
         with pytest.raises(ValueError):
-            RadialGrid(r_min=0.1, r_max=1.0, points=4)
+            RadialGrid(r_edge=float("inf"), points=100)
+        with pytest.raises(ValueError):
+            RadialGrid(r_edge=float("nan"), points=100)
+        with pytest.raises(ValueError):
+            RadialGrid(r_edge=1.0, points=4)
+        with pytest.raises(ValueError):  # 8/h^2 overflows on the refined grid
+            RadialGrid(r_edge=1e-300, points=100)
 
 
 class TestFdEigensolve:
@@ -115,15 +138,14 @@ class TestFdEigensolve:
         K = sys.K
         sys_s = PhysicalSystem(alpha=1.0 / K, beta=0.7 / K**3, k=1.0, l=1)
         grid = RadialGrid.auto(sys, points=1200)
-        h_s = grid.spacing * K
-        grid_s = RadialGrid(r_min=h_s, r_max=grid.points * h_s, points=grid.points)
+        grid_s = RadialGrid(r_edge=grid.r_edge * K, points=grid.points)
         e = fd_eigensolve(sys, grid, range(3)).energies
         e_s = fd_eigensolve(sys_s, grid_s, range(3)).energies
         assert np.allclose(e, K * K * e_s, rtol=1e-8)
 
     def test_count_validation(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        grid = RadialGrid(r_min=0.01, r_max=10.0, points=100)
+        grid = RadialGrid(r_edge=10.0, points=100)
         with pytest.raises(ValueError):
             fd_eigensolve(sys, grid, range(0))
         with pytest.raises(ValueError):
