@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import PhysicalSystem, turning_points
-from .oracle import Confirmation, RadialGrid, confirm, node_count
+from .oracle import MAX_POINTS, Confirmation, RadialGrid, confirm, node_count
 from .quantize import QuasiExactSolution, normalize, solve_family, wavefunction
 from .verify import run_acceptance
 
@@ -51,7 +52,7 @@ class RunConfig:
     beta: float | None = None  # turning-points only
     epsilon: float | None = None  # turning-points only
     branch: int = 0  # wavefunction only
-    grid_points: int = 6000
+    grid_points: int | None = None  # None: sized to the state
     r_max: float | None = None
     tol: float = 1e-5
     verify: bool = False
@@ -83,15 +84,13 @@ class RunConfig:
             raise ConfigError(f"alpha must be non-negative (got {self.alpha})")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive (got {self.tol})")
-        if self.grid_points < 16:
-            raise ConfigError(f"grid_points must be >= 16 (got {self.grid_points})")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
-        if self.r_max is not None:
-            try:
-                RadialGrid(self.r_max, self.grid_points)
-            except ValueError as exc:
-                raise ConfigError(f"--r-max: {exc}") from exc
+        try:  # the grid flags given; r_edge 1 and MAX_POINTS stand in for the state's
+            RadialGrid(1.0 if self.r_max is None else self.r_max,
+                       self.grid_points or MAX_POINTS)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         single = len(self.n_values()) == len(self.l_values()) == 1
         if self.command in ("wavefunction", "turning-points") and not single:
             raise ConfigError(f"{self.command} takes a single n and l, not a range")
@@ -126,20 +125,15 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         text = "\n".join(lines) + "\n"
     else:
         results = [dict(zip(header, row)) for row in rows]
-        payload = {"config": asdict(config), "results": results,
-                   "diagnostics": diagnostics}
+        keys = _config_keys(config.command)
+        embedded = {key: v for key, v in asdict(config).items() if key in keys}
+        payload = {"config": embedded, "results": results, "diagnostics": diagnostics}
         text = json.dumps(payload, indent=2) + "\n"
     if config.out:
         with open(config.out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)
-
-
-def _grid_for(config: RunConfig, sys: PhysicalSystem, eps_hint: float) -> RadialGrid:
-    if config.r_max is None:
-        return RadialGrid.auto(sys, epsilon_hint=eps_hint, points=config.grid_points)
-    return RadialGrid(config.r_max, config.grid_points)
 
 
 def _confirm(config: RunConfig, sol: QuasiExactSolution, branch: int,
@@ -171,7 +165,8 @@ def cmd_spectrum(config: RunConfig) -> None:
                 row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon,
                        sol.residuals.constraint, sol.residuals.ode_sup]
                 if config.verify:
-                    grid = _grid_for(config, sol.system(), sol.epsilon)
+                    grid = RadialGrid.auto(sol.system(), sol.epsilon,
+                                           config.grid_points, config.r_max)
                     row.append(_confirm(config, sol, branch, grid).gap)
                 rows.append(row)
     _emit(config, header, rows, diagnostics)
@@ -185,7 +180,7 @@ def cmd_wavefunction(config: RunConfig) -> None:
         raise ConfigError(f"branch {config.branch} out of range: {len(sols)} branches")
     sol = sols[config.branch]
 
-    grid = _grid_for(config, sol.system(), sol.epsilon)
+    grid = RadialGrid.auto(sol.system(), sol.epsilon, config.grid_points, config.r_max)
     c = _confirm(config, sol, config.branch, grid, vector=True)
     nodes = node_count(c.vector)
     if nodes != c.level:
@@ -283,6 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_keys(command: str) -> frozenset[str]:
+    """``command`` and the RunConfig fields its flags set: the keys its JSON
+    config may hold and its JSON output embeds."""
+    return frozenset(vars(build_parser().parse_args([command]))) - {"config"}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
@@ -295,10 +297,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
         loaded.pop("command", None)
         loaded.pop("config", None)
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(loaded) - known
+        unknown = set(loaded) - _config_keys(args.command)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"keys that are not flags of {args.command}: {sorted(unknown)}")
         values.update(loaded)
     for key in RunConfig.__dataclass_fields__:
         if key == "command":

@@ -109,10 +109,11 @@ def _assemble_solution(
     eps = energy_from_termination(n, l, K, b)
     sys = PhysicalSystem(alpha=alpha, beta=beta, k=k, l=l)
     hp = _manifold_parameters(n, l, b, alpha / K)
-    residuals = ResidualReport(
-        constraint=_recurrence_defect(n, l, alpha / K, b, coeffs),
-        ode_sup=_ode_residual_sup(sys, eps, hp, coeffs),
-    )
+    try:
+        ode_sup = _ode_residual_sup(sys, eps, hp, coeffs)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"(n={n}, l={l}, branch={n - level}): ODE residual {exc}") from exc
+    residuals = ResidualReport(_recurrence_defect(n, l, alpha / K, b, coeffs), ode_sup)
     return QuasiExactSolution(
         n=n,
         l=l,
@@ -131,12 +132,14 @@ def _ode_residual_sup(
     sys: PhysicalSystem, epsilon: float, hp: HeunParameters, coeffs: np.ndarray,
     n_samples: int = 50,
 ) -> float:
-    """Sup of the relative Heun ODE residual over z in (0, 2*K*r4]."""
+    """Sup of the relative Heun ODE residual over z in (0, 2*K*r4]; FloatingPointError
+    on overflow, which would give a nan sample (dropped by max) or a 0 one."""
     tp = turning_points(sys, epsilon)
     r4 = max((abs(z) for z in tp.roots), default=1.0)
     z_hi = 2.0 * sys.K * max(r4, 1.0)
     zs = np.linspace(z_hi / n_samples, z_hi, n_samples)
-    return max(ode_residual(hp, coeffs, z) for z in zs)
+    with np.errstate(over="raise", invalid="raise"):
+        return max(ode_residual(hp, coeffs, z) for z in zs)
 
 
 def closed_form_n0(l: int, alpha: float, K: float) -> QuasiExactSolution:

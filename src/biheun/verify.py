@@ -71,19 +71,27 @@ def power_matching_coefficients(
 
 
 def termination_residual(sol: QuasiExactSolution, beta_override: float | None = None) -> float:
-    """max(|c_{n+1}|, |c_{n+2}|) relative to max_{j<=n} |c_j| for the solution's
-    parameters (optionally with a perturbed beta, holding epsilon fixed)."""
+    """Defect of the recurrence rows (j+1)(a+j+1) c_{j+1} = (2j + a - c) c_{j-1}
+    + (jb - D) c_j at j = n, n+1, which should give c_{n+1} = c_{n+2} = 0, over the
+    largest row of terms in absolute value (normwise, as ``quantize._recurrence_defect``),
+    for the solution's parameters (optionally with a perturbed beta, holding epsilon
+    fixed). c = 2 eps/K^2 + b^2/4 counts as |2 eps/K^2| + b^2/4: at large b the two
+    cancel, and the rounding of eps shows at the scale of b^2."""
     sys = sol.system()
     if beta_override is not None:
         sys = PhysicalSystem(alpha=sys.alpha, beta=beta_override, k=sys.k, l=sys.l)
-    n = sol.n
-    cs = coefficient_sequence(to_heun_params(sys, sol.epsilon), n + 2)
-    scale = np.max(np.abs(cs[: n + 1]))
-    return float(max(abs(cs[n + 1]), abs(cs[n + 2])) / scale)
+    hp = to_heun_params(sys, sol.epsilon)
+    cs = np.abs(coefficient_sequence(hp, sol.n + 2))
+    j = np.arange(sol.n + 2.0)
+    defect = (j + 1) * (hp.a + j + 1) * cs[1:]
+    c_size = 2.0 * abs(sol.epsilon) / sys.K**2 + hp.b**2 / 4.0
+    previous = np.append(0.0, cs[:-2])  # c_{j-1}, c_{-1} = 0
+    terms = defect + (2 * j + hp.a + c_size) * previous + np.abs(j * hp.b - hp.D) * cs[:-1]
+    return float(np.max(defect[-2:]) / np.max(terms))
 
 
 def _confirm(sol: QuasiExactSolution) -> Confirmation:
-    """Oracle check of sol at its Sturm level: Richardson on 6,000 points, 1e-5."""
+    """Oracle check of sol at its Sturm level on a grid sized to it, 1e-5."""
     sys = sol.system()
     grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon)
     return confirm(sys, sol.epsilon, sol.level, grid, 1e-5)

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from biheun.cli import build_parser, main
+from biheun.oracle import MAX_POINTS, RadialGrid
+from biheun.quantize import solve_family
 
 
 def run_cli(args, capsys):
@@ -82,6 +84,16 @@ class TestSpectrum:
         assert code == 3
         assert out == ""
         assert "(n=25, l=0, branch=0)" in err
+
+    def test_overflowing_ode_residual_is_solver_error(self, capsys):
+        # alpha/K ~ 3.8e9: H's terms overflow in the residual, and a nan
+        # sample dropped by the sup printed ode_residual 1e-16 with exit 0
+        code, out, err = run_cli(
+            ["spectrum", "--n", "20", "--l", "0", "--alpha", "1.2e8", "--k", "1e-6"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "(n=20, l=0, branch=0)" in err
 
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
@@ -169,6 +181,16 @@ class TestWavefunction:
         assert diag["oracle_index"] == diag["node_count"] == 2
         assert diag["oracle_gap"] < 1e-7
 
+    def test_rows_follow_the_sized_grid(self, capsys):
+        # without --grid-points the state sets the point count, also under --r-max
+        sol = solve_family(2, 0, 1.0, 1.0)[0]
+        args = ["wavefunction", "--n", "2", "--l", "0", "--alpha", "1", "--k", "1"]
+        for extra, r_edge in (([], None), (["--r-max", "9"], 9.0)):
+            grid = RadialGrid.auto(sol.system(), sol.epsilon, r_edge=r_edge)
+            code, out, _ = run_cli(args + extra, capsys)
+            assert code == 0
+            assert len(out.strip().split("\n")) - 1 == grid.points < MAX_POINTS
+
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
             ["wavefunction", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
@@ -214,6 +236,8 @@ class TestConfigHandling:
             (["turning-points", "--l", "0..2", "--epsilon", "1"], None),
             (["spectrum", "--n", "2", "--l", "1", "--r-max", "1e-300", "--verify"], None),
             (["spectrum", "--verify"], '{"r_min": 0.002, "r_max": 12}'),
+            (["turning-points", "--epsilon", "1"],
+             '{"tol": 1e-300, "r_max": 12, "grid_points": 100, "verify": true, "branch": 7}'),
         ],
     )
     def test_rejects_invalid_input(self, capsys, tmp_path, argv, config):

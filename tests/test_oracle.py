@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from biheun.model import PhysicalSystem
+from biheun.model import PhysicalSystem, turning_points
 from biheun.oracle import (
+    MAX_POINTS,
     RadialGrid,
     confirm,
     fd_eigensolve,
@@ -42,6 +43,61 @@ class TestRadialGrid:
         grid = RadialGrid.auto(sys, epsilon_hint=5.0)
         # outer turning point of 2*5 + 8r - r^2 is beyond r = 9
         assert grid.r_edge > 1.4 * 9.0
+
+    @pytest.mark.parametrize(
+        "n, l, alpha, k, branch",
+        [(0, 0, 0.0, 1.0, 0), (5, 0, 0.0, 1.0, 1), (8, 3, 1.0, 0.3, 8),
+         (32, 0, 0.0, 3.0, 0), (6, 0, 100.0, 1.0, 6), (0, 0, 1e9, 1.0, 0)],
+    )
+    def test_auto_edge_covers_tail_and_turning_point(self, n, l, alpha, k, branch):
+        sol = solve_family(n, l, alpha, k)[branch]
+        sys = sol.system()
+        grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon)
+        assert grid.r_edge >= 1.5 * max(turning_points(sys, sol.epsilon).real_roots)
+        # f = r R ~ r^(n+l+1) exp(-K^2 r^2/2 - beta r/2K^2) has fallen 1e-12 below its peak
+        K = sys.K
+
+        def log_f(r):
+            return (n + l + 1) * np.log(r) - K * K * r * r / 2 - sys.beta * r / (2 * K * K)
+
+        peak = np.max(log_f(np.linspace(grid.r_edge / 1e5, grid.r_edge, 100_000)))
+        assert log_f(grid.r_edge) <= peak - np.log(1e12) + 1e-6
+
+    def test_auto_edge_at_negative_beta(self):
+        # b ~ -14.5: the tail radius, 13.0, leaves a wall-limited gap of 8.6e-8;
+        # 1.5x the outer turning point, 17.6, is needed
+        sol = solve_family(32, 0, 0.0, 3.0)[0]
+        sys = sol.system()
+        c = confirm(sys, sol.epsilon, sol.level, RadialGrid.auto(sys, sol.epsilon), 1e-5)
+        assert c.passed and c.gap <= 1e-9 * abs(sol.epsilon)
+
+    @pytest.mark.parametrize("n, l, alpha, k", [(4, 1, 1.0, 3.0), (12, 0, 20.0, 0.3)])
+    def test_auto_is_K_covariant(self, n, l, alpha, k):
+        for sol in solve_family(n, l, alpha, k):
+            K = sol.K
+            scaled = PhysicalSystem(alpha=alpha / K, beta=sol.beta / K**3, k=1.0, l=l)
+            grid = RadialGrid.auto(sol.system(), sol.epsilon)
+            grid_s = RadialGrid.auto(scaled, sol.epsilon / K**2)
+            assert grid.r_edge * K == pytest.approx(grid_s.r_edge, rel=1e-9)
+            assert grid.points == grid_s.points
+
+    def test_auto_points(self):
+        family = solve_family(12, 2, 1.0, 1.0)  # branch 0 is level 12, branch 12 level 0
+        for sol in solve_family(20, 0, 100.0, 1.0) + family:
+            assert 16 <= RadialGrid.auto(sol.system(), sol.epsilon).points <= MAX_POINTS
+        # the spacing follows the wavenumber, so the top level gets more points
+        top, ground = (RadialGrid.auto(s.system(), s.epsilon) for s in (family[0], family[-1]))
+        assert ground.points < top.points
+
+    def test_auto_sizes_only_what_is_not_given(self):
+        sys = PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1)
+        grid = RadialGrid.auto(sys, 3.0)
+        assert RadialGrid.auto(sys, 3.0, points=100) == RadialGrid(grid.r_edge, 100)
+        half = RadialGrid.auto(sys, 3.0, r_edge=grid.r_edge / 2)
+        assert half.r_edge == grid.r_edge / 2
+        assert half.points == pytest.approx(grid.points / 2, abs=1)
+        assert RadialGrid.auto(sys, 3.0, r_edge=1e6).points == MAX_POINTS
+        assert RadialGrid.auto(sys, 3.0, r_edge=1e-3).points == 16
 
     def test_refined_halves_spacing(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
@@ -222,6 +278,26 @@ def test_level_is_sturm_index():
                 levels = range(sol.level, sol.level + 1)
                 res = fd_eigensolve(sys, grid, levels, vectors=True)
                 assert node_count(res.vectors[0]) == sol.level
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha_over_K", [0.0, 1.0, 3.0, 20.0, 100.0])
+def test_sized_grid_confirms_every_state(alpha_over_K):
+    """Every state confirms at its level on the grid sized to it. Up to
+    alpha/K = 3 the gap stays within 1e-8: an edge that ignores the
+    r^(n+l+1) prefactor reads 1.07e-8 at (n, l) = (5, 0) and (3, 2),
+    from the wall, whatever the point count."""
+    k = 0.3
+    worst = 0.0
+    for n, l in ((3, 2), (5, 0), (12, 1)):
+        for sol in solve_family(n, l, alpha_over_K * k**0.25, k):
+            sys = sol.system()
+            grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon)
+            c = confirm(sys, sol.epsilon, sol.level, grid, 1e-5)
+            assert c.passed, (n, l, sol.level, c.gap)
+            worst = max(worst, c.gap / max(1.0, abs(sol.epsilon)))
+    if alpha_over_K <= 3.0:
+        assert worst <= 1e-8
 
 
 class TestNodeCount:

@@ -170,6 +170,12 @@ class TestSolveFamily:
             for sol in solve_family(n, 0, 1.0, 1.0):
                 assert termination_residual(sol) <= TERMINATION_RTOL
 
+    def test_termination_at_large_b(self):
+        # b ~ 1.6e7: c = 2 eps/K^2 + b^2/4 carries the rounding of eps at the
+        # scale of b^2, which a scale of max|c_j| read as 3.6e-4 and 2.3e3
+        for sol in solve_family(1, 0, 1e6, 1e-6):
+            assert termination_residual(sol) <= TERMINATION_RTOL
+
     def test_manifold_parameters_at_large_b(self):
         # c = 2 eps/K^2 + b^2/4 from the rounded energy reads 4.992 here, not 5
         for sol in solve_family(1, 0, 1e6, 1e-6):
