@@ -25,7 +25,6 @@ from .oracle import (
     RadialGrid,
     confirm,
     fd_eigensolve,
-    fd_eigenvalues_richardson,
     node_count,
 )
 from .quantize import (
@@ -52,7 +51,6 @@ __all__ = [
     "confirm",
     "energy_from_termination",
     "fd_eigensolve",
-    "fd_eigenvalues_richardson",
     "node_count",
     "normalize",
     "ode_residual",

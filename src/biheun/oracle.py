@@ -158,20 +158,6 @@ def fd_eigensolve(
     return EigenSolveResult(energies=lam / 2.0, vectors=vec, grid=grid)
 
 
-def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """One Richardson step: (4 E_{h/2} - E_h) / 3, cancelling the h^2 error."""
-    return (4.0 * fine - coarse) / 3.0
-
-
-def fd_eigenvalues_richardson(
-    sys: PhysicalSystem, grid: RadialGrid, levels: range
-) -> np.ndarray:
-    """Richardson-extrapolated eigenvalues at ``levels`` from grid and grid.refined()."""
-    coarse = fd_eigensolve(sys, grid, levels).energies
-    fine = fd_eigensolve(sys, grid.refined(), levels).energies
-    return _richardson(coarse, fine)
-
-
 def confirm(
     sys: PhysicalSystem,
     epsilon: float,
@@ -191,7 +177,7 @@ def confirm(
     coarse = fd_eigensolve(sys, grid, levels, vectors=vector)
     fine = fd_eigensolve(sys, grid.refined(), levels)
     plain = float(coarse.energies[0])
-    rich = float(_richardson(coarse.energies, fine.energies)[0])
+    rich = (4.0 * float(fine.energies[0]) - plain) / 3.0  # cancels the h^2 error
     gap = abs(rich - epsilon)
     return Confirmation(
         level=level,

@@ -11,10 +11,10 @@ and leaves the recurrence linear in b:
 for j = 0..n with c_{-1} = c_{n+1} = 0, i.e. M c = b W c with W = diag(j+l+1).
 Both off-diagonals of M are positive, so W^-1 M is similar to a symmetric
 tridiagonal (Jacobi) matrix: its n+1 eigenvalues are the admissible b, real
-and distinct, and its eigenvectors are the coefficients of H (the
-Bender-Dunne orthogonal-polynomial structure of quasi-exactly solvable
-problems). Each b fixes a linear coefficient beta = b K^3 for which the
-radial problem has a polynomial bound state.
+and distinct (the Bender-Dunne orthogonal-polynomial structure of quasi-exactly
+solvable problems). H's coefficients span the null space of M - b W. Each b
+fixes a linear coefficient beta = b K^3 for which the radial problem has a
+polynomial bound state.
 
 Note: every root defines a *different* potential. The quasi-exact spectrum
 is a constraint manifold in (alpha, beta, k, l), not a spectrum of one
@@ -180,12 +180,12 @@ def closed_form_n1(l: int, alpha: float, K: float) -> list[QuasiExactSolution]:
 def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolution]:
     """All n+1 quasi-exact solutions of degree n, in ascending b order.
 
-    Solves M c = b W c (module docstring) as the symmetric tridiagonal
-    eigenproblem S v = b v, S = P^-1 W^-1 M P with P diagonal and positive;
-    H's coefficients are c = P v scaled to c_0 = 1.
+    The b are the eigenvalues of the Jacobi matrix S = P^-1 W^-1 M P, P diagonal
+    and positive (module docstring); H's coefficients c are the null vector of
+    M - b W at each b (``_heun_coefficients``), scaled to c_0 = 1.
 
-    ``level`` is n - i for the i-th b in ascending order: the eigenvector of
-    the m-th largest eigenvalue of a Jacobi matrix with positive
+    ``level`` is n - i for the i-th b in ascending order: the eigenvector
+    P^-1 c of the m-th largest eigenvalue of a Jacobi matrix with positive
     off-diagonals has m sign changes, so the coefficients of that H change
     sign n - i times. By Descartes's rule this bounds H's positive zeros;
     they reach the bound, which ``oracle.confirm`` checks independently by
@@ -200,21 +200,43 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     w = j + l + 1  # diagonal of W
     up = (j[:-1] + 1) * (j[:-1] + 2 * l + 2) / w[:-1]  # (W^-1 M)_{j, j+1}
     down = 2 * (n - j[:-1]) / w[1:]  # (W^-1 M)_{j+1, j}
-    off = np.sqrt(up * down)
-    b_roots, vectors = eigh_tridiagonal(aK / w, off)
-    scale = np.append(1.0, np.cumprod(off / up))  # P: p_{j+1}/p_j = sqrt(down/up)
-    coeffs = scale[:, None] * vectors
-    for i in range(n + 1):
-        # c_0 underflows when the eigenvector lives at large j (alpha/K >> n)
-        if not np.all(np.abs(coeffs[:, i]) < abs(coeffs[0, i]) * np.finfo(float).max):
-            raise RuntimeError(
-                f"H's coefficients overflow for (n={n}, l={l}, branch={i}): "
-                f"c_0 underflowed to {coeffs[0, i]:.1e} before scaling to 1"
-            )
+    b_roots = eigh_tridiagonal(aK / w, np.sqrt(up * down), eigvals_only=True)
+    coeffs = _heun_coefficients(n, l, aK, b_roots)
+    if not np.isfinite(coeffs).all():
+        i = np.argmin(np.isfinite(coeffs).all(axis=0))
+        raise RuntimeError(f"H's coefficients are not finite for (n={n}, l={l}, branch={i})")
     return [
-        _assemble_solution(n, l, alpha, k, float(b), coeffs[:, i] / coeffs[0, i], n - i)
+        _assemble_solution(n, l, alpha, k, float(b), coeffs[:, i], n - i)
         for i, b in enumerate(b_roots)
     ]
+
+
+def _heun_coefficients(n: int, l: int, alpha_over_K: float, b: np.ndarray) -> np.ndarray:
+    """H's coefficients for each root in b, one column each, scaled to c_0 = 1.
+
+    A twisted factorisation of M - b W (Dhillon & Parlett, Linear Algebra
+    Appl. 387, 1 (2004)): eliminate from row 0 down (pivots fwd) and from
+    row n up (pivots bwd), set c_r = 1 at the row r where the two meet with
+    the smallest defect |fwd_r + bwd_r - d_r|, and fill outward by the pivot
+    ratios. Each c_j is then accurate to its own size, so the ratio c_j/c_0
+    survives where an eigenvector's small components hold only rounding.
+    """
+    j = np.arange(n + 1.0)
+    lo, up = 2 * (n + 1 - j), (j + 1) * (j + 2 * l + 2)  # M_{j, j-1}, M_{j, j+1}
+    d = alpha_over_K - np.outer(j + l + 1, b)  # (M - b W)_{j, j}, a column per root
+    fwd, bwd = d.copy(), d.copy()
+    # overflow, a c_0 that underflows and an exactly zero pivot give inf or nan,
+    # which the caller rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(1, n + 1):
+            fwd[t] -= lo[t] * up[t - 1] / fwd[t - 1]
+            bwd[n - t] -= up[n - t] * lo[n - t + 1] / bwd[n - t + 1]
+        r = np.argmin(np.abs(fwd + bwd - d), axis=0)
+        c = (j[:, None] == r).astype(float)
+        for t in range(1, n + 1):
+            c[n - t] = np.where(n - t < r, -up[n - t] * c[n - t + 1] / fwd[n - t], c[n - t])
+            c[t] = np.where(t > r, -lo[t] * c[t - 1] / bwd[t], c[t])
+        return c / c[0]
 
 
 def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ from biheun.oracle import (
     RadialGrid,
     confirm,
     fd_eigensolve,
-    fd_eigenvalues_richardson,
     node_count,
 )
 from biheun.quantize import solve_family
@@ -178,7 +177,7 @@ class TestFdEigensolve:
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=1)
         grid = RadialGrid.auto(sys, epsilon_hint=2.5, points=2000)
         plain = fd_eigensolve(sys, grid, range(1)).energies[0]
-        rich = fd_eigenvalues_richardson(sys, grid, range(1))[0]
+        rich = confirm(sys, 2.5, 0, grid, 1e-5).richardson
         assert abs(rich - 2.5) < abs(plain - 2.5) / 50.0
 
     def test_refinement_never_raises_levels(self):

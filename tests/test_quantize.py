@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import (
@@ -185,6 +187,29 @@ class TestSolveFamily:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             solve_family(1, 0, 1.0, 0.0)
+
+    def test_overflowing_h_is_solver_error(self):
+        # alpha/K = 1e12: the lowest-b H has c_j beyond the largest double
+        with pytest.raises(RuntimeError, match=r"\(n=60, l=0, branch=0\)"):
+            solve_family(60, 0, 1e12, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 40),
+        l=st.integers(0, 3),
+        aK=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
+        k=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    )
+    def test_every_family_builds_its_h(self, n, l, aK, k):
+        sols = solve_family(n, l, aK * k**0.25, k)
+        b = [sol.b_root for sol in sols]
+        assert len(b) == n + 1 and all(np.diff(b) > 0)
+        for sol in sols:
+            c = sol.heun_coefficients
+            assert np.all(np.isfinite(c)) and c[0] == 1.0
+            signs = np.sign(c[c != 0])
+            assert np.sum(signs[1:] != signs[:-1]) == sol.level
+            assert sol.residuals.ode_sup <= 1e-12
 
 
 class TestWavefunction:
