@@ -6,11 +6,14 @@ The radial problem is taken in the dimensionless form
 
 with the 2M/hbar^2 factors already absorbed into (alpha, beta, k, eps).
 The quartic scale is K = k^(1/4); k > 0 is required throughout.
+
+The turning points are the companion-matrix eigenvalues of the quartic
+-k r^4 - beta r^3 + 2 eps r^2 + alpha r - l(l+1), with no refinement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,34 +70,15 @@ def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> np.ndarray:
     )
 
 
-def _newton_polish(coeffs: np.ndarray, root: complex, iters: int = 3) -> complex:
-    deriv = np.polyder(coeffs)
-    z = root
-    for _ in range(iters):
-        dp = np.polyval(deriv, z)
-        if dp == 0:
-            break
-        step = np.polyval(coeffs, z) / dp
-        if not np.isfinite(step):
-            break
-        z = z - step
-    return z
-
-
 def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """All four roots of the turning-point quartic, classified and ordered.
 
-    Roots come from the companion-matrix eigenvalues, polished by Newton
-    iteration on the quartic. A root is classified real when
-    |Im| <= 1e-9 * (1 + |Re|).
+    One backward-stable eigensolve of the companion matrix (``np.roots``);
+    a root is classified real when |Im| <= 1e-9 * (1 + |Re|).
     """
-    coeffs = _quartic_coeffs(sys, epsilon)
-    raw = np.roots(coeffs)
-    polished = [_newton_polish(coeffs, z) for z in raw]
-
     real: list[complex] = []
     cplx: list[complex] = []
-    for z in polished:
+    for z in np.roots(_quartic_coeffs(sys, epsilon)):
         if abs(z.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(z.real)):
             real.append(complex(z.real, 0.0))
         else:

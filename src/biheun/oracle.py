@@ -189,13 +189,13 @@ def confirm(
     )
 
 
-def node_count(vector: np.ndarray, floor: float = 1e-10) -> int:
-    """Strict sign changes between consecutive interior samples with |f| > floor."""
+def node_count(vector: np.ndarray) -> int:
+    """Strict sign changes between consecutive interior samples with |f| > 1e-10 max|f|."""
     v = np.asarray(vector)
     scale = np.max(np.abs(v)) if len(v) else 0.0
     if scale == 0:
         return 0
     interior = v[1:-1]
-    significant = interior[np.abs(interior) > floor * scale]
+    significant = interior[np.abs(interior) > 1e-10 * scale]
     signs = np.sign(significant)
     return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -129,15 +129,14 @@ def _assemble_solution(
 
 
 def _ode_residual_sup(
-    sys: PhysicalSystem, epsilon: float, hp: HeunParameters, coeffs: np.ndarray,
-    n_samples: int = 50,
+    sys: PhysicalSystem, epsilon: float, hp: HeunParameters, coeffs: np.ndarray
 ) -> float:
-    """Sup of the relative Heun ODE residual over z in (0, 2*K*r4]; FloatingPointError
+    """Sup of the relative Heun ODE residual at 50 z in (0, 2*K*r4]; FloatingPointError
     on overflow, which would give a nan sample (dropped by max) or a 0 one."""
     tp = turning_points(sys, epsilon)
     r4 = max((abs(z) for z in tp.roots), default=1.0)
     z_hi = 2.0 * sys.K * max(r4, 1.0)
-    zs = np.linspace(z_hi / n_samples, z_hi, n_samples)
+    zs = np.linspace(z_hi / 50, z_hi, 50)
     with np.errstate(over="raise", invalid="raise"):
         return max(ode_residual(hp, coeffs, z) for z in zs)
 

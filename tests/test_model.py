@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from biheun.model import (
+    QUARTIC_IMAG_TOL,
     PhysicalSystem,
     turning_points,
     vieta_residuals,
@@ -93,6 +96,62 @@ class TestTurningPoints:
             got = sorted(tp.roots, key=lambda z: (z.real, z.imag))
             want = sorted((z / K for z in tp_s.roots), key=lambda z: (z.real, z.imag))
             assert np.allclose(got, want, atol=1e-8)
+
+
+def reference_roots(sys, eps):
+    """40-digit roots, ordered and counted by the same 1e-9 rule as turning_points."""
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(c) for c in quartic_coeffs(sys, eps)]
+        roots = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)]
+
+    def key(z):
+        return (abs(z.imag) > QUARTIC_IMAG_TOL * (1.0 + abs(z.real)), z.real, z.imag)
+
+    roots.sort(key=key)
+    return roots, sum(not key(z)[0] for z in roots)
+
+
+def random_system(rng, l_min=0):
+    return PhysicalSystem(
+        alpha=float(rng.uniform(0, 3)),
+        beta=float(rng.uniform(-3, 3)),
+        k=float(rng.uniform(0.2, 5)),
+        l=int(rng.integers(l_min, 4)),
+    )
+
+
+class TestReferenceRoots:
+    """Companion-matrix roots against 40-digit mpmath.polyroots."""
+
+    def assert_matches_reference(self, sys, eps, rel_tol):
+        tp = turning_points(sys, eps)
+        want, real_count = reference_roots(sys, eps)
+        assert tp.real_count == real_count
+        for got, z in zip(tp.roots, want):
+            assert abs(got - z) <= rel_tol * max(1.0, abs(z))
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            sys = random_system(rng)
+            self.assert_matches_reference(sys, float(rng.uniform(-5, 10)), 1e-13)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, -1e-8, -1e-6])
+    def test_near_double_root(self, delta):
+        # the quartic is 2 r^2 (eps - U_eff(r)), so eps = U_eff(r*) + delta puts
+        # two turning points within ~sqrt(delta) of the well's minimum r*,
+        # where they merge into a double root
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            sys = random_system(rng, l_min=1)
+
+            def u_eff(r):
+                return 0.5 * (sys.k * r * r + sys.beta * r - sys.alpha / r
+                              + sys.l * (sys.l + 1) / (r * r))
+
+            well = minimize_scalar(u_eff, bounds=(1e-3, 50), method="bounded",
+                                   options={"xatol": 1e-12})
+            self.assert_matches_reference(sys, float(well.fun) + delta, 1e-10)
 
 
 class TestVietaResiduals:
