@@ -8,12 +8,17 @@ For ``spectrum`` the linear coefficient beta is an *output*: polynomial
 solutions exist only where beta = b K^3 for a root b of the termination
 constraint, and each root defines a different potential.
 
+``spectrum --verify`` and ``wavefunction`` check each row against the
+finite-difference oracle on the grid ``RadialGrid.auto`` sizes to its state,
+and require a Richardson gap within 1e-5 of max(1, |eps|).
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -24,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import PhysicalSystem, turning_points
-from .oracle import MAX_POINTS, Confirmation, RadialGrid, confirm, node_count
+from .oracle import Confirmation, RadialGrid, confirm, node_count
 from .quantize import QuasiExactSolution, normalize, solve_family, wavefunction
 from .verify import run_acceptance
 
@@ -32,6 +37,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+_ORACLE_RTOL = 1e-5  # a row's Richardson gap bound, relative to max(1, |eps|)
 
 
 class ConfigError(ValueError):
@@ -52,9 +59,6 @@ class RunConfig:
     beta: float | None = None  # turning-points only
     epsilon: float | None = None  # turning-points only
     branch: int = 0  # wavefunction only
-    grid_points: int | None = None  # None: sized to the state
-    r_max: float | None = None
-    tol: float = 1e-5
     verify: bool = False
     format: str = "csv"
     out: str | None = None
@@ -82,15 +86,8 @@ class RunConfig:
             raise ConfigError(f"k must be positive (got {self.k})")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be non-negative (got {self.alpha})")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive (got {self.tol})")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
-        try:  # the grid flags given; r_edge 1 and MAX_POINTS stand in for the state's
-            RadialGrid(1.0 if self.r_max is None else self.r_max,
-                       self.grid_points or MAX_POINTS)
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
         single = len(self.n_values()) == len(self.l_values()) == 1
         if self.command in ("wavefunction", "turning-points") and not single:
             raise ConfigError(f"{self.command} takes a single n and l, not a range")
@@ -128,7 +125,7 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         keys = _config_keys(config.command)
         embedded = {key: v for key, v in asdict(config).items() if key in keys}
         payload = {"config": embedded, "results": results, "diagnostics": diagnostics}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload) + "\n"
     if config.out:
         with open(config.out, "w", newline="\n") as fh:
             fh.write(text)
@@ -136,10 +133,10 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _confirm(config: RunConfig, sol: QuasiExactSolution, branch: int,
-             grid: RadialGrid, vector: bool = False) -> Confirmation:
+def _confirm(sol: QuasiExactSolution, branch: int, grid: RadialGrid,
+             vector: bool = False) -> Confirmation:
     """Oracle check of one solution at its Sturm level; SolverError if refuted."""
-    c = confirm(sol.system(), sol.epsilon, sol.level, grid, config.tol, vector=vector)
+    c = confirm(sol.system(), sol.epsilon, sol.level, grid, _ORACLE_RTOL, vector=vector)
     if not c.passed:
         raise SolverError(
             f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
@@ -165,9 +162,8 @@ def cmd_spectrum(config: RunConfig) -> None:
                 row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon,
                        sol.residuals.constraint, sol.residuals.ode_sup]
                 if config.verify:
-                    grid = RadialGrid.auto(sol.system(), sol.epsilon,
-                                           config.grid_points, config.r_max)
-                    row.append(_confirm(config, sol, branch, grid).gap)
+                    grid = RadialGrid.auto(sol.system(), sol.epsilon)
+                    row.append(_confirm(sol, branch, grid).gap)
                 rows.append(row)
     _emit(config, header, rows, diagnostics)
 
@@ -180,8 +176,8 @@ def cmd_wavefunction(config: RunConfig) -> None:
         raise ConfigError(f"branch {config.branch} out of range: {len(sols)} branches")
     sol = sols[config.branch]
 
-    grid = RadialGrid.auto(sol.system(), sol.epsilon, config.grid_points, config.r_max)
-    c = _confirm(config, sol, config.branch, grid, vector=True)
+    grid = RadialGrid.auto(sol.system(), sol.epsilon)
+    c = _confirm(sol, config.branch, grid, vector=True)
     nodes = node_count(c.vector)
     if nodes != c.level:
         raise SolverError(
@@ -222,7 +218,11 @@ def cmd_turning_points(config: RunConfig) -> None:
 
 
 def cmd_verify(config: RunConfig) -> None:
-    results = run_acceptance()
+    if config.out:
+        with open(config.out, "w", newline="\n") as fh, contextlib.redirect_stdout(fh):
+            results = run_acceptance()
+    else:
+        results = run_acceptance()
     if not all(r.passed for r in results):
         raise VerificationFailure()
 
@@ -231,6 +231,7 @@ class VerificationFailure(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biheun",
@@ -241,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path (default: stdout)")
 
     def system(p):
         common(p)
+        p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--l", help="orbital quantum number, INT or A..B")
         p.add_argument("--alpha", type=float, help="Coulomb strength (scaled)")
         p.add_argument("--k", type=float, help="harmonic coefficient, > 0")
@@ -254,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         """The flags of the commands that solve (n, l) families and call the oracle."""
         system(p)
         p.add_argument("--n", help="polynomial degree, INT or A..B")
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--r-max", type=float, dest="r_max")
-        p.add_argument("--tol", type=float,
-                       help="oracle tolerance on the Richardson gap (relative)")
 
     p = sub.add_parser("spectrum", help="quasi-exact energies per (n, l) family")
     family(p)

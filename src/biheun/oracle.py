@@ -60,34 +60,28 @@ class RadialGrid:
         return self.spacing * np.arange(1, self.points + 1)
 
     @classmethod
-    def auto(
-        cls,
-        sys: PhysicalSystem,
-        epsilon_hint: float | None = None,
-        points: int | None = None,
-        r_edge: float | None = None,
-    ) -> "RadialGrid":
+    def auto(cls, sys: PhysicalSystem, epsilon_hint: float | None = None,
+             points: int | None = None) -> "RadialGrid":
         """Grid sized to the state at energy epsilon_hint (default K^2 (l + 3/2)).
 
-        Unless given, r_edge covers 1.5x the outer turning point and the radius
-        where f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2
-        (n + l + 1 on the manifold), falls 1e-12 below its peak, and points sets
-        h w = _KAPPA, up to MAX_POINTS, for the oscillator and Coulomb wavenumber
-        w = sqrt(max(2|eps|, K^2) + (alpha/(l+1))^2)."""
+        r_edge covers 1.5x the outer turning point and the radius where
+        f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2
+        (n + l + 1 on the manifold), falls 1e-12 below its peak. Unless given,
+        points sets h w = _KAPPA, up to MAX_POINTS, for the oscillator and
+        Coulomb wavenumber w = sqrt(max(2|eps|, K^2) + (alpha/(l+1))^2)."""
         K2 = sys.k**0.5
         eps = K2 * (sys.l + 1.5) if epsilon_hint is None else epsilon_hint
-        if r_edge is None:
-            p = max(eps / K2 + sys.beta**2 / (8.0 * K2**3) - 0.5, 1.0)
-            s = sys.beta / (2.0 * K2)
-            q = np.sqrt(s * s + 4.0 * K2 * p)  # the peak without cancellation in q - s
-            r_peak = 2.0 * p / (q + s) if s > 0 else (q - s) / (2.0 * K2)
-            log_f = lambda r: p * np.log(r) - K2 * r * r / 2.0 - s * r  # noqa: E731
-            # log f has curvature <= -K^2: Newton descends onto the root monotonically
-            target, r = log_f(r_peak) - _TAIL_DROP, r_peak + (2.0 * _TAIL_DROP / K2) ** 0.5
-            for _ in range(4):
-                r -= (log_f(r) - target) / (p / r - K2 * r - s)
-            r_outer = max(turning_points(sys, eps).real_roots, default=0.0)
-            r_edge = max(1.5 * r_outer, float(r))
+        p = max(eps / K2 + sys.beta**2 / (8.0 * K2**3) - 0.5, 1.0)
+        s = sys.beta / (2.0 * K2)
+        q = np.sqrt(s * s + 4.0 * K2 * p)  # the peak without cancellation in q - s
+        r_peak = 2.0 * p / (q + s) if s > 0 else (q - s) / (2.0 * K2)
+        log_f = lambda r: p * np.log(r) - K2 * r * r / 2.0 - s * r  # noqa: E731
+        # log f has curvature <= -K^2: Newton descends onto the root monotonically
+        target, r = log_f(r_peak) - _TAIL_DROP, r_peak + (2.0 * _TAIL_DROP / K2) ** 0.5
+        for _ in range(4):
+            r -= (log_f(r) - target) / (p / r - K2 * r - s)
+        r_outer = max(turning_points(sys, eps).real_roots, default=0.0)
+        r_edge = max(1.5 * r_outer, float(r))
         if points is None:
             w = np.sqrt(max(2.0 * abs(eps), K2) + (sys.alpha / (sys.l + 1)) ** 2)
             points = max(16, min(MAX_POINTS, int(np.ceil(r_edge * w / _KAPPA))))

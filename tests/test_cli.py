@@ -44,7 +44,7 @@ class TestSpectrum:
         code, out, _ = run_cli(
             [
                 "spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
-                "--verify", "--grid-points", "3000",
+                "--verify",
             ],
             capsys,
         )
@@ -163,7 +163,6 @@ class TestWavefunction:
         code, out, _ = run_cli(
             [
                 "wavefunction", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
-                "--grid-points", "3000",
             ],
             capsys,
         )
@@ -176,7 +175,7 @@ class TestWavefunction:
     def test_oracle_level_is_node_count(self, capsys):
         code, out, _ = run_cli(
             ["wavefunction", "--n", "3", "--l", "1", "--alpha", "1", "--k", "1",
-             "--branch", "1", "--grid-points", "3000", "--format", "json"],
+             "--branch", "1", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -185,14 +184,14 @@ class TestWavefunction:
         assert diag["oracle_gap"] < 1e-7
 
     def test_rows_follow_the_sized_grid(self, capsys):
-        # without --grid-points the state sets the point count, also under --r-max
+        # the state sets the point count: one row per node of its grid
         sol = solve_family(2, 0, 1.0, 1.0)[0]
-        args = ["wavefunction", "--n", "2", "--l", "0", "--alpha", "1", "--k", "1"]
-        for extra, r_edge in (([], None), (["--r-max", "9"], 9.0)):
-            grid = RadialGrid.auto(sol.system(), sol.epsilon, r_edge=r_edge)
-            code, out, _ = run_cli(args + extra, capsys)
-            assert code == 0
-            assert len(out.strip().split("\n")) - 1 == grid.points < MAX_POINTS
+        grid = RadialGrid.auto(sol.system(), sol.epsilon)
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", "2", "--l", "0", "--alpha", "1", "--k", "1"], capsys
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) - 1 == grid.points < MAX_POINTS
 
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -222,13 +221,13 @@ class TestConfigHandling:
             (["spectrum", "--k", "nan"], None),
             (["spectrum", "--alpha", "nan"], None),
             (["spectrum", "--alpha", "inf"], None),
-            (["spectrum", "--tol", "nan"], None),
-            (["spectrum", "--verify", "--r-max", "nan"], None),
-            (["spectrum", "--verify", "--r-max", "0"], None),
-            (["spectrum", "--verify", "--r-max", "-3"], None),
-            (["wavefunction", "--r-max", "0"], None),
+            (["spectrum", "--n", "3..1"], None),
+            (["spectrum", "--l", "-1"], None),
+            (["spectrum", "--n", "0..2..4"], None),
+            (["turning-points", "--epsilon", "nan"], None),
+            (["turning-points", "--epsilon", "1", "--beta", "inf"], None),
             (["spectrum", "--alpha", "-1"], None),
-            (["spectrum", "--verify", "--grid-points", "5"], None),
+            (["wavefunction", "--branch", "-1"], None),
             (["spectrum"], '{"alpha": "x"}'),
             (["spectrum"], '{"k": null}'),
             (["spectrum"], '{"grid_points": 6000.5}'),
@@ -237,7 +236,7 @@ class TestConfigHandling:
             (["wavefunction", "--n", "0..1"], None),
             (["wavefunction", "--l", "0..2"], None),
             (["turning-points", "--l", "0..2", "--epsilon", "1"], None),
-            (["spectrum", "--n", "2", "--l", "1", "--r-max", "1e-300", "--verify"], None),
+            (["spectrum", "--k", "0"], None),
             (["spectrum", "--verify"], '{"r_min": 0.002, "r_max": 12}'),
             (["turning-points", "--epsilon", "1"],
              '{"tol": 1e-300, "r_max": 12, "grid_points": 100, "verify": true, "branch": 7}'),
@@ -285,19 +284,33 @@ class TestConfigHandling:
         assert main(["verify"]) == 4
         capsys.readouterr()
 
-    def test_solver_failure_exit_code(self, capsys):
+    def test_verify_out_file(self, capsys, monkeypatch, tmp_path):
+        from biheun import verify
+        from biheun.verify import CriterionResult
+
+        stub = lambda: CriterionResult(1, "stub", True, "ok")  # noqa: E731
+        monkeypatch.setattr(verify, "ALL_CRITERIA", (stub,))
+        path = tmp_path / "verify.txt"
+        code, out, _ = run_cli(["verify", "--out", str(path)], capsys)
+        assert code == 0
+        assert out == ""
+        assert path.read_text().startswith("[PASS] criterion 1: stub -- ok [")
+
+    def test_solver_failure_exit_code(self, capsys, monkeypatch):
         # absurdly tight oracle tolerance cannot be met
+        from biheun import cli
+
+        monkeypatch.setattr(cli, "_ORACLE_RTOL", 1e-300)
         code, _, err = run_cli(
-            ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
-             "--verify", "--tol", "1e-300", "--grid-points", "2000"],
+            ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1", "--verify"],
             capsys,
         )
         assert code == 3
 
 
-COMMON = {"--config", "--format", "--out"}
-SYSTEM = COMMON | {"--l", "--alpha", "--k"}
-FAMILY = SYSTEM | {"--n", "--grid-points", "--r-max", "--tol"}
+COMMON = {"--config", "--out"}
+SYSTEM = COMMON | {"--format", "--l", "--alpha", "--k"}
+FAMILY = SYSTEM | {"--n"}
 
 
 @pytest.mark.parametrize(
@@ -324,6 +337,10 @@ def test_each_command_takes_only_the_flags_it_reads(command, options):
         ["turning-points", "--epsilon", "1", "--n", "2"],
         ["verify", "--grid-points", "100"],
         ["verify", "--r-max", "12"],
+        ["spectrum", "--grid-points", "100"],
+        ["spectrum", "--r-max", "12"],
+        ["wavefunction", "--tol", "1e-3"],
+        ["verify", "--format", "json"],
     ],
 )
 def test_ignored_flags_are_rejected(capsys, argv):

@@ -92,11 +92,9 @@ class TestRadialGrid:
         sys = PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1)
         grid = RadialGrid.auto(sys, 3.0)
         assert RadialGrid.auto(sys, 3.0, points=100) == RadialGrid(grid.r_edge, 100)
-        half = RadialGrid.auto(sys, 3.0, r_edge=grid.r_edge / 2)
-        assert half.r_edge == grid.r_edge / 2
-        assert half.points == pytest.approx(grid.points / 2, abs=1)
-        assert RadialGrid.auto(sys, 3.0, r_edge=1e6).points == MAX_POINTS
-        assert RadialGrid.auto(sys, 3.0, r_edge=1e-3).points == 16
+        # alpha/K = 100: every state's edge and wavenumber ask for more than the cap
+        for sol in solve_family(20, 0, 100.0, 1.0):
+            assert RadialGrid.auto(sol.system(), sol.epsilon).points == MAX_POINTS
 
     def test_refined_halves_spacing(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
