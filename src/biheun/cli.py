@@ -8,9 +8,9 @@ For ``spectrum`` the linear coefficient beta is an *output*: polynomial
 solutions exist only where beta = b K^3 for a root b of the termination
 constraint, and each root defines a different potential.
 
-``spectrum --verify`` and ``wavefunction`` check each row against the
-finite-difference oracle on the grid ``RadialGrid.auto`` sizes to its state,
-and require a Richardson gap within 1e-5 of max(1, |eps|).
+``spectrum --verify`` and ``wavefunction`` check each row with
+``oracle.confirm``, which sizes the finite-difference grid to the state and
+requires a Richardson gap within ``oracle.RTOL`` (1e-5) of max(1, |eps|).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification failure.
 """
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import PhysicalSystem, turning_points
-from .oracle import Confirmation, RadialGrid, confirm, node_count
+from .oracle import Confirmation, confirm, node_count
 from .quantize import QuasiExactSolution, normalize, solve_family, wavefunction
 from .verify import run_acceptance
 
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
-
-_ORACLE_RTOL = 1e-5  # a row's Richardson gap bound, relative to max(1, |eps|)
 
 
 class ConfigError(ValueError):
@@ -133,10 +131,9 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _confirm(sol: QuasiExactSolution, branch: int, grid: RadialGrid,
-             vector: bool = False) -> Confirmation:
+def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Confirmation:
     """Oracle check of one solution at its Sturm level; SolverError if refuted."""
-    c = confirm(sol.system(), sol.epsilon, sol.level, grid, _ORACLE_RTOL, vector=vector)
+    c = confirm(sol.system(), sol.epsilon, sol.level, vector=vector)
     if not c.passed:
         raise SolverError(
             f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
@@ -162,8 +159,7 @@ def cmd_spectrum(config: RunConfig) -> None:
                 row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon,
                        sol.residuals.constraint, sol.residuals.ode_sup]
                 if config.verify:
-                    grid = RadialGrid.auto(sol.system(), sol.epsilon)
-                    row.append(_confirm(sol, branch, grid).gap)
+                    row.append(_confirm(sol, branch).gap)
                 rows.append(row)
     _emit(config, header, rows, diagnostics)
 
@@ -176,15 +172,14 @@ def cmd_wavefunction(config: RunConfig) -> None:
         raise ConfigError(f"branch {config.branch} out of range: {len(sols)} branches")
     sol = sols[config.branch]
 
-    grid = RadialGrid.auto(sol.system(), sol.epsilon)
-    c = _confirm(sol, config.branch, grid, vector=True)
+    c = _confirm(sol, config.branch, vector=True)
     nodes = node_count(c.vector)
     if nodes != c.level:
         raise SolverError(
             f"oracle eigenvector at level {c.level} has {nodes} nodes "
             f"for (n={n}, l={l}, branch={config.branch})"
         )
-    r = grid.nodes()
+    r = c.grid.nodes()
     r_oracle = normalize(r, c.vector / r)
     r_poly = normalize(r, wavefunction(sol, r))
     if np.dot(r_poly, r_oracle) < 0:

@@ -23,6 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from .model import PhysicalSystem, turning_points
 
 MAX_POINTS = 6000  # the most points a grid sized to its state gets
+RTOL = 1e-5  # confirm's bound on the Richardson gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
 # h w on a grid sized to its state; at 0.02 the plain-FD gaps of acceptance
 # criteria 1 and 2 exceed their 1e-5 bound
@@ -60,15 +61,14 @@ class RadialGrid:
         return self.spacing * np.arange(1, self.points + 1)
 
     @classmethod
-    def auto(cls, sys: PhysicalSystem, epsilon_hint: float | None = None,
-             points: int | None = None) -> "RadialGrid":
+    def auto(cls, sys: PhysicalSystem, epsilon_hint: float | None = None) -> "RadialGrid":
         """Grid sized to the state at energy epsilon_hint (default K^2 (l + 3/2)).
 
         r_edge covers 1.5x the outer turning point and the radius where
         f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2
-        (n + l + 1 on the manifold), falls 1e-12 below its peak. Unless given,
-        points sets h w = _KAPPA, up to MAX_POINTS, for the oscillator and
-        Coulomb wavenumber w = sqrt(max(2|eps|, K^2) + (alpha/(l+1))^2)."""
+        (n + l + 1 on the manifold), falls 1e-12 below its peak. points sets
+        h w = _KAPPA, up to MAX_POINTS, for the oscillator and Coulomb
+        wavenumber w = sqrt(max(2|eps|, K^2) + (alpha/(l+1))^2)."""
         K2 = sys.k**0.5
         eps = K2 * (sys.l + 1.5) if epsilon_hint is None else epsilon_hint
         p = max(eps / K2 + sys.beta**2 / (8.0 * K2**3) - 0.5, 1.0)
@@ -76,16 +76,18 @@ class RadialGrid:
         q = np.sqrt(s * s + 4.0 * K2 * p)  # the peak without cancellation in q - s
         r_peak = 2.0 * p / (q + s) if s > 0 else (q - s) / (2.0 * K2)
         log_f = lambda r: p * np.log(r) - K2 * r * r / 2.0 - s * r  # noqa: E731
-        # log f has curvature <= -K^2: Newton descends onto the root monotonically
+        # log f has curvature <= -K^2: Newton descends onto the root monotonically,
+        # so only rounding (at large alpha/K) can step back across the peak
         target, r = log_f(r_peak) - _TAIL_DROP, r_peak + (2.0 * _TAIL_DROP / K2) ** 0.5
         for _ in range(4):
-            r -= (log_f(r) - target) / (p / r - K2 * r - s)
+            step = (log_f(r) - target) / (p / r - K2 * r - s)
+            if r - step <= r_peak:
+                break
+            r -= step
         r_outer = max(turning_points(sys, eps).real_roots, default=0.0)
         r_edge = max(1.5 * r_outer, float(r))
-        if points is None:
-            w = np.sqrt(max(2.0 * abs(eps), K2) + (sys.alpha / (sys.l + 1)) ** 2)
-            points = max(16, min(MAX_POINTS, int(np.ceil(r_edge * w / _KAPPA))))
-        return cls(r_edge, points)
+        w = np.sqrt(max(2.0 * abs(eps), K2) + (sys.alpha / (sys.l + 1)) ** 2)
+        return cls(r_edge, max(16, min(MAX_POINTS, int(np.ceil(r_edge * w / _KAPPA)))))
 
     def refined(self) -> "RadialGrid":
         """The same walls with exactly half the spacing."""
@@ -98,8 +100,8 @@ class EigenSolveResult:
 
     ``energies[i]`` belongs to the i-th requested level (0 = ground state). When
     eigenvectors were asked for, ``vectors[i]`` samples f(r) = r R(r) on the
-    grid nodes, L2-normalized (sum f^2 h = 1) with positive leading sign;
-    otherwise ``vectors`` is None.
+    grid nodes, L2-normalized (sum f^2 h = 1), of either sign; otherwise
+    ``vectors`` is None.
     """
 
     energies: np.ndarray
@@ -111,10 +113,12 @@ class EigenSolveResult:
 class Confirmation:
     """Outcome of checking one energy against the oracle level at ``level``.
 
-    ``gap`` = |richardson - epsilon|; ``vector`` is the level's coarse-grid
-    eigenvector (as in EigenSolveResult), or None unless it was asked for.
+    ``grid`` is the coarse grid, sized to the state by ``RadialGrid.auto``;
+    ``gap`` = |richardson - epsilon|; ``vector`` is the level's eigenvector on
+    ``grid`` (as in EigenSolveResult), or None unless it was asked for.
     """
 
+    grid: RadialGrid
     level: int
     plain: float
     richardson: float
@@ -145,28 +149,21 @@ def fd_eigensolve(
         return EigenSolveResult(energies=lam / 2.0, vectors=None, grid=grid)
     lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=select)
     vec = vec.T / h**0.5  # columns to rows; sum f^2 h = 1
-    for i in range(len(vec)):
-        nz = np.nonzero(np.abs(vec[i]) > 1e-10 * np.max(np.abs(vec[i])))[0]
-        if len(nz) and vec[i][nz[0]] < 0:
-            vec[i] = -vec[i]
     return EigenSolveResult(energies=lam / 2.0, vectors=vec, grid=grid)
 
 
 def confirm(
-    sys: PhysicalSystem,
-    epsilon: float,
-    level: int,
-    grid: RadialGrid,
-    rel_tol: float,
-    vector: bool = False,
+    sys: PhysicalSystem, epsilon: float, level: int, vector: bool = False
 ) -> Confirmation:
     """Check epsilon against the oracle eigenvalue at index ``level``.
 
     By Sturm oscillation a bound state with m nodes is level m of its
     potential, so the caller passes the node count of its own solution and
-    the oracle computes that one eigenvalue on grid and on grid.refined().
-    Passes when the Richardson gap is within rel_tol * max(1, |epsilon|).
+    the oracle computes that one eigenvalue on ``RadialGrid.auto(sys,
+    epsilon)`` and on its refinement. Passes when the Richardson gap is
+    within RTOL * max(1, |epsilon|).
     """
+    grid = RadialGrid.auto(sys, epsilon)
     levels = range(level, level + 1)
     coarse = fd_eigensolve(sys, grid, levels, vectors=vector)
     fine = fd_eigensolve(sys, grid.refined(), levels)
@@ -174,11 +171,12 @@ def confirm(
     rich = (4.0 * float(fine.energies[0]) - plain) / 3.0  # cancels the h^2 error
     gap = abs(rich - epsilon)
     return Confirmation(
+        grid=grid,
         level=level,
         plain=plain,
         richardson=rich,
         gap=gap,
-        passed=gap <= rel_tol * max(1.0, abs(epsilon)),
+        passed=gap <= RTOL * max(1.0, abs(epsilon)),
         vector=coarse.vectors[0] if vector else None,
     )
 

@@ -252,8 +252,7 @@ def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
 
 
 def normalize(radii: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scale so trapezoid(R^2 r^2 dr) = 1; sign fixed positive at the first
-    grid point where |R| > 1e-12."""
+    """Scale so trapezoid(R^2 r^2 dr) = 1, keeping the sign of values."""
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     if len(r) < 3:
@@ -261,8 +260,4 @@ def normalize(radii: np.ndarray, values: np.ndarray) -> np.ndarray:
     norm2 = np.trapezoid(v * v * r * r, r)
     if norm2 <= 0:
         raise ValueError("cannot normalize an all-zero wavefunction")
-    out = v / norm2**0.5
-    nonzero = np.nonzero(np.abs(out) > 1e-12)[0]
-    if len(nonzero) and out[nonzero[0]] < 0:
-        out = -out
-    return out
+    return v / norm2**0.5

@@ -49,10 +49,10 @@ def test_criterion_8_off_manifold_negative_control():
     _run(verify.criterion_8)
 
 
-def test_run_acceptance_reports_elapsed(monkeypatch):
+def test_run_acceptance_reports_elapsed(monkeypatch, capsys):
     stub = lambda: verify.CriterionResult(9, "stub", True, "ok")  # noqa: E731
     monkeypatch.setattr(verify, "ALL_CRITERIA", (stub,))
-    lines = []
-    (res,) = verify.run_acceptance(echo=lines.append)
+    (res,) = verify.run_acceptance()
     assert res.elapsed_s is not None and res.elapsed_s >= 0.0
-    assert lines == [f"[PASS] criterion 9: stub -- ok [{res.elapsed_s:.2f} s]"]
+    line = f"[PASS] criterion 9: stub -- ok [{res.elapsed_s:.2f} s]"
+    assert capsys.readouterr().out == line + "\n"

@@ -98,6 +98,18 @@ class TestSpectrum:
         assert out == ""
         assert "(n=20, l=0, branch=0)" in err
 
+    @pytest.mark.parametrize("alpha", ["1e20", "1e30", "1e100"])
+    def test_unresolvable_tail_is_solver_error(self, capsys, alpha):
+        # alpha/K >= 1e20: the tail lies within rounding of the peak, and a
+        # Newton step that crossed the peak took r to 0 (log(0) warnings, then
+        # "r_edge must be positive"); the oracle now refutes the row by name
+        code, out, err = run_cli(
+            ["spectrum", "--n", "0", "--alpha", alpha, "--k", "1", "--verify"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "oracle did not confirm" in err and "(n=0, l=0, branch=0)" in err
+
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
         _, out1, _ = run_cli(args, capsys)
@@ -192,6 +204,19 @@ class TestWavefunction:
         )
         assert code == 0
         assert len(out.strip().split("\n")) - 1 == grid.points < MAX_POINTS
+
+    @pytest.mark.parametrize("branch", range(5))
+    def test_oracle_sign_follows_polynomial(self, capsys, branch):
+        # R_polynomial starts positive (H(0) = c_0 = 1) and R_oracle is turned to match it
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", "4", "--l", "2", "--alpha", "1", "--k", "1",
+             "--branch", str(branch)],
+            capsys,
+        )
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+        assert rows[0][1] > 0
+        assert sum(row[1] * row[2] for row in rows) > 0
 
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -298,9 +323,9 @@ class TestConfigHandling:
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         # absurdly tight oracle tolerance cannot be met
-        from biheun import cli
+        from biheun import oracle
 
-        monkeypatch.setattr(cli, "_ORACLE_RTOL", 1e-300)
+        monkeypatch.setattr(oracle, "RTOL", 1e-300)
         code, _, err = run_cli(
             ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1", "--verify"],
             capsys,

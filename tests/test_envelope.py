@@ -14,7 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from biheun.oracle import RadialGrid, confirm  # noqa: E402
+from biheun.oracle import confirm  # noqa: E402
 from biheun.quantize import solve_family  # noqa: E402
 from perfbench import reference  # noqa: E402
 
@@ -38,9 +38,7 @@ def _check_family(n, l, alpha, k):
         assert sol.residuals.ode_sup <= 1e-12
         assert sol.level == n - branch
         assert _sign_changes(sol.heun_coefficients) == sol.level
-        sys_ = sol.system()
-        grid = RadialGrid.auto(sys_, epsilon_hint=sol.epsilon, points=3000)
-        assert confirm(sys_, sol.epsilon, sol.level, grid, 1e-5).passed
+        assert confirm(sol.system(), sol.epsilon, sol.level).passed
 
 
 @pytest.mark.parametrize("l, alpha, k", [(0, 0.0, 1.0), (1, 2.5, 0.3), (3, 0.7, 3.7)])

@@ -67,7 +67,7 @@ class TestRadialGrid:
         # 1.5x the outer turning point, 17.6, is needed
         sol = solve_family(32, 0, 0.0, 3.0)[0]
         sys = sol.system()
-        c = confirm(sys, sol.epsilon, sol.level, RadialGrid.auto(sys, sol.epsilon), 1e-5)
+        c = confirm(sys, sol.epsilon, sol.level)
         assert c.passed and c.gap <= 1e-9 * abs(sol.epsilon)
 
     @pytest.mark.parametrize("n, l, alpha, k", [(4, 1, 1.0, 3.0), (12, 0, 20.0, 0.3)])
@@ -89,23 +89,22 @@ class TestRadialGrid:
         assert ground.points < top.points
 
     def test_auto_sizes_only_what_is_not_given(self):
-        sys = PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1)
-        grid = RadialGrid.auto(sys, 3.0)
-        assert RadialGrid.auto(sys, 3.0, points=100) == RadialGrid(grid.r_edge, 100)
         # alpha/K = 100: every state's edge and wavenumber ask for more than the cap
         for sol in solve_family(20, 0, 100.0, 1.0):
             assert RadialGrid.auto(sol.system(), sol.epsilon).points == MAX_POINTS
 
     def test_refined_halves_spacing(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        grid = RadialGrid.auto(sys, points=100)
+        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 100)
         fine = grid.refined()
         assert fine.spacing == pytest.approx(grid.spacing / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "grid",
         [
-            RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1), points=100),
+            RadialGrid(
+                RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1)).r_edge, 100
+            ),
             RadialGrid(r_edge=12.0, points=3000),
             RadialGrid(r_edge=12.0, points=3000).refined(),
         ],
@@ -165,7 +164,7 @@ class TestFdEigensolve:
 
     def test_second_order_convergence(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        coarse = RadialGrid.auto(sys, epsilon_hint=1.5, points=1000)
+        coarse = RadialGrid(RadialGrid.auto(sys, epsilon_hint=1.5).r_edge, 1000)
         e1 = fd_eigensolve(sys, coarse, range(1)).energies[0]
         e2 = fd_eigensolve(sys, coarse.refined(), range(1)).energies[0]
         ratio = abs(e1 - 1.5) / abs(e2 - 1.5)
@@ -173,15 +172,13 @@ class TestFdEigensolve:
 
     def test_richardson_improves(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=1)
-        grid = RadialGrid.auto(sys, epsilon_hint=2.5, points=2000)
-        plain = fd_eigensolve(sys, grid, range(1)).energies[0]
-        rich = confirm(sys, 2.5, 0, grid, 1e-5).richardson
-        assert abs(rich - 2.5) < abs(plain - 2.5) / 50.0
+        c = confirm(sys, 2.5, 0)
+        assert abs(c.richardson - 2.5) < abs(c.plain - 2.5) / 50.0
 
     def test_refinement_never_raises_levels(self):
         # variational flavor: the h^2 error is negative-definite here
         sys = PhysicalSystem(alpha=1.0, beta=0.5, k=1.0, l=1)
-        grid = RadialGrid.auto(sys, points=1500)
+        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 1500)
         e1 = fd_eigensolve(sys, grid, range(3)).energies
         e2 = fd_eigensolve(sys, grid.refined(), range(3)).energies
         assert np.all(e2 >= e1 - 1e-10)
@@ -190,7 +187,7 @@ class TestFdEigensolve:
         sys = PhysicalSystem(alpha=1.0, beta=0.7, k=3.0, l=1)
         K = sys.K
         sys_s = PhysicalSystem(alpha=1.0 / K, beta=0.7 / K**3, k=1.0, l=1)
-        grid = RadialGrid.auto(sys, points=1200)
+        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 1200)
         grid_s = RadialGrid(r_edge=grid.r_edge * K, points=grid.points)
         e = fd_eigensolve(sys, grid, range(3)).energies
         e_s = fd_eigensolve(sys_s, grid_s, range(3)).energies
@@ -222,39 +219,44 @@ class TestFdEigensolve:
 
 class TestConfirm:
     def test_exact_limit(self, oscillator):
-        sys, grid = oscillator
-        c = confirm(sys, 1.5, 0, grid, 1e-4)
+        sys, _ = oscillator
+        c = confirm(sys, 1.5, 0)
         assert c.passed and c.level == 0
         assert c.gap < 1e-8
         assert abs(c.plain - 1.5) > c.gap  # Richardson beats the plain grid
         assert c.vector is None
 
     def test_out_of_range(self, oscillator):
-        sys, grid = oscillator
-        assert not confirm(sys, 100.0, 0, grid, 1e-4).passed
+        sys, _ = oscillator
+        assert not confirm(sys, 100.0, 0).passed
 
     def test_quasi_exact_lookup(self):
         # alpha=1, beta=1, k=1, l=0 is the n=0 quasi-exact state at eps=1.375
         sys = PhysicalSystem(alpha=1.0, beta=1.0, k=1.0, l=0)
-        grid = RadialGrid.auto(sys, epsilon_hint=1.375)
-        c = confirm(sys, 1.375, 0, grid, 1e-4)
+        c = confirm(sys, 1.375, 0)
         assert c.passed and c.level == 0 and c.gap < 1e-8
 
-    def test_vector_on_request(self, oscillator, oscillator_result):
-        sys, grid = oscillator
-        c = confirm(sys, 3.5, 1, grid, 1e-5, vector=True)
+    def test_vector_on_request(self, oscillator):
+        sys, _ = oscillator
+        c = confirm(sys, 3.5, 1, vector=True)
         assert c.passed
-        assert np.allclose(c.vector, oscillator_result.vectors[1], atol=1e-8)
+        res = fd_eigensolve(sys, c.grid, range(1, 2), vectors=True)
+        assert np.allclose(c.vector, res.vectors[0], atol=1e-8)
+
+    def test_grid_is_sized_to_the_state(self):
+        sol = solve_family(4, 1, 1.0, 1.0)[2]
+        sys = sol.system()
+        c = confirm(sys, sol.epsilon, sol.level)
+        assert c.grid == RadialGrid.auto(sys, sol.epsilon)
 
     def test_passes_only_at_its_level(self):
         """Negative control: an n=4 state confirms at its level, not at level +- 1."""
         for sol in solve_family(4, 1, 1.0, 1.0):
             sys = sol.system()
-            grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon, points=3000)
-            assert confirm(sys, sol.epsilon, sol.level, grid, 1e-5).passed
+            assert confirm(sys, sol.epsilon, sol.level).passed
             for wrong in (sol.level - 1, sol.level + 1):
                 if wrong >= 0:
-                    assert not confirm(sys, sol.epsilon, wrong, grid, 1e-5).passed
+                    assert not confirm(sys, sol.epsilon, wrong).passed
 
 
 def _positive_zeros(coeffs):
@@ -271,7 +273,7 @@ def test_level_is_sturm_index():
             for branch, sol in enumerate(solve_family(n, l, 1.5, 1.0)):
                 assert sol.level == n - branch == _positive_zeros(sol.heun_coefficients)
                 sys = sol.system()
-                grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon, points=2000)
+                grid = RadialGrid(RadialGrid.auto(sys, sol.epsilon).r_edge, 2000)
                 levels = range(sol.level, sol.level + 1)
                 res = fd_eigensolve(sys, grid, levels, vectors=True)
                 assert node_count(res.vectors[0]) == sol.level
@@ -289,8 +291,7 @@ def test_sized_grid_confirms_every_state(alpha_over_K):
     for n, l in ((3, 2), (5, 0), (12, 1)):
         for sol in solve_family(n, l, alpha_over_K * k**0.25, k):
             sys = sol.system()
-            grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon)
-            c = confirm(sys, sol.epsilon, sol.level, grid, 1e-5)
+            c = confirm(sys, sol.epsilon, sol.level)
             assert c.passed, (n, l, sol.level, c.gap)
             worst = max(worst, c.gap / max(1.0, abs(sol.epsilon)))
     if alpha_over_K <= 3.0:

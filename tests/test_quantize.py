@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheun.oracle import RadialGrid, confirm
+from biheun.oracle import confirm
 from biheun.quantize import (
     closed_form_n0,
     closed_form_n1,
@@ -230,10 +230,9 @@ class TestWavefunction:
     def test_overlap_with_oracle(self):
         sol = closed_form_n0(0, 1.0, 1.0)
         sys = sol.system()
-        grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon, points=4000)
-        c = confirm(sys, sol.epsilon, sol.level, grid, 1e-4, vector=True)
+        c = confirm(sys, sol.epsilon, sol.level, vector=True)
         assert c.passed
-        r = grid.nodes()
+        r = c.grid.nodes()
         r_poly = normalize(r, wavefunction(sol, r))
         r_orac = normalize(r, c.vector / r)
         overlap = abs(np.trapezoid(r_poly * r_orac * r * r, r))
@@ -256,11 +255,6 @@ class TestNormalize:
         r = np.linspace(1e-4, 12.0, 1000)
         v = np.exp(-r) * (1 - r)
         assert np.allclose(normalize(r, 7.0 * v), normalize(r, v), atol=1e-13)
-
-    def test_sign_convention(self):
-        r = np.linspace(1e-4, 12.0, 1000)
-        v = normalize(r, -np.exp(-r))
-        assert v[0] > 0
 
     def test_rejects_zero_input(self):
         r = np.linspace(1e-4, 1.0, 100)
