@@ -4,7 +4,7 @@ The radial Schroedinger problem with a Coulomb + linear + harmonic potential
 reduces to a bi-confluent Heun equation; terminating its 3-term series
 recurrence yields polynomial bound states on a constraint manifold of the
 potential parameters. This package computes those solutions and
-cross-validates every energy against an independent finite-difference
+cross-validates every energy against an independent Lagrange-Laguerre mesh
 eigensolver.
 """
 

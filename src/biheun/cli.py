@@ -9,8 +9,8 @@ solutions exist only where beta = b K^3 for a root b of the termination
 constraint, and each root defines a different potential.
 
 ``spectrum --verify`` and ``wavefunction`` check each row with
-``oracle.confirm``, which sizes the finite-difference grid to the state and
-requires a Richardson gap within ``oracle.RTOL`` (1e-5) of max(1, |eps|).
+``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state and
+requires the mesh energy within ``oracle.RTOL`` (1e-5) of max(1, |eps|).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification failure.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import PhysicalSystem, turning_points
 from .oracle import Confirmation, confirm, node_count
-from .quantize import QuasiExactSolution, normalize, solve_family, wavefunction
+from .quantize import QuasiExactSolution, solve_family, wavefunction
 from .verify import run_acceptance
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Conf
         raise SolverError(
             f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
             f"l={sol.l}, branch={branch}): level {c.level} reads "
-            f"{c.richardson} (Richardson), gap {c.gap:.3e}"
+            f"{c.energy} on the mesh, gap {c.gap:.3e}"
         )
     return c
 
@@ -179,9 +179,17 @@ def cmd_wavefunction(config: RunConfig) -> None:
             f"oracle eigenvector at level {c.level} has {nodes} nodes "
             f"for (n={n}, l={l}, branch={config.branch})"
         )
+    # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
+    # the oracle vector already is
     r = c.grid.nodes()
-    r_oracle = normalize(r, c.vector / r)
-    r_poly = normalize(r, wavefunction(sol, r))
+    w = c.grid.weights()
+    r_oracle = c.vector / r
+    r_poly = wavefunction(sol, r)
+    norm2 = np.sum(w * (r_poly * r) ** 2)
+    if not 0 < norm2 < np.inf:
+        raise SolverError(f"R_polynomial has norm^2 {norm2} on the mesh for "
+                          f"(n={n}, l={l}, branch={config.branch})")
+    r_poly = r_poly / np.sqrt(norm2)
     if np.dot(r_poly, r_oracle) < 0:
         r_oracle = -r_oracle
 
@@ -201,7 +209,10 @@ def cmd_turning_points(config: RunConfig) -> None:
     beta = config.beta if config.beta is not None else 0.0
     l = config.l_values()[0]
     sys = PhysicalSystem(alpha=config.alpha, beta=beta, k=config.k, l=l)
-    tp = turning_points(sys, config.epsilon)
+    try:
+        tp = turning_points(sys, config.epsilon)
+    except ValueError as exc:  # the quartic overflows a double even in z = K r
+        raise ConfigError(str(exc)) from exc
     header = ["root_index", "re", "im", "is_real", "vieta_residual"]
     rows = [
         [i, z.real, z.imag, int(i < tp.real_count), tp.vieta_residuals[i]]
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="quasi-exact energies per (n, l) family")
     family(p)
     p.add_argument("--verify", action="store_true",
-                   help="confirm each energy against the finite-difference oracle")
+                   help="confirm each energy against the Lagrange-Laguerre mesh oracle")
 
     p = sub.add_parser("wavefunction", help="polynomial vs oracle wavefunction")
     family(p)

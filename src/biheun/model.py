@@ -7,12 +7,16 @@ The radial problem is taken in the dimensionless form
 with the 2M/hbar^2 factors already absorbed into (alpha, beta, k, eps).
 The quartic scale is K = k^(1/4); k > 0 is required throughout.
 
-The turning points are the companion-matrix eigenvalues of the quartic
--k r^4 - beta r^3 + 2 eps r^2 + alpha r - l(l+1), with no refinement.
+The turning points are the roots of the quartic
+-k r^4 - beta r^3 + 2 eps r^2 + alpha r - l(l+1), taken as the
+companion-matrix eigenvalues of the same quartic in z = K r, with no
+refinement.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,26 +67,39 @@ class TurningPointSet:
         return [r.real for r in self.roots[: self.real_count]]
 
 
-def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> np.ndarray:
-    """Descending coefficients of -k r^4 - beta r^3 + 2 eps r^2 + alpha r - l(l+1)."""
-    return np.array(
-        [-sys.k, -sys.beta, 2.0 * epsilon, sys.alpha, -float(sys.l * (sys.l + 1))]
-    )
+def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> list[float]:
+    """Descending coefficients of the turning-point quartic in z = K r,
+    -z^4 - b z^3 + (2 eps/K^2) z^2 + (alpha/K) z - l(l+1), with b = beta/K^3.
+
+    In z the leading coefficient is 1 whatever k is, so k = 1e-300 cannot
+    overflow the companion matrix; ValueError when a coefficient does."""
+    K = sys.K
+    coeffs = [-1.0, -float(sys.beta) / K**3, 2.0 * float(epsilon) / K**2,
+              float(sys.alpha) / K, -float(sys.l * (sys.l + 1))]
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"turning-point quartic out of range: coefficients in K r are {coeffs}")
+    return coeffs
 
 
 def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """All four roots of the turning-point quartic, classified and ordered.
 
-    One backward-stable eigensolve of the companion matrix (``np.roots``);
-    a root is classified real when |Im| <= 1e-9 * (1 + |Re|).
+    One backward-stable eigensolve of the companion matrix of the quartic in
+    z = K r (``np.roots``), then r = z/K; a root is classified real when
+    |Im| <= 1e-9 * (1 + |Re|). ValueError when the quartic's coefficients in
+    z or its roots in r overflow a double.
     """
+    K = sys.K
     real: list[complex] = []
     cplx: list[complex] = []
     for z in np.roots(_quartic_coeffs(sys, epsilon)):
-        if abs(z.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(z.real)):
-            real.append(complex(z.real, 0.0))
+        r = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
+        if not cmath.isfinite(r):
+            raise ValueError(f"turning point out of range: {z} / K = {r}")
+        if abs(r.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(r.real)):
+            real.append(complex(r.real, 0.0))
         else:
-            cplx.append(z)
+            cplx.append(r)
     real.sort(key=lambda z: z.real)
     cplx.sort(key=lambda z: (z.real, z.imag))
     ordered = tuple(real + cplx)

@@ -1,7 +1,7 @@
 """Acceptance checks: every claim the library makes, tested against independent routes.
 
 Each criterion function returns a CriterionResult; run_acceptance prints one
-pass/fail line per criterion. The finite-difference oracle (module
+pass/fail line per criterion. The Lagrange-Laguerre mesh oracle (module
 ``oracle``) and the power-matching series oracle (below) are deliberately
 separate implementations from the production code paths they check.
 """
@@ -87,27 +87,24 @@ def termination_residual(sol: QuasiExactSolution, beta_override: float | None = 
 def criterion_1() -> CriterionResult:
     """n=0 closed form energies appear in the oracle spectrum."""
     t0 = time.perf_counter()
-    worst_plain = worst_rich = 0.0
+    worst = 0.0
     ok = True
     for l in (0, 1, 2, 3):
         for alpha in (0.5, 1.0, 2.0):
             sol = closed_form_n0(l, alpha, 1.0)
             c = confirm(sol.system(), sol.epsilon, sol.level)
-            scale = max(1.0, abs(sol.epsilon))
-            rel_plain = abs(c.plain - sol.epsilon) / scale
-            worst_plain = max(worst_plain, rel_plain)
-            worst_rich = max(worst_rich, c.gap / scale)
-            if rel_plain > 1e-5 or c.gap > 1e-6 * scale:
+            rel = c.gap / max(1.0, abs(sol.epsilon))
+            worst = max(worst, rel)
+            if rel > 1e-6:
                 ok = False
     elapsed = time.perf_counter() - t0
     if elapsed > 10.0:
         ok = False
     return CriterionResult(
         1,
-        "n=0 closed form vs oracle (1e-5 plain / 1e-6 Richardson, <10 s)",
+        "n=0 closed form vs oracle (1e-6, <10 s)",
         ok,
-        f"worst rel gap plain={worst_plain:.2e}, richardson={worst_rich:.2e}, "
-        f"elapsed={elapsed:.1f}s",
+        f"worst rel gap={worst:.2e}, elapsed={elapsed:.1f}s",
     )
 
 
@@ -128,15 +125,14 @@ def criterion_2() -> CriterionResult:
                 if err > 1e-12:
                     ok = False
                 c = confirm(sol.system(), sol.epsilon, sol.level)
-                # n=1 needs no extrapolation: the plain FD gap must meet 1e-5 as well
-                rel_plain = abs(c.plain - sol.epsilon) / max(1.0, abs(sol.epsilon))
-                worst_gap = max(worst_gap, rel_plain)
-                ok = ok and c.passed and rel_plain <= 1e-5
+                rel = c.gap / max(1.0, abs(sol.epsilon))
+                worst_gap = max(worst_gap, rel)
+                ok = ok and rel <= 1e-5
     return CriterionResult(
         2,
         "n=1 closed form vs solve_family roots (1e-12) and oracle (1e-5)",
         ok,
-        f"worst root mismatch={worst_root:.2e}, worst plain oracle gap={worst_gap:.2e}",
+        f"worst root mismatch={worst_root:.2e}, worst oracle gap={worst_gap:.2e}",
     )
 
 
@@ -228,11 +224,11 @@ def criterion_6() -> CriterionResult:
             worst = max(worst, err)
             if err > 1e-8:
                 ok = False
-        # finite-difference side, on correspondingly scaled grids
+        # oracle side, on correspondingly scaled meshes
         beta = float(rng.uniform(-1.5, 1.5))
         sys = PhysicalSystem(alpha=alpha, beta=abs(beta), k=k, l=l)
         sys_s = PhysicalSystem(alpha=alpha / K, beta=abs(beta) / K**3, k=1.0, l=l)
-        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 2000)
+        grid = RadialGrid.auto(sys)
         grid_s = RadialGrid(grid.r_edge * K, grid.points)
         e1 = fd_eigensolve(sys, grid, range(3)).energies
         e2 = fd_eigensolve(sys_s, grid_s, range(3)).energies

@@ -1,10 +1,16 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import biheun
 from biheun.cli import build_parser, main
-from biheun.oracle import MAX_POINTS, RadialGrid
+from biheun.oracle import RadialGrid
 from biheun.quantize import solve_family
 
 
@@ -53,8 +59,8 @@ class TestSpectrum:
         assert lines[0].endswith(",oracle_gap")
         assert float(lines[1].split(",")[-1]) < 1e-4
 
-    def test_verify_uses_richardson_gap(self, capsys):
-        # the plain FD gap here is ~1e-5, so the pre-Richardson check exited 3
+    def test_verify_confirms_n12_family(self, capsys):
+        # a second-order grid with no extrapolation missed 1e-5 here
         code, out, _ = run_cli(
             ["spectrum", "--n", "12", "--l", "0", "--alpha", "2.5104973228641434",
              "--k", "1.131957662517573", "--verify"],
@@ -169,6 +175,25 @@ class TestTurningPoints:
         assert code == 2
         assert "epsilon" in err
 
+    def test_tiny_k(self, capsys):
+        # in r the companion matrix of -k r^4 + ... held alpha/k = 1e310 and
+        # overflowed (exit 3); in z = K r its coefficients stay below 3e150
+        code, out, err = run_cli(
+            ["turning-points", "--epsilon", "1", "--k", "1e-300", "--alpha", "1e10"], capsys
+        )
+        assert code == 0 and err == ""
+        roots = sorted(float(line.split(",")[1]) for line in out.strip().split("\n")[1:])
+        assert roots[0] == pytest.approx(-(2e300**0.5), rel=1e-12)
+        assert roots[-1] == pytest.approx(2e300**0.5, rel=1e-12)
+
+    def test_out_of_range_is_config_error(self, capsys):
+        # alpha/K = 1e375 overflows a double even in z = K r
+        code, out, err = run_cli(
+            ["turning-points", "--epsilon", "1", "--k", "1e-300", "--alpha", "1e300"], capsys
+        )
+        assert code == 2
+        assert out == "" and err.startswith("config error: ")
+
 
 class TestWavefunction:
     def test_polynomial_vs_oracle(self, capsys):
@@ -196,14 +221,56 @@ class TestWavefunction:
         assert diag["oracle_gap"] < 1e-7
 
     def test_rows_follow_the_sized_grid(self, capsys):
-        # the state sets the point count: one row per node of its grid
+        # the state sets the point count: one row per node of its mesh, 40 + 3n + l
         sol = solve_family(2, 0, 1.0, 1.0)[0]
         grid = RadialGrid.auto(sol.system(), sol.epsilon)
         code, out, _ = run_cli(
             ["wavefunction", "--n", "2", "--l", "0", "--alpha", "1", "--k", "1"], capsys
         )
         assert code == 0
-        assert len(out.strip().split("\n")) - 1 == grid.points < MAX_POINTS
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+        assert len(rows) == grid.points == 46
+        assert [row[0] for row in rows] == grid.nodes().tolist()
+
+    @pytest.mark.parametrize("n, l, branch", [(0, 0, 0), (4, 2, 1), (12, 1, 7)])
+    def test_rows_normalised_in_mesh_quadrature(self, capsys, n, l, branch):
+        # sum w R^2 r^2 = 1 for both curves; the trapezoid rule over the
+        # 40-79 uneven nodes is off by up to 6e-4
+        sol = solve_family(n, l, 1.3, 0.7)[branch]
+        w = RadialGrid.auto(sol.system(), sol.epsilon).weights()
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", str(n), "--l", str(l), "--alpha", "1.3", "--k", "0.7",
+             "--branch", str(branch)],
+            capsys,
+        )
+        assert code == 0
+        r, poly, oracle, _ = np.array(
+            [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+        ).T
+        for curve in (poly, oracle):
+            assert np.sum(w * (curve * r) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, l", [(0, 20), (5, 60)])
+    def test_oracle_level_is_node_count_at_large_l(self, capsys, n, l):
+        # 40 + 3n points leave sign changes in the level-0 vector from l = 16
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", str(n), "--l", str(l), "--alpha", "1", "--k", "1",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diagnostics"]["node_count"] == n
+        worst = max(abs(row["difference"]) for row in payload["results"])
+        assert worst < 1e-3 * max(abs(row["R_polynomial"]) for row in payload["results"])
+
+    def test_underflowing_polynomial_is_solver_error(self, capsys):
+        # r^60 exp(-beta r / 2K^2) underflows at every node: no NaN rows
+        code, out, err = run_cli(
+            ["wavefunction", "--n", "0", "--l", "60", "--alpha", "1e9", "--k", "1"], capsys
+        )
+        assert code == 3
+        assert out == "" and "(n=0, l=60, branch=0)" in err
 
     @pytest.mark.parametrize("branch", range(5))
     def test_oracle_sign_follows_polynomial(self, capsys, branch):
@@ -373,3 +440,14 @@ def test_ignored_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_import_skips_scipy_special():
+    # scipy.special adds 0.04-0.06 s and ~2.5 MB to every command's start-up
+    src = str(Path(biheun.__file__).resolve().parents[1])
+    code = "import sys, biheun.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"

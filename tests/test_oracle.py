@@ -1,10 +1,15 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_laguerre
 
 from biheun.model import PhysicalSystem, turning_points
 from biheun.oracle import (
-    MAX_POINTS,
+    _LARGEST_MESH,
     RadialGrid,
+    _mesh,
     confirm,
     fd_eigensolve,
     node_count,
@@ -27,10 +32,12 @@ def oscillator():
 
 class TestRadialGrid:
     def test_spacing(self):
-        grid = RadialGrid(r_edge=10.0, points=999)
-        assert grid.spacing == 10.0 / 1000
-        assert len(grid.nodes()) == 999
-        assert grid.nodes()[-1] == pytest.approx(10.0 - grid.spacing, rel=1e-15)
+        # the nodes are the zeros of L_N scaled by h = r_edge / x_N
+        grid = RadialGrid(r_edge=10.0, points=80)
+        x, _ = roots_laguerre(80)
+        assert len(grid.nodes()) == 80
+        assert grid.nodes()[-1] == pytest.approx(10.0, rel=1e-15)
+        assert np.allclose(grid.nodes(), 10.0 / x[-1] * x, rtol=1e-12, atol=0)
 
     def test_auto_covers_gaussian_tail(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
@@ -81,23 +88,21 @@ class TestRadialGrid:
             assert grid.points == grid_s.points
 
     def test_auto_points(self):
-        family = solve_family(12, 2, 1.0, 1.0)  # branch 0 is level 12, branch 12 level 0
-        for sol in solve_family(20, 0, 100.0, 1.0) + family:
-            assert 16 <= RadialGrid.auto(sol.system(), sol.epsilon).points <= MAX_POINTS
-        # the spacing follows the wavenumber, so the top level gets more points
-        top, ground = (RadialGrid.auto(s.system(), s.epsilon) for s in (family[0], family[-1]))
-        assert ground.points < top.points
+        # N = 40 + 3n + l for the degree n of H, on every branch of the
+        # family, whatever alpha/K
+        for n, l, alpha in ((12, 2, 1.0), (20, 0, 100.0), (0, 3, 1e4), (5, 60, 1.0)):
+            for sol in solve_family(n, l, alpha, 1.0):
+                assert RadialGrid.auto(sol.system(), sol.epsilon).points == 40 + 3 * n + l
+        # the default energy K^2 (l + 3/2) is the n = 0 oscillator level
+        assert RadialGrid.auto(PhysicalSystem(alpha=0.0, beta=0.0, k=2.0, l=1)).points == 41
 
-    def test_auto_sizes_only_what_is_not_given(self):
-        # alpha/K = 100: every state's edge and wavenumber ask for more than the cap
-        for sol in solve_family(20, 0, 100.0, 1.0):
-            assert RadialGrid.auto(sol.system(), sol.epsilon).points == MAX_POINTS
-
-    def test_refined_halves_spacing(self):
-        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 100)
-        fine = grid.refined()
-        assert fine.spacing == pytest.approx(grid.spacing / 2.0, rel=1e-12)
+    def test_auto_caps_the_mesh(self):
+        # an energy far above any state of the family asks for n ~ 1e6, and
+        # l = 10^6 for a million points
+        sys = PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=0)
+        assert RadialGrid.auto(sys, 1e6).points == _LARGEST_MESH == 400
+        assert not confirm(sys, 1e6, 0).passed
+        assert RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=10**6)).points == 400
 
     @pytest.mark.parametrize(
         "grid",
@@ -105,17 +110,16 @@ class TestRadialGrid:
             RadialGrid(
                 RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.5, k=2.0, l=1)).r_edge, 100
             ),
-            RadialGrid(r_edge=12.0, points=3000),
-            RadialGrid(r_edge=12.0, points=3000).refined(),
+            RadialGrid(r_edge=12.0, points=100),
+            RadialGrid(r_edge=12.0, points=201),
         ],
         ids=["auto", "explicit", "refined"],
     )
     def test_walls_at_zero_and_edge(self, grid):
-        # the first node is one spacing from the wall at r = 0, on every grid
-        assert grid.nodes()[0] == grid.spacing
-        fine = grid.refined()
-        assert fine.r_edge == grid.r_edge
-        assert fine.spacing == grid.spacing / 2.0
+        # every node lies inside (0, r_edge], the last one at r_edge, on every mesh
+        r = grid.nodes()
+        assert 0 < r[0] and np.all(np.diff(r) > 0)
+        assert r[-1] == pytest.approx(grid.r_edge, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,8 +132,49 @@ class TestRadialGrid:
             RadialGrid(r_edge=float("nan"), points=100)
         with pytest.raises(ValueError):
             RadialGrid(r_edge=1.0, points=4)
-        with pytest.raises(ValueError):  # 8/h^2 overflows on the refined grid
-            RadialGrid(r_edge=1e-300, points=100)
+        with pytest.raises(ValueError):
+            RadialGrid(r_edge=1.0, points=_LARGEST_MESH + 1)
+
+
+class TestLaguerreMesh:
+    @pytest.mark.parametrize("points", [40, 80, 160])
+    def test_nodes_and_weights_match_scipy(self, points):
+        x, w = roots_laguerre(points)
+        nodes, lam = _mesh(points)
+        assert np.allclose(nodes, x, rtol=1e-12, atol=0)
+        if points <= 80:
+            assert np.allclose(lam, w * np.exp(x), rtol=1e-12, atol=0)
+
+    def test_weights_match_mpmath(self):
+        # at N = 160 scipy's w exp(x) is itself 1.05e-12 off the 40-digit value
+        points = 160
+        _, lam = _mesh(points)
+        x, _ = roots_laguerre(points)
+        for i in [*range(0, points, 7), points - 1]:
+            with mpmath.workdps(40):
+                z = mpmath.mpf(float(x[i]))
+                for _ in range(3):  # Newton on L_N; L_N' = N (L_N - L_{N-1}) / x
+                    l_prev, l_k, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+                    for k in range(points):
+                        total += l_k * l_k
+                        l_prev, l_k = l_k, ((2 * k + 1 - z) * l_k - k * l_prev) / (k + 1)
+                    z -= l_k * z / (points * (l_k - l_prev))
+                assert abs(lam[i] / (mpmath.exp(z) / total) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("points", [300, 400])
+    def test_weights_finite_at_large_n(self, points):
+        # exp(-x/2) alone underflows from x ~ 1,400; x_N is ~1,180 at N = 300, ~1,580 at 400
+        _, lam = _mesh(points)
+        assert np.all(np.isfinite(lam)) and np.all(lam > 0)
+
+    def test_weights_integrate_polynomials(self):
+        # Gauss-Laguerre is exact for p(r) exp(-r/h) of degree < 2N
+        grid = RadialGrid(r_edge=10.0, points=40)
+        h = 10.0 / _mesh(40)[0][-1]
+        r, w = grid.nodes(), grid.weights()
+        for m in (0, 1, 5, 20):
+            integral = np.sum(w * (r / h) ** m * np.exp(-r / h))
+            assert integral == pytest.approx(h * float(mpmath.factorial(m)), rel=1e-12)
 
 
 class TestFdEigensolve:
@@ -142,16 +187,16 @@ class TestFdEigensolve:
         assert np.all(np.diff(oscillator_result.energies) > 0)
 
     def test_vectors_normalized(self, oscillator_result):
-        h = oscillator_result.grid.spacing
+        w = oscillator_result.grid.weights()
         for f in oscillator_result.vectors:
-            assert np.sum(f * f) * h == pytest.approx(1.0, rel=1e-12)
+            assert np.sum(w * f * f) == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonality(self, oscillator_result):
-        h = oscillator_result.grid.spacing
+        w = oscillator_result.grid.weights()
         v = oscillator_result.vectors
         for i in range(3):
             for j in range(i + 1, 3):
-                assert abs(np.sum(v[i] * v[j]) * h) < 1e-8
+                assert abs(np.sum(w * v[i] * v[j])) < 1e-8
 
     def test_node_counts_sturm(self, oscillator_result):
         assert [node_count(f) for f in oscillator_result.vectors] == [0, 1, 2]
@@ -162,32 +207,26 @@ class TestFdEigensolve:
         res = fd_eigensolve(sys, grid, range(1))
         assert abs(res.energies[0] - 1.375) < 1e-5
 
-    def test_second_order_convergence(self):
-        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        coarse = RadialGrid(RadialGrid.auto(sys, epsilon_hint=1.5).r_edge, 1000)
-        e1 = fd_eigensolve(sys, coarse, range(1)).energies[0]
-        e2 = fd_eigensolve(sys, coarse.refined(), range(1)).energies[0]
-        ratio = abs(e1 - 1.5) / abs(e2 - 1.5)
-        assert 3.5 < ratio < 4.5
-
-    def test_richardson_improves(self):
-        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=1)
-        c = confirm(sys, 2.5, 0)
-        assert abs(c.richardson - 2.5) < abs(c.plain - 2.5) / 50.0
-
-    def test_refinement_never_raises_levels(self):
-        # variational flavor: the h^2 error is negative-definite here
-        sys = PhysicalSystem(alpha=1.0, beta=0.5, k=1.0, l=1)
-        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 1500)
-        e1 = fd_eigensolve(sys, grid, range(3)).energies
-        e2 = fd_eigensolve(sys, grid.refined(), range(3)).energies
-        assert np.all(e2 >= e1 - 1e-10)
+    def test_converges_with_points(self):
+        # level 8 of an n = 8 state on one edge: the error falls by more than
+        # 100x per 8 points until rounding (1e-12 here) takes over
+        sol = solve_family(8, 0, 1.0, 1.0)[0]
+        sys = sol.system()
+        r_edge = RadialGrid.auto(sys, sol.epsilon).r_edge
+        levels = range(sol.level, sol.level + 1)
+        errors = [
+            abs(fd_eigensolve(sys, RadialGrid(r_edge, N), levels).energies[0] - sol.epsilon)
+            / sol.epsilon
+            for N in (24, 32, 40, 64)
+        ]
+        assert errors[0] > 100 * errors[1] > 1e4 * errors[2]
+        assert errors[3] < 1e-10
 
     def test_spectrum_scaling(self):
         sys = PhysicalSystem(alpha=1.0, beta=0.7, k=3.0, l=1)
         K = sys.K
         sys_s = PhysicalSystem(alpha=1.0 / K, beta=0.7 / K**3, k=1.0, l=1)
-        grid = RadialGrid(RadialGrid.auto(sys).r_edge, 1200)
+        grid = RadialGrid.auto(sys)
         grid_s = RadialGrid(r_edge=grid.r_edge * K, points=grid.points)
         e = fd_eigensolve(sys, grid, range(3)).energies
         e_s = fd_eigensolve(sys_s, grid_s, range(3)).energies
@@ -223,7 +262,7 @@ class TestConfirm:
         c = confirm(sys, 1.5, 0)
         assert c.passed and c.level == 0
         assert c.gap < 1e-8
-        assert abs(c.plain - 1.5) > c.gap  # Richardson beats the plain grid
+        assert c.gap == abs(c.energy - 1.5)
         assert c.vector is None
 
     def test_out_of_range(self, oscillator):
@@ -248,6 +287,7 @@ class TestConfirm:
         sys = sol.system()
         c = confirm(sys, sol.epsilon, sol.level)
         assert c.grid == RadialGrid.auto(sys, sol.epsilon)
+        assert c.grid.points == 40 + 3 * 4 + 1
 
     def test_passes_only_at_its_level(self):
         """Negative control: an n=4 state confirms at its level, not at level +- 1."""
@@ -267,16 +307,14 @@ def _positive_zeros(coeffs):
 
 def test_level_is_sturm_index():
     """For n <= 12 the zeros of H number n - branch, and the oracle eigenvector
-    at that level has as many nodes."""
-    for n in range(13):
-        for l in range(4):
-            for branch, sol in enumerate(solve_family(n, l, 1.5, 1.0)):
-                assert sol.level == n - branch == _positive_zeros(sol.heun_coefficients)
-                sys = sol.system()
-                grid = RadialGrid(RadialGrid.auto(sys, sol.epsilon).r_edge, 2000)
-                levels = range(sol.level, sol.level + 1)
-                res = fd_eigensolve(sys, grid, levels, vectors=True)
-                assert node_count(res.vectors[0]) == sol.level
+    at that level, sampled at the 40 + 3n + l nodes of its mesh, has as many nodes."""
+    for n, l, (alpha, k) in itertools.product(
+        range(13), range(4), [(1.5, 1.0), (0.0, 0.3), (2.9, 3.1), (30.0, 1.0)]
+    ):
+        for branch, sol in enumerate(solve_family(n, l, alpha, k)):
+            assert sol.level == n - branch == _positive_zeros(sol.heun_coefficients)
+            c = confirm(sol.system(), sol.epsilon, sol.level, vector=True)
+            assert c.passed and node_count(c.vector) == sol.level
 
 
 @pytest.mark.slow
