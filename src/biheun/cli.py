@@ -12,7 +12,8 @@ constraint, and each root defines a different potential.
 ``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state and
 requires the mesh energy within ``oracle.RTOL`` (1e-5) of max(1, |eps|).
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 verification failure.
+Exit codes: 0 success, 2 config error (also input whose alpha/K or turning-point
+quartic overflows a double), 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -180,16 +181,17 @@ def cmd_wavefunction(config: RunConfig) -> None:
             f"for (n={n}, l={l}, branch={config.branch})"
         )
     # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
-    # the oracle vector already is
+    # the oracle vector already is. R r is scaled to max 1 before it is squared
     r = c.grid.nodes()
     w = c.grid.weights()
     r_oracle = c.vector / r
     r_poly = wavefunction(sol, r)
-    norm2 = np.sum(w * (r_poly * r) ** 2)
-    if not 0 < norm2 < np.inf:
-        raise SolverError(f"R_polynomial has norm^2 {norm2} on the mesh for "
+    peak = np.max(np.abs(r_poly * r))
+    if not 0 < peak < np.inf:
+        raise SolverError(f"R_polynomial has max |R r| {peak} on the mesh for "
                           f"(n={n}, l={l}, branch={config.branch})")
-    r_poly = r_poly / np.sqrt(norm2)
+    r_poly = r_poly / peak
+    r_poly = r_poly / np.sqrt(np.sum(w * (r_poly * r) ** 2))
     if np.dot(r_poly, r_oracle) < 0:
         r_oracle = -r_oracle
 
@@ -209,10 +211,7 @@ def cmd_turning_points(config: RunConfig) -> None:
     beta = config.beta if config.beta is not None else 0.0
     l = config.l_values()[0]
     sys = PhysicalSystem(alpha=config.alpha, beta=beta, k=config.k, l=l)
-    try:
-        tp = turning_points(sys, config.epsilon)
-    except ValueError as exc:  # the quartic overflows a double even in z = K r
-        raise ConfigError(str(exc)) from exc
+    tp = turning_points(sys, config.epsilon)
     header = ["root_index", "re", "im", "is_real", "vieta_residual"]
     rows = [
         [i, z.real, z.imag, int(i < tp.real_count), tp.vieta_residuals[i]]
@@ -333,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         COMMANDS[config.command](config)
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:  # input that overflows a double
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except VerificationFailure:

@@ -72,12 +72,12 @@ def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> list[float]:
     -z^4 - b z^3 + (2 eps/K^2) z^2 + (alpha/K) z - l(l+1), with b = beta/K^3.
 
     In z the leading coefficient is 1 whatever k is, so k = 1e-300 cannot
-    overflow the companion matrix; ValueError when a coefficient does."""
+    overflow the companion matrix; OverflowError when a coefficient does."""
     K = sys.K
     coeffs = [-1.0, -float(sys.beta) / K**3, 2.0 * float(epsilon) / K**2,
               float(sys.alpha) / K, -float(sys.l * (sys.l + 1))]
     if not all(map(math.isfinite, coeffs)):
-        raise ValueError(f"turning-point quartic out of range: coefficients in K r are {coeffs}")
+        raise OverflowError(f"turning-point quartic out of range: coefficients in K r are {coeffs}")
     return coeffs
 
 
@@ -86,8 +86,8 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
 
     One backward-stable eigensolve of the companion matrix of the quartic in
     z = K r (``np.roots``), then r = z/K; a root is classified real when
-    |Im| <= 1e-9 * (1 + |Re|). ValueError when the quartic's coefficients in
-    z or its roots in r overflow a double.
+    |Im| <= 1e-9 * (1 + |Re|). OverflowError when the quartic's coefficients
+    in z or its roots in r overflow a double.
     """
     K = sys.K
     real: list[complex] = []
@@ -95,7 +95,7 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     for z in np.roots(_quartic_coeffs(sys, epsilon)):
         r = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
         if not cmath.isfinite(r):
-            raise ValueError(f"turning point out of range: {z} / K = {r}")
+            raise OverflowError(f"turning point out of range: {z} / K = {r}")
         if abs(r.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(r.real)):
             real.append(complex(r.real, 0.0))
         else:

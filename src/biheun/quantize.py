@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .heun import HeunParameters, ode_residual
 from .model import PhysicalSystem, turning_points
@@ -195,11 +194,13 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     if n < 0 or l < 0:
         raise ValueError(f"n and l must be non-negative (got n={n}, l={l})")
     aK = alpha / k ** 0.25
+    if not np.isfinite(aK):
+        raise OverflowError(f"alpha/K = {alpha}/{k ** 0.25} overflows a double")
     j = np.arange(n + 1.0)
     w = j + l + 1  # diagonal of W
     up = (j[:-1] + 1) * (j[:-1] + 2 * l + 2) / w[:-1]  # (W^-1 M)_{j, j+1}
     down = 2 * (n - j[:-1]) / w[1:]  # (W^-1 M)_{j+1, j}
-    b_roots = eigh_tridiagonal(aK / w, np.sqrt(up * down), eigvals_only=True)
+    b_roots = np.linalg.eigvalsh(np.diag(aK / w) + np.diag(np.sqrt(up * down), -1))
     coeffs = _heun_coefficients(n, l, aK, b_roots)
     if not np.isfinite(coeffs).all():
         i = np.argmin(np.isfinite(coeffs).all(axis=0))
@@ -239,7 +240,10 @@ def _heun_coefficients(n: int, l: int, alpha_over_K: float, b: np.ndarray) -> np
 
 
 def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
-    """Unnormalized R(r) = r^l exp(-beta r / 2K^2) exp(-K^2 r^2 / 2) H(K r)."""
+    """Unnormalized R(r) = r^l exp(-beta r / 2K^2) exp(-K^2 r^2 / 2) H(K r).
+
+    The envelope is one exp(l log r - beta r / 2K^2 - K^2 r^2 / 2): r^l alone
+    overflows at large l (r^300 at r = 17) where the product does not."""
     r = np.asarray(radii, dtype=float)
     if np.any(r < 0):
         raise ValueError("radii must be non-negative")
@@ -248,7 +252,9 @@ def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
     h = np.zeros_like(z)
     for c in sol.heun_coefficients[::-1]:
         h = h * z + c
-    return r**sol.l * np.exp(-sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0) * h
+    with np.errstate(divide="ignore"):  # r = 0: log r = -inf, r^l = 0 for l > 0
+        power = sol.l * np.log(r) if sol.l else 0.0
+    return np.exp(power - sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0) * h
 
 
 def normalize(radii: np.ndarray, values: np.ndarray) -> np.ndarray:

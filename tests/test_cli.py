@@ -116,6 +116,17 @@ class TestSpectrum:
         assert out == ""
         assert "oracle did not confirm" in err and "(n=0, l=0, branch=0)" in err
 
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    @pytest.mark.parametrize("alpha, k", [("1e300", "1"), ("1e300", "1e-300")])
+    def test_unrepresentable_input_is_config_error(self, capsys, verify, alpha, k):
+        # eps = -inf (alpha/K = 1e300) or alpha/K = inf: the quartic, or the
+        # Jacobi matrix, cannot be held in doubles; not a solver failure (exit 3)
+        code, out, err = run_cli(
+            ["spectrum", "--n", "0..1", "--alpha", alpha, "--k", k, *verify], capsys
+        )
+        assert code == 2
+        assert out == "" and err.startswith("config error: ")
+
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
         _, out1, _ = run_cli(args, capsys)
@@ -263,6 +274,24 @@ class TestWavefunction:
         assert payload["diagnostics"]["node_count"] == n
         worst = max(abs(row["difference"]) for row in payload["results"])
         assert worst < 1e-3 * max(abs(row["R_polynomial"]) for row in payload["results"])
+
+    def test_large_l_envelope_stays_finite(self, capsys):
+        # r^300 overflowed at r = 17 (exit 3), and so would squaring R r near its peak
+        # (~1e307); the envelope is one exp and R r is scaled to max 1 before the norm
+        code, out, err = run_cli(
+            ["wavefunction", "--n", "0", "--l", "300", "--alpha", "1", "--k", "1",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["diagnostics"]["node_count"] == 0
+        sol = solve_family(0, 300, 1.0, 1.0)[0]
+        w = RadialGrid.auto(sol.system(), sol.epsilon).weights()
+        r = np.array([row["r"] for row in payload["results"]])
+        for key in ("R_polynomial", "R_oracle"):
+            curve = np.array([row[key] for row in payload["results"]])
+            assert np.sum(w * (curve * r) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_underflowing_polynomial_is_solver_error(self, capsys):
         # r^60 exp(-beta r / 2K^2) underflows at every node: no NaN rows
@@ -442,12 +471,36 @@ def test_ignored_flags_are_rejected(capsys, argv):
     capsys.readouterr()
 
 
-def test_import_skips_scipy_special():
-    # scipy.special adds 0.04-0.06 s and ~2.5 MB to every command's start-up
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports biheun from this checkout."""
     src = str(Path(biheun.__file__).resolve().parents[1])
-    code = "import sys, biheun.cli; print('scipy.special' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.strip() == "False"
+
+
+def test_import_skips_scipy_special():
+    # importing scipy.linalg took 0.35 of 0.58 s of every command's start-up,
+    # and scipy.special adds 0.04-0.06 s and ~2.5 MB more: numpy is the runtime
+    code = ("import sys, biheun.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "0..4", "--l", "0..1", "--verify"],
+        ["wavefunction", "--n", "3", "--l", "1", "--format", "json"],
+    ],
+)
+def test_commands_run_without_scipy(argv):
+    # sys.modules["scipy"] = None makes every import of scipy fail
+    code = ("import sys; sys.modules['scipy'] = None; from biheun.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

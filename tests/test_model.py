@@ -37,6 +37,12 @@ class TestPhysicalSystem:
 
 
 class TestTurningPoints:
+    def test_out_of_range_overflows(self):
+        # 2 eps / K^2 = -inf: the quartic cannot be represented in doubles
+        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
+        with pytest.raises(OverflowError, match="out of range"):
+            turning_points(sys, epsilon=-1e308)
+
     def test_oscillator_factorization(self):
         # -r^2 (r^2 - 4): roots {-2, 0, 0, 2}
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)

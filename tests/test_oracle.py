@@ -255,6 +255,34 @@ class TestFdEigensolve:
         assert res.vectors is None
         assert len(res.energies) == 2
 
+    @pytest.mark.parametrize("l", [0, 40, 100])
+    def test_vectors_orthonormal_in_quadrature(self, l):
+        # inverse iteration: sum w f_i f_j = delta_ij over eight levels
+        sol = solve_family(5, l, 1.0, 1.0)[0]
+        sys = sol.system()
+        grid = RadialGrid.auto(sys, sol.epsilon)
+        res = fd_eigensolve(sys, grid, range(8), vectors=True)
+        gram = res.vectors @ (grid.weights() * res.vectors).T
+        assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
+        assert [node_count(f) for f in res.vectors] == list(range(8))
+
+    def test_singular_pivot_moves_the_shift(self, oscillator, monkeypatch):
+        # an exactly singular H - shift I: the shift moves by a few ulps, no LinAlgError
+        sys, grid = oscillator
+        expected = fd_eigensolve(sys, grid, range(1, 2), vectors=True).vectors[0]
+        solve, calls = np.linalg.solve, []
+
+        def singular_once(a, b):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        res = fd_eigensolve(sys, grid, range(1, 2), vectors=True)
+        assert len(calls) == 3
+        assert np.allclose(res.vectors[0], expected, rtol=0, atol=1e-12)
+
 
 class TestConfirm:
     def test_exact_limit(self, oscillator):
@@ -315,6 +343,16 @@ def test_level_is_sturm_index():
             assert sol.level == n - branch == _positive_zeros(sol.heun_coefficients)
             c = confirm(sol.system(), sol.epsilon, sol.level, vector=True)
             assert c.passed and node_count(c.vector) == sol.level
+
+
+@pytest.mark.parametrize("n", [0, 2, 5, 8])
+@pytest.mark.parametrize("l", [40, 60, 100])
+def test_level_is_node_count_at_large_l(n, l):
+    """Divide-and-conquer eigenvectors carried ~u |H| noise in the tiny components
+    near r = 0, which read as false nodes in 10 of 42 such families from l = 40."""
+    for sol in solve_family(n, l, 1.0, 1.0):
+        c = confirm(sol.system(), sol.epsilon, sol.level, vector=True)
+        assert c.passed and node_count(c.vector) == sol.level
 
 
 @pytest.mark.slow
