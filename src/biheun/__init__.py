@@ -32,7 +32,6 @@ from .quantize import (
     closed_form_n0,
     closed_form_n1,
     energy_from_termination,
-    normalize,
     solve_family,
     wavefunction,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "energy_from_termination",
     "fd_eigensolve",
     "node_count",
-    "normalize",
     "ode_residual",
     "run_acceptance",
     "solve_family",

@@ -145,8 +145,7 @@ def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Conf
 
 
 def cmd_spectrum(config: RunConfig) -> None:
-    header = ["n", "l", "branch", "b", "beta", "epsilon",
-              "constraint_residual", "ode_residual"]
+    header = ["n", "l", "branch", "b", "beta", "epsilon", "ode_residual"]
     if config.verify:
         header.append("oracle_gap")
     rows: list[list] = []
@@ -157,8 +156,7 @@ def cmd_spectrum(config: RunConfig) -> None:
             diagnostics["families"] += 1
             for branch, sol in enumerate(sols):
                 diagnostics["solutions"] += 1
-                row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon,
-                       sol.residuals.constraint, sol.residuals.ode_sup]
+                row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon, sol.ode_residual]
                 if config.verify:
                     row.append(_confirm(sol, branch).gap)
                 rows.append(row)

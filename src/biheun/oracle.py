@@ -84,7 +84,8 @@ class RadialGrid:
         f's r^(l+1) factor needs the + l (at 40 + 3n, l = 20 shows false nodes)."""
         K2 = sys.k**0.5
         eps = K2 * (sys.l + 1.5) if epsilon_hint is None else epsilon_hint
-        p = max(eps / K2 + sys.beta**2 / (8.0 * K2**3) - 0.5, 1.0)
+        # b^2/8 as (beta/K^3)^2/8, not beta^2/(8 K2^3): K2^3 underflows to 0 for k < ~1e-216
+        p = max(eps / K2 + (sys.beta / sys.K**3) ** 2 / 8.0 - 0.5, 1.0)
         s = sys.beta / (2.0 * K2)
         q = np.sqrt(s * s + 4.0 * K2 * p)  # the peak without cancellation in q - s
         r_peak = 2.0 * p / (q + s) if s > 0 else (q - s) / (2.0 * K2)

@@ -32,12 +32,6 @@ from .model import PhysicalSystem, turning_points
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    constraint: float
-    ode_sup: float
-
-
-@dataclass(frozen=True)
 class QuasiExactSolution:
     """One terminated solution: degree n, root b, induced beta, energy, H coefficients.
 
@@ -54,7 +48,7 @@ class QuasiExactSolution:
     epsilon: float
     heun_coefficients: np.ndarray  # c_0..c_n of the degree-n polynomial H
     level: int
-    residuals: ResidualReport
+    ode_residual: float  # sup of the relative Heun ODE residual of H (_ode_residual_sup)
 
     @property
     def K(self) -> float:
@@ -80,26 +74,6 @@ def energy_from_termination(n: int, l: int, K: float, b: float) -> float:
     return K * K * (n + l + 1.5) - K * K * b * b / 8.0
 
 
-def _recurrence_defect(
-    n: int, l: int, alpha_over_K: float, b: float, coeffs: np.ndarray
-) -> float:
-    """max_j |(M - b W) c|_j relative to max_j (|M| + |b| W) |c|, the scale of its terms.
-
-    Normwise, not row by row: a row whose terms all vanish exactly (odd j at
-    alpha = 0, b = 0) holds only rounding noise, which a row-wise ratio
-    would report as a defect of order 1.
-    """
-    j = np.arange(n + 1.0)
-    terms = np.array([
-        (j + 1) * (j + 2 * l + 2) * np.append(coeffs[1:], 0.0),
-        2 * (n + 1 - j) * np.append(0.0, coeffs[:-1]),
-        alpha_over_K * coeffs,
-        -b * (j + l + 1) * coeffs,
-    ])
-    scale = np.max(np.abs(terms).sum(axis=0))
-    return float(np.max(np.abs(terms.sum(axis=0))) / scale) if scale else 0.0
-
-
 def _assemble_solution(
     n: int, l: int, alpha: float, k: float, b: float, coeffs: np.ndarray, level: int
 ) -> QuasiExactSolution:
@@ -112,7 +86,6 @@ def _assemble_solution(
         ode_sup = _ode_residual_sup(sys, eps, hp, coeffs)
     except FloatingPointError as exc:
         raise RuntimeError(f"(n={n}, l={l}, branch={n - level}): ODE residual {exc}") from exc
-    residuals = ResidualReport(_recurrence_defect(n, l, alpha / K, b, coeffs), ode_sup)
     return QuasiExactSolution(
         n=n,
         l=l,
@@ -123,7 +96,7 @@ def _assemble_solution(
         epsilon=eps,
         heun_coefficients=coeffs,
         level=level,
-        residuals=residuals,
+        ode_residual=ode_sup,
     )
 
 
@@ -255,15 +228,3 @@ def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):  # r = 0: log r = -inf, r^l = 0 for l > 0
         power = sol.l * np.log(r) if sol.l else 0.0
     return np.exp(power - sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0) * h
-
-
-def normalize(radii: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scale so trapezoid(R^2 r^2 dr) = 1, keeping the sign of values."""
-    r = np.asarray(radii, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if len(r) < 3:
-        raise ValueError("need at least 3 grid points")
-    norm2 = np.trapezoid(v * v * r * r, r)
-    if norm2 <= 0:
-        raise ValueError("cannot normalize an all-zero wavefunction")
-    return v / norm2**0.5

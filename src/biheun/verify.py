@@ -67,10 +67,11 @@ def power_matching_coefficients(
 def termination_residual(sol: QuasiExactSolution, beta_override: float | None = None) -> float:
     """Defect of the recurrence rows (j+1)(a+j+1) c_{j+1} = (2j + a - c) c_{j-1}
     + (jb - D) c_j at j = n, n+1, which should give c_{n+1} = c_{n+2} = 0, over the
-    largest row of terms in absolute value (normwise, as ``quantize._recurrence_defect``),
-    for the solution's parameters (optionally with a perturbed beta, holding epsilon
-    fixed). c = 2 eps/K^2 + b^2/4 counts as |2 eps/K^2| + b^2/4: at large b the two
-    cancel, and the rounding of eps shows at the scale of b^2."""
+    largest row of terms in absolute value (normwise: a row whose terms all vanish
+    exactly holds only rounding noise), for the solution's parameters (optionally
+    with a perturbed beta, holding epsilon fixed). c = 2 eps/K^2 + b^2/4 counts as
+    |2 eps/K^2| + b^2/4: at large b the two cancel, and the rounding of eps shows
+    at the scale of b^2."""
     sys = sol.system()
     if beta_override is not None:
         sys = PhysicalSystem(alpha=sys.alpha, beta=beta_override, k=sys.k, l=sys.l)
@@ -150,7 +151,7 @@ def criterion_3() -> CriterionResult:
                     worst_term = max(worst_term, term)
                     if term > TERMINATION_RTOL:
                         ok = False
-                    ode = sol.residuals.ode_sup
+                    ode = sol.ode_residual
                     worst_ode = max(worst_ode, ode)
                     if ode > 1e-9:
                         ok = False

@@ -20,6 +20,12 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def column(out, name):
+    """The named column of CSV output, as floats."""
+    header, *rows = (line.split(",") for line in out.strip().split("\n"))
+    return [float(row[header.index(name)]) for row in rows]
+
+
 class TestSpectrum:
     def test_n0_l_range(self, capsys):
         code, out, _ = run_cli(
@@ -27,9 +33,7 @@ class TestSpectrum:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == (
-            "n,l,branch,b,beta,epsilon,constraint_residual,ode_residual"
-        )
+        assert lines[0] == "n,l,branch,b,beta,epsilon,ode_residual"
         assert len(lines) == 4
         l0 = lines[1].split(",")
         assert float(l0[5]) == 1.375
@@ -79,7 +83,7 @@ class TestSpectrum:
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 2
-        assert all(float(row.split(",")[7]) <= 1e-12 for row in rows)
+        assert all(r <= 1e-12 for r in column(out, "ode_residual"))
 
     def test_underflowed_c0_is_solver_error(self, capsys):
         # alpha/K >> n: H's coefficients span up to 38 decades. Scaled back
@@ -92,7 +96,7 @@ class TestSpectrum:
             assert code == 0
             rows = out.strip().split("\n")[1:]
             assert len(rows) == 26
-            assert all(float(row.split(",")[7]) <= 1e-12 for row in rows)
+            assert all(r <= 1e-12 for r in column(out, "ode_residual"))
 
     def test_overflowing_ode_residual_is_solver_error(self, capsys):
         # alpha/K ~ 3.8e9: H's terms overflow in the residual, and a nan
@@ -126,6 +130,23 @@ class TestSpectrum:
         )
         assert code == 2
         assert out == "" and err.startswith("config error: ")
+
+    def test_tiny_k_verifies(self, capsys):
+        # K^4 = 1e-300: the mesh's b^2/8 = beta^2/(8 K^6) divided by K^6 = 0.0
+        # (ZeroDivisionError traceback, exit 1); it is now (beta/K^3)^2/8
+        code, out, err = run_cli(
+            ["spectrum", "--n", "0..3", "--l", "0..2", "--k", "1e-300", "--verify"], capsys
+        )
+        assert code == 0 and err == ""
+        assert len(out.strip().split("\n")) == 1 + 3 * (1 + 2 + 3 + 4)
+
+    def test_tiny_k_unconfirmed_is_solver_error(self, capsys):
+        # the same division at alpha/K = 1e85, where the mesh refutes the row
+        code, out, err = run_cli(
+            ["spectrum", "--n", "1", "--alpha", "1e10", "--k", "1e-300", "--verify"], capsys
+        )
+        assert code == 3
+        assert out == "" and err.startswith("solver error: ")
 
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]

@@ -35,7 +35,7 @@ def _check_family(n, l, alpha, k):
     for branch, (sol, b) in enumerate(zip(sols, b_ref)):
         assert _rel(sol.b_root, b) <= 1e-13
         assert _rel(sol.epsilon, reference.energy(n, l, k, b)) <= 1e-13
-        assert sol.residuals.ode_sup <= 1e-12
+        assert sol.ode_residual <= 1e-12
         assert sol.level == n - branch
         assert _sign_changes(sol.heun_coefficients) == sol.level
         assert confirm(sol.system(), sol.epsilon, sol.level).passed

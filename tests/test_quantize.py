@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biheun.heun import ode_residual
+from biheun.model import turning_points
 from biheun.oracle import confirm
 from biheun.quantize import (
     closed_form_n0,
     closed_form_n1,
     energy_from_termination,
-    normalize,
     solve_family,
     wavefunction,
 )
@@ -74,7 +75,7 @@ class TestConstraintPolynomial:
                 )
             assert np.allclose(sol.heun_coefficients, cs, rtol=1e-12, atol=1e-14)
             assert abs(-2.0 * cs[n - 1] + (n * b - D) * cs[n]) < 1e-12
-            assert sol.residuals.constraint < 1e-14
+            assert sol.ode_residual < 1e-14
 
     def test_n2_roots_terminate(self):
         for l, alpha, k in ((0, 1.0, 1.0), (1, 2.5, 0.3)):
@@ -140,7 +141,7 @@ class TestClosedForms:
             assert [s.level for s in closed] == [1, 0]
             for got, ref in zip(closed, solve_family(1, l, alpha, K**4)):
                 assert np.allclose(got.heun_coefficients, ref.heun_coefficients, rtol=1e-12)
-                assert got.residuals.ode_sup < 1e-14
+                assert got.ode_residual < 1e-14
 
 
 class TestSolveFamily:
@@ -182,7 +183,7 @@ class TestSolveFamily:
         # c = 2 eps/K^2 + b^2/4 from the rounded energy reads 4.992 here, not 5
         for sol in solve_family(1, 0, 1e6, 1e-6):
             assert sol.heun_parameters().c == 5.0
-            assert sol.residuals.ode_sup <= 1e-12
+            assert sol.ode_residual <= 1e-12
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -209,7 +210,27 @@ class TestSolveFamily:
             assert np.all(np.isfinite(c)) and c[0] == 1.0
             signs = np.sign(c[c != 0])
             assert np.sum(signs[1:] != signs[:-1]) == sol.level
-            assert sol.residuals.ode_sup <= 1e-12
+            assert sol.ode_residual <= 1e-12
+
+
+class TestOdeResidual:
+    """The ODE residual is each row's one accuracy figure, so it must catch a bad H."""
+
+    @pytest.mark.parametrize(
+        "n, l, alpha, k",
+        [(3, 0, 1.0, 1.0), (12, 2, 2.0, 1.0), (25, 0, 300.0, 1.0), (40, 0, 1.0, 1.0)],
+    )
+    def test_flags_a_normwise_perturbation(self, n, l, alpha, k):
+        # H off by 1e-8 of max|c_j|: the failure mode of an eigenvector's
+        # small components holding only rounding
+        rng = np.random.default_rng(n)
+        for sol in solve_family(n, l, alpha, k):
+            c = sol.heun_coefficients
+            bad = c + 1e-8 * np.max(np.abs(c)) * rng.choice([-1.0, 1.0], size=c.size)
+            tp = turning_points(sol.system(), sol.epsilon)
+            z_hi = 2.0 * sol.K * max(max(abs(z) for z in tp.roots), 1.0)
+            zs = np.linspace(z_hi / 50, z_hi, 50)
+            assert max(ode_residual(sol.heun_parameters(), bad, z) for z in zs) > 1e-9
 
 
 class TestWavefunction:
@@ -233,34 +254,10 @@ class TestWavefunction:
         c = confirm(sys, sol.epsilon, sol.level, vector=True)
         assert c.passed
         r = c.grid.nodes()
-        r_poly = normalize(r, wavefunction(sol, r))
-        r_orac = normalize(r, c.vector / r)
-        overlap = abs(np.trapezoid(r_poly * r_orac * r * r, r))
+        w = c.grid.weights()
+        r_poly = wavefunction(sol, r)
+        r_poly = r_poly / np.sqrt(np.sum(w * (r_poly * r) ** 2))
+        r_orac = c.vector / r  # already sum w (R r)^2 = 1
+        overlap = abs(np.sum(w * r_poly * r_orac * r * r))
         assert overlap >= 0.99999
 
-
-class TestNormalize:
-    def test_unit_norm(self):
-        r = np.linspace(1e-4, 12.0, 4000)
-        sol = closed_form_n0(0, 1.0, 1.0)
-        v = normalize(r, wavefunction(sol, r))
-        assert np.trapezoid(v * v * r * r, r) == pytest.approx(1.0, abs=1e-10)
-
-    def test_idempotent(self):
-        r = np.linspace(1e-4, 12.0, 1000)
-        v = normalize(r, np.exp(-r))
-        assert np.allclose(normalize(r, v), v, atol=1e-12)
-
-    def test_scale_invariant(self):
-        r = np.linspace(1e-4, 12.0, 1000)
-        v = np.exp(-r) * (1 - r)
-        assert np.allclose(normalize(r, 7.0 * v), normalize(r, v), atol=1e-13)
-
-    def test_rejects_zero_input(self):
-        r = np.linspace(1e-4, 1.0, 100)
-        with pytest.raises(ValueError):
-            normalize(r, np.zeros_like(r))
-
-    def test_rejects_short_grid(self):
-        with pytest.raises(ValueError):
-            normalize(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
