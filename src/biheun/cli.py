@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import PhysicalSystem, turning_points
 from .oracle import Confirmation, confirm, node_count
-from .quantize import QuasiExactSolution, solve_family, wavefunction
+from .quantize import QuasiExactSolution, _log_envelope_and_h, solve_family
 from .verify import run_acceptance
 
 EXIT_OK = 0
@@ -179,11 +179,14 @@ def cmd_wavefunction(config: RunConfig) -> None:
             f"for (n={n}, l={l}, branch={config.branch})"
         )
     # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
-    # the oracle vector already is. R r is scaled to max 1 before it is squared
+    # the oracle vector already is. The envelope's log-maximum is taken out before
+    # the exp, which overflows from l ~ 330 and underflows at every node at alpha =
+    # 1e9, l = 60, and R r is scaled to max 1 before it is squared
     r = c.grid.nodes()
     w = c.grid.weights()
     r_oracle = c.vector / r
-    r_poly = wavefunction(sol, r)
+    log_envelope, h = _log_envelope_and_h(sol, r)
+    r_poly = np.exp(log_envelope - np.max(log_envelope)) * h
     peak = np.max(np.abs(r_poly * r))
     if not 0 < peak < np.inf:
         raise SolverError(f"R_polynomial has max |R r| {peak} on the mesh for "

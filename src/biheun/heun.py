@@ -28,6 +28,8 @@ from .model import PhysicalSystem
 
 @dataclass(frozen=True)
 class HeunParameters:
+    """Parameters (a, b, c, d) of the bi-confluent Heun equation above."""
+
     a: float
     b: float
     c: float

@@ -113,41 +113,6 @@ def _ode_residual_sup(
         return max(ode_residual(hp, coeffs, z) for z in zs)
 
 
-def closed_form_n0(l: int, alpha: float, K: float) -> QuasiExactSolution:
-    """The unique n=0 solution: b = alpha/(K(l+1)), H = 1, level 0.
-
-    Its energy is eps = K^2 (l + 3/2) - K^2 b^2 / 8.
-    """
-    b = alpha / (K * (l + 1.0))
-    return _assemble_solution(0, l, alpha, K**4, b, np.array([1.0]), level=0)
-
-
-def closed_form_n1(l: int, alpha: float, K: float) -> list[QuasiExactSolution]:
-    """Both n=1 branches in closed form, ascending b (levels 1 and 0).
-
-    The termination quadratic is
-
-        (l+1)(l+2) b^2 - (alpha/K)(2l+3) b + alpha^2/K^2 - 2(2l+2) = 0,
-
-    with roots
-
-        b = (alpha/K)(l+3/2)/((l+1)(l+2))
-            +- sqrt[ (alpha/K)^2 / (4 (l+1)^2 (l+2)^2) + 4/(l+2) ],
-
-    and H = 1 + (b (l+1) - alpha/K) z / (2l+2).
-    """
-    aK = alpha / K
-    mid = aK * (l + 1.5) / ((l + 1.0) * (l + 2.0))
-    disc = aK * aK / (4.0 * (l + 1.0) ** 2 * (l + 2.0) ** 2) + 4.0 / (l + 2.0)
-    return [
-        _assemble_solution(
-            1, l, alpha, K**4, b, np.array([1.0, (b * (l + 1.0) - aK) / (2.0 * l + 2.0)]),
-            level=level,
-        )
-        for b, level in ((mid - disc**0.5, 1), (mid + disc**0.5, 0))
-    ]
-
-
 def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolution]:
     """All n+1 quasi-exact solutions of degree n, in ascending b order.
 
@@ -162,13 +127,12 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     they reach the bound, which ``oracle.confirm`` checks independently by
     finding the energy at exactly that level.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive (got {k})")
-    if n < 0 or l < 0:
-        raise ValueError(f"n and l must be non-negative (got n={n}, l={l})")
-    aK = alpha / k ** 0.25
+    K = PhysicalSystem(alpha, 0.0, k, l).K  # checks alpha, k and l
+    if n < 0:
+        raise ValueError(f"n must be non-negative (got {n})")
+    aK = alpha / K
     if not np.isfinite(aK):
-        raise OverflowError(f"alpha/K = {alpha}/{k ** 0.25} overflows a double")
+        raise OverflowError(f"alpha/K = {alpha}/{K} overflows a double")
     j = np.arange(n + 1.0)
     w = j + l + 1  # diagonal of W
     up = (j[:-1] + 1) * (j[:-1] + 2 * l + 2) / w[:-1]  # (W^-1 M)_{j, j+1}
@@ -213,10 +177,20 @@ def _heun_coefficients(n: int, l: int, alpha_over_K: float, b: np.ndarray) -> np
 
 
 def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
-    """Unnormalized R(r) = r^l exp(-beta r / 2K^2) exp(-K^2 r^2 / 2) H(K r).
+    """Unnormalized R(r) = r^l exp(-beta r / 2K^2) exp(-K^2 r^2 / 2) H(K r)."""
+    log_envelope, h = _log_envelope_and_h(sol, radii)
+    return np.exp(log_envelope) * h
 
-    The envelope is one exp(l log r - beta r / 2K^2 - K^2 r^2 / 2): r^l alone
-    overflows at large l (r^300 at r = 17) where the product does not."""
+
+def _log_envelope_and_h(
+    sol: QuasiExactSolution, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """l log r - beta r / 2K^2 - K^2 r^2 / 2 and H(K r), whose exp-product is R(r).
+
+    The envelope is one exp of the log: r^l alone overflows at large l (r^300 at
+    r = 17) where the product does not, and a caller that only needs R up to a
+    constant takes the log's maximum out first, since the product itself
+    overflows from l ~ 330 (its peak is near exp((l/2)(ln l - 1)) at k = 1)."""
     r = np.asarray(radii, dtype=float)
     if np.any(r < 0):
         raise ValueError("radii must be non-negative")
@@ -227,4 +201,4 @@ def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
         h = h * z + c
     with np.errstate(divide="ignore"):  # r = 0: log r = -inf, r^l = 0 for l > 0
         power = sol.l * np.log(r) if sol.l else 0.0
-    return np.exp(power - sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0) * h
+    return power - sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0, h

@@ -2,8 +2,10 @@
 
 Each criterion function returns a CriterionResult; run_acceptance prints one
 pass/fail line per criterion. The Lagrange-Laguerre mesh oracle (module
-``oracle``) and the power-matching series oracle (below) are deliberately
-separate implementations from the production code paths they check.
+``oracle``), the n = 0 and n = 1 closed forms and the power-matching series
+oracle (below) are deliberately separate from the production code paths they
+check; the closed forms share only the assembly of a solution from its b and
+H (energy, beta and ODE residual) with ``solve_family``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .heun import HeunParameters, coefficient_sequence, to_heun_params
 from .model import PhysicalSystem, turning_points
 from .oracle import RadialGrid, confirm, fd_eigensolve
-from .quantize import QuasiExactSolution, closed_form_n0, closed_form_n1, solve_family
+from .quantize import QuasiExactSolution, _assemble_solution, solve_family
 
 # Largest termination_residual a solution on the manifold may show.
 TERMINATION_RTOL = 1e-10
@@ -29,6 +31,41 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed_s: float | None = None  # wall time, filled in by run_acceptance
+
+
+def closed_form_n0(l: int, alpha: float, K: float) -> QuasiExactSolution:
+    """The unique n=0 solution: b = alpha/(K(l+1)), H = 1, level 0.
+
+    Its energy is eps = K^2 (l + 3/2) - K^2 b^2 / 8.
+    """
+    b = alpha / (K * (l + 1.0))
+    return _assemble_solution(0, l, alpha, K**4, b, np.array([1.0]), level=0)
+
+
+def closed_form_n1(l: int, alpha: float, K: float) -> list[QuasiExactSolution]:
+    """Both n=1 branches in closed form, ascending b (levels 1 and 0).
+
+    The termination quadratic is
+
+        (l+1)(l+2) b^2 - (alpha/K)(2l+3) b + alpha^2/K^2 - 2(2l+2) = 0,
+
+    with roots
+
+        b = (alpha/K)(l+3/2)/((l+1)(l+2))
+            +- sqrt[ (alpha/K)^2 / (4 (l+1)^2 (l+2)^2) + 4/(l+2) ],
+
+    and H = 1 + (b (l+1) - alpha/K) z / (2l+2).
+    """
+    aK = alpha / K
+    mid = aK * (l + 1.5) / ((l + 1.0) * (l + 2.0))
+    disc = aK * aK / (4.0 * (l + 1.0) ** 2 * (l + 2.0) ** 2) + 4.0 / (l + 2.0)
+    return [
+        _assemble_solution(
+            1, l, alpha, K**4, b, np.array([1.0, (b * (l + 1.0) - aK) / (2.0 * l + 2.0)]),
+            level=level,
+        )
+        for b, level in ((mid - disc**0.5, 1), (mid + disc**0.5, 0))
+    ]
 
 
 def power_matching_coefficients(
@@ -300,6 +337,7 @@ ALL_CRITERIA = (
 
 
 def run_acceptance() -> list[CriterionResult]:
+    """Run every criterion, printing one timed PASS/FAIL line each."""
     results = []
     for fn in ALL_CRITERIA:
         t0 = time.perf_counter()

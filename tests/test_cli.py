@@ -314,13 +314,26 @@ class TestWavefunction:
             curve = np.array([row[key] for row in payload["results"]])
             assert np.sum(w * (curve * r) ** 2) == pytest.approx(1.0, abs=1e-12)
 
-    def test_underflowing_polynomial_is_solver_error(self, capsys):
-        # r^60 exp(-beta r / 2K^2) underflows at every node: no NaN rows
-        code, out, err = run_cli(
-            ["wavefunction", "--n", "0", "--l", "60", "--alpha", "1e9", "--k", "1"], capsys
-        )
-        assert code == 3
-        assert out == "" and "(n=0, l=60, branch=0)" in err
+    @pytest.mark.parametrize("l, alpha", [(330, 1.0), (350, 1.0), (360, 1.0), (60, 1e9)])
+    def test_envelope_beyond_double_range(self, l, alpha):
+        # exp of the envelope overflows from l ~ 330 (exit 3 with max |R r| inf, and
+        # a traceback under -W error) and underflows at every node at alpha = 1e9
+        # (exit 3): its log-maximum is taken out before the exp
+        argv = ["wavefunction", "--n", "0", "--l", str(l), "--alpha", str(alpha),
+                "--k", "1", "--format", "json"]
+        proc = _python(f"import sys; from biheun.cli import main; sys.exit(main({argv!r}))")
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["diagnostics"]["node_count"] == 0
+        sol = solve_family(0, l, alpha, 1.0)[0]
+        w = RadialGrid.auto(sol.system(), sol.epsilon).weights()
+        r = np.array([row["r"] for row in payload["results"]])
+        curves = {key: np.array([row[key] for row in payload["results"]])
+                  for key in ("R_polynomial", "R_oracle", "difference")}
+        for key in ("R_polynomial", "R_oracle"):
+            assert np.sum(w * (curves[key] * r) ** 2) == pytest.approx(1.0, abs=1e-12)
+        peak = np.max(np.abs(curves["R_polynomial"]))
+        assert np.max(np.abs(curves["difference"])) < 1e-6 * peak
 
     @pytest.mark.parametrize("branch", range(5))
     def test_oracle_sign_follows_polynomial(self, capsys, branch):

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from biheun.heun import ode_residual
 from biheun.model import turning_points
 from biheun.oracle import confirm
-from biheun.quantize import (
+from biheun.quantize import energy_from_termination, solve_family, wavefunction
+from biheun.verify import (
+    TERMINATION_RTOL,
     closed_form_n0,
     closed_form_n1,
-    energy_from_termination,
-    solve_family,
-    wavefunction,
+    termination_residual,
 )
-from biheun.verify import TERMINATION_RTOL, termination_residual
 
 
 class TestEnergyFromTermination:
@@ -189,6 +188,21 @@ class TestSolveFamily:
         with pytest.raises(ValueError):
             solve_family(1, 0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "n, l, alpha, match",
+        [(1, 0, -1.0, "alpha must be non-negative"), (1, -1, 1.0, "l must be"),
+         (-1, 0, 1.0, "n must be non-negative")],
+        ids=["alpha", "l", "n"],
+    )
+    def test_rejects_bad_input_before_the_eigensolve(self, monkeypatch, n, l, alpha, match):
+        # a negative alpha used to pass the eigensolve and fail in the first solution
+        def eigensolve(*args):
+            raise AssertionError("eigensolve reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigensolve)
+        with pytest.raises(ValueError, match=match):
+            solve_family(n, l, alpha, 1.0)
+
     def test_overflowing_h_is_solver_error(self):
         # alpha/K = 1e12: the lowest-b H has c_j beyond the largest double
         with pytest.raises(RuntimeError, match=r"\(n=60, l=0, branch=0\)"):
@@ -211,6 +225,37 @@ class TestSolveFamily:
             signs = np.sign(c[c != 0])
             assert np.sum(signs[1:] != signs[:-1]) == sol.level
             assert sol.ode_residual <= 1e-12
+
+
+class TestCoulombLimit:
+    """At large alpha/K the spectrum is oscillator plus Coulomb: the Jacobi matrix is
+    nearly diagonal, b_j ~ (alpha/K)/N with N = j + l + 1, and second order in K/alpha
+    gives
+
+        eps_j = K^2 (n + l + 3/2) - alpha^2 / (8 N^2)
+                - (K^2 / 2N) [(n-j)(j+1)(j+2l+2) - j(n-j+1)(j+2l+1)] + K^2 O((K/alpha)^2),
+
+    with j = level, the hydrogenic radial node count."""
+
+    def test_energy_law(self):
+        # C = |deviation| (alpha/K)^2 / K^2 reads up to 8.35e4 here, the same at
+        # alpha/K = 1e3 and 1e4 (so the remainder scales as (K/alpha)^2) and at other k
+        k = 0.3
+        K = k ** 0.25
+        worst = {}
+        for aK in (1e2, 1e3, 1e4):
+            for n in range(13):
+                for l in range(4):
+                    for sol in solve_family(n, l, aK * K, k):
+                        j, N = sol.level, sol.level + l + 1
+                        coulomb = (aK * K) ** 2 / (8 * N * N)
+                        second = ((n - j) * (j + 1) * (j + 2 * l + 2)
+                                  - j * (n - j + 1) * (j + 2 * l + 1)) * K * K / (2 * N)
+                        law = K * K * (n + l + 1.5) - coulomb - second
+                        C = abs(sol.epsilon - law) * aK**2 / K**2
+                        worst[aK] = max(worst.get(aK, 0.0), C)
+        assert max(worst.values()) <= 1e5
+        assert worst[1e4] == pytest.approx(worst[1e3], rel=0.05)
 
 
 class TestOdeResidual:
