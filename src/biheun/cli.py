@@ -10,7 +10,7 @@ constraint, and each root defines a different potential.
 
 ``spectrum --verify`` and ``wavefunction`` check each row with
 ``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state and
-requires the mesh energy within ``oracle.RTOL`` (1e-5) of max(1, |eps|).
+requires the mesh energy within ``oracle.RTOL`` (1e-9) of max(1, |eps|).
 
 Exit codes: 0 success, 2 config error (also input whose alpha/K or turning-point
 quartic overflows a double), 3 solver failure, 4 verification failure.
@@ -202,6 +202,7 @@ def cmd_wavefunction(config: RunConfig) -> None:
     diagnostics = {
         "epsilon": sol.epsilon, "beta": sol.beta, "b": sol.b_root,
         "oracle_index": c.level, "oracle_gap": c.gap, "node_count": nodes,
+        "ode_residual": sol.ode_residual,
     }
     _emit(config, header, rows, diagnostics)
 

@@ -19,6 +19,7 @@ Solutions become degree-n polynomials exactly when c_{n+1} = c_{n+2} = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,11 @@ def ode_residual(hp: HeunParameters, coeffs: np.ndarray, z: float) -> float:
     coef0 = -2.0 - hp.a + hp.c + hp.D / z
     # term j of H'' + coef1 H' + coef0 H is c_j z^j [j(j-1)/z^2 + coef1 j/z + coef0]
     j = np.arange(len(coeffs))
-    terms = coeffs * z**j
+    if (len(coeffs) - 1) * math.log(z) < 700.0:
+        terms = coeffs * z**j
+    else:  # z^n overflows where no c_j z^j need: form each term in logs
+        with np.errstate(divide="ignore"):  # log 0 = -inf gives a 0 term
+            terms = np.sign(coeffs) * np.exp(np.log(np.abs(coeffs)) + j * math.log(z))
     d2, d1 = j * (j - 1) / (z * z), j / z
     residual = abs(terms @ (d2 + coef1 * d1 + coef0))
     scale = np.abs(terms) @ (d2 + abs(coef1) * d1 + abs(coef0))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import PhysicalSystem, turning_points
 
-RTOL = 1e-5  # confirm's bound on the energy gap, relative to max(1, |eps|)
+RTOL = 1e-9  # confirm's bound on the energy gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
 # the most points a mesh takes (eigenvalues in 17 ms, 27 ms with one vector, on a
 # 2-core VM; the weights stay finite to 600): an epsilon far from every bound state

@@ -23,6 +23,7 @@ fixed potential.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,28 @@ class QuasiExactSolution:
     epsilon: float
     heun_coefficients: np.ndarray  # c_0..c_n of the degree-n polynomial H
     level: int
-    ode_residual: float  # sup of the relative Heun ODE residual of H (_ode_residual_sup)
 
     @property
     def K(self) -> float:
         return self.k ** 0.25
+
+    @functools.cached_property
+    def ode_residual(self) -> float:
+        """Sup of the relative Heun ODE residual of H at 50 z in (0, 2*K*r4], r4
+        the largest |turning point|: 50 ``heun.ode_residual`` calls on the first
+        read, none after. RuntimeError on overflow, which would give a nan sample
+        (dropped by max) or a 0 one."""
+        tp = turning_points(self.system(), self.epsilon)
+        r4 = max((abs(z) for z in tp.roots), default=1.0)
+        z_hi = 2.0 * self.K * max(r4, 1.0)
+        hp = self.heun_parameters()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return max(ode_residual(hp, self.heun_coefficients, z)
+                           for z in np.linspace(z_hi / 50, z_hi, 50))
+        except FloatingPointError as exc:
+            raise RuntimeError(f"(n={self.n}, l={self.l}, branch={self.n - self.level}): "
+                               f"ODE residual {exc}") from exc
 
     def system(self) -> PhysicalSystem:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
@@ -78,39 +96,17 @@ def _assemble_solution(
     n: int, l: int, alpha: float, k: float, b: float, coeffs: np.ndarray, level: int
 ) -> QuasiExactSolution:
     K = k ** 0.25
-    beta = b * K**3
-    eps = energy_from_termination(n, l, K, b)
-    sys = PhysicalSystem(alpha=alpha, beta=beta, k=k, l=l)
-    hp = _manifold_parameters(n, l, b, alpha / K)
-    try:
-        ode_sup = _ode_residual_sup(sys, eps, hp, coeffs)
-    except FloatingPointError as exc:
-        raise RuntimeError(f"(n={n}, l={l}, branch={n - level}): ODE residual {exc}") from exc
     return QuasiExactSolution(
         n=n,
         l=l,
         alpha=alpha,
         k=k,
         b_root=b,
-        beta=beta,
-        epsilon=eps,
+        beta=b * K**3,
+        epsilon=energy_from_termination(n, l, K, b),
         heun_coefficients=coeffs,
         level=level,
-        ode_residual=ode_sup,
     )
-
-
-def _ode_residual_sup(
-    sys: PhysicalSystem, epsilon: float, hp: HeunParameters, coeffs: np.ndarray
-) -> float:
-    """Sup of the relative Heun ODE residual at 50 z in (0, 2*K*r4]; FloatingPointError
-    on overflow, which would give a nan sample (dropped by max) or a 0 one."""
-    tp = turning_points(sys, epsilon)
-    r4 = max((abs(z) for z in tp.roots), default=1.0)
-    z_hi = 2.0 * sys.K * max(r4, 1.0)
-    zs = np.linspace(z_hi / 50, z_hi, 50)
-    with np.errstate(over="raise", invalid="raise"):
-        return max(ode_residual(hp, coeffs, z) for z in zs)
 
 
 def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolution]:

