@@ -62,8 +62,9 @@ def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:
     """c_0..c_{n_coeffs} by the 3-term recurrence, c_0 = 1.
 
     On the termination manifold c_{n+1}, c_{n+2} and every later coefficient
-    come out at rounding level; off it, ``verify.termination_residual`` reads
-    from them how far termination fails.
+    come out near rounding level, but the forward recurrence loses digits at
+    large b, so H is built by ``quantize`` and only criterion 4 of ``verify``
+    calls this, against its power-matching oracle.
     """
     if n_coeffs < 0:
         raise ValueError(f"n_coeffs must be >= 0 (got {n_coeffs})")

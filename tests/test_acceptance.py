@@ -4,9 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the same checks back the CLI `verify` subcommand.
 """
 
+import numpy as np
 import pytest
 
 from biheun import verify
+from biheun.cli import main
 
 
 def _run(fn):
@@ -56,3 +58,28 @@ def test_run_acceptance_reports_elapsed(monkeypatch, capsys):
     assert res.elapsed_s is not None and res.elapsed_s >= 0.0
     line = f"[PASS] criterion 9: stub -- ok [{res.elapsed_s:.2f} s]"
     assert capsys.readouterr().out == line + "\n"
+
+
+def _nan(*args, **kwargs):
+    return np.nan
+
+
+def test_nan_coefficients_fail_criterion_4(monkeypatch, capsys):
+    # the verdict must see the NaN: max(0.0, nan) is 0.0 and nan > bound is False
+    monkeypatch.setattr(verify, "coefficient_sequence", _nan)
+    res = verify.criterion_4()
+    assert not res.passed and "nan" in res.detail
+    assert main(["verify"]) == 4
+    assert "[FAIL] criterion 4" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+def test_nan_termination_fails_criterion_3(monkeypatch):
+    monkeypatch.setattr(verify, "termination_residual", _nan)
+    assert not verify.criterion_3().passed
+
+
+def test_nan_termination_fails_criterion_8(monkeypatch):
+    monkeypatch.setattr(verify, "termination_residual", _nan)
+    res = verify.criterion_8()
+    assert not res.passed and "nan" in res.detail

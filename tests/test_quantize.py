@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,26 @@ class TestSolveFamily:
         # scale of b^2, which a scale of max|c_j| read as 3.6e-4 and 2.3e3
         for sol in solve_family(1, 0, 1e6, 1e-6):
             assert termination_residual(sol) <= TERMINATION_RTOL
+
+    @pytest.mark.parametrize(
+        "n, l, alpha, k",
+        [(2, 1, 1e6, 1e-6), (5, 0, 1e5, 1e-4), (16, 0, 1e4, 1.0), (40, 3, 1e4, 1.0)],
+    )
+    def test_termination_at_large_b_and_n(self, n, l, alpha, k):
+        # the exact b and H terminate; rebuilding H by the forward recurrence
+        # from (beta, eps) grew rounding to 3.6e-4 and 0.37-0.40 on these
+        for sol in solve_family(n, l, alpha, k):
+            assert termination_residual(sol) <= TERMINATION_RTOL
+
+    @pytest.mark.parametrize(
+        "n, l, alpha, k", [(3, 0, 1.0, 1.0), (8, 2, 1.0, 1.0), (12, 1, 2.0, 0.5), (1, 0, 1e6, 1e-6)]
+    )
+    def test_termination_refutes_epsilon_off_by_1e_6(self, n, l, alpha, k):
+        # smallest residuals 2.7e-7, 2.1e-7, 1.4e-7 and 5.0e-7; a forward
+        # rebuild of H read 2.1e-11 on a branch of (12, 1, 2, 0.5)
+        for sol in solve_family(n, l, alpha, k):
+            off = dataclasses.replace(sol, epsilon=sol.epsilon * (1 + 1e-6))
+            assert termination_residual(off) > TERMINATION_RTOL
 
     def test_manifold_parameters_at_large_b(self):
         # c = 2 eps/K^2 + b^2/4 from the rounded energy reads 4.992 here, not 5
