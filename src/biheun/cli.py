@@ -12,8 +12,9 @@ constraint, and each root defines a different potential.
 ``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state and
 requires the mesh energy within ``oracle.RTOL`` (1e-9) of max(1, |eps|).
 
-Exit codes: 0 success, 2 config error (also input whose alpha/K or turning-point
-quartic overflows a double), 3 solver failure, 4 verification failure.
+Exit codes, all mapped in ``main``: 0 success, 2 config error (ConfigError, or an
+OverflowError for input a double cannot hold), 3 solver failure (any other
+ValueError or RuntimeError), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ EXIT_VERIFY = 4
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class SolverError(RuntimeError):
     pass
 
 
@@ -81,10 +78,10 @@ class RunConfig:
                 )
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite (got {value})")
-        if self.k <= 0:
-            raise ConfigError(f"k must be positive (got {self.k})")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be non-negative (got {self.alpha})")
+        try:
+            PhysicalSystem(self.alpha, self.beta or 0.0, self.k, 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
         single = len(self.n_values()) == len(self.l_values()) == 1
@@ -133,10 +130,10 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
 
 
 def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Confirmation:
-    """Oracle check of one solution at its Sturm level; SolverError if refuted."""
+    """Oracle check of one solution at its Sturm level; RuntimeError if refuted."""
     c = confirm(sol.system(), sol.epsilon, sol.level, vector=vector)
     if not c.passed:
-        raise SolverError(
+        raise RuntimeError(
             f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
             f"l={sol.l}, branch={branch}): level {c.level} reads "
             f"{c.energy} on the mesh, gap {c.gap:.3e}"
@@ -144,7 +141,7 @@ def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Conf
     return c
 
 
-def cmd_spectrum(config: RunConfig) -> None:
+def cmd_spectrum(config: RunConfig) -> int:
     header = ["n", "l", "branch", "b", "beta", "epsilon", "ode_residual"]
     if config.verify:
         header.append("oracle_gap")
@@ -161,9 +158,10 @@ def cmd_spectrum(config: RunConfig) -> None:
                     row.append(_confirm(sol, branch).gap)
                 rows.append(row)
     _emit(config, header, rows, diagnostics)
+    return EXIT_OK
 
 
-def cmd_wavefunction(config: RunConfig) -> None:
+def cmd_wavefunction(config: RunConfig) -> int:
     n = config.n_values()[0]
     l = config.l_values()[0]
     sols = solve_family(n, l, config.alpha, config.k)
@@ -174,7 +172,7 @@ def cmd_wavefunction(config: RunConfig) -> None:
     c = _confirm(sol, config.branch, vector=True)
     nodes = node_count(c.vector)
     if nodes != c.level:
-        raise SolverError(
+        raise RuntimeError(
             f"oracle eigenvector at level {c.level} has {nodes} nodes "
             f"for (n={n}, l={l}, branch={config.branch})"
         )
@@ -189,8 +187,8 @@ def cmd_wavefunction(config: RunConfig) -> None:
     r_poly = np.exp(log_envelope - np.max(log_envelope)) * h
     peak = np.max(np.abs(r_poly * r))
     if not 0 < peak < np.inf:
-        raise SolverError(f"R_polynomial has max |R r| {peak} on the mesh for "
-                          f"(n={n}, l={l}, branch={config.branch})")
+        raise RuntimeError(f"R_polynomial has max |R r| {peak} on the mesh for "
+                           f"(n={n}, l={l}, branch={config.branch})")
     r_poly = r_poly / peak
     r_poly = r_poly / np.sqrt(np.sum(w * (r_poly * r) ** 2))
     if np.dot(r_poly, r_oracle) < 0:
@@ -205,9 +203,10 @@ def cmd_wavefunction(config: RunConfig) -> None:
         "ode_residual": sol.ode_residual,
     }
     _emit(config, header, rows, diagnostics)
+    return EXIT_OK
 
 
-def cmd_turning_points(config: RunConfig) -> None:
+def cmd_turning_points(config: RunConfig) -> int:
     if config.epsilon is None:
         raise ConfigError("turning-points requires --epsilon")
     beta = config.beta if config.beta is not None else 0.0
@@ -222,20 +221,19 @@ def cmd_turning_points(config: RunConfig) -> None:
     diagnostics = {"real_count": tp.real_count,
                    "max_vieta_residual": max(tp.vieta_residuals)}
     _emit(config, header, rows, diagnostics)
+    return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> None:
+def cmd_verify(config: RunConfig) -> int:
     if config.out:
         with open(config.out, "w", newline="\n") as fh, contextlib.redirect_stdout(fh):
             results = run_acceptance()
     else:
         results = run_acceptance()
-    if not all(r.passed for r in results):
-        raise VerificationFailure()
-
-
-class VerificationFailure(Exception):
-    pass
+    if all(r.passed for r in results):
+        return EXIT_OK
+    print("verification failed", file=_sys.stderr)
+    return EXIT_VERIFY
 
 
 @functools.cache
@@ -325,25 +323,16 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except ConfigError as exc:
+        return COMMANDS[config.command](config)
+    except (ConfigError, OverflowError) as exc:  # OverflowError: input a double cannot hold
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    try:
-        COMMANDS[config.command](config)
-    except (ConfigError, OverflowError) as exc:  # input that overflows a double
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-    except VerificationFailure:
-        print("verification failed", file=_sys.stderr)
-        return EXIT_VERIFY
-    except (SolverError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=_sys.stderr)
         return EXIT_SOLVER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

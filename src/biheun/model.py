@@ -27,7 +27,8 @@ QUARTIC_IMAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PhysicalSystem:
-    """Potential U = -alpha/r + beta*r + k*r^2 plus angular momentum l."""
+    """Potential U = -alpha/r + beta*r + k*r^2 plus angular momentum l; the one place
+    the rules on (alpha, beta, k, l) are stated."""
 
     alpha: float
     beta: float
@@ -35,6 +36,9 @@ class PhysicalSystem:
     l: int
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "k"):  # NaN or inf: OverflowError, as in turning_points
+            if not math.isfinite(getattr(self, name)):
+                raise OverflowError(f"{name} must be finite (got {getattr(self, name)})")
         if self.k <= 0:
             raise ValueError(f"k must be positive (got {self.k})")
         if self.alpha < 0:

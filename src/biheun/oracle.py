@@ -91,13 +91,16 @@ class RadialGrid:
         r_peak = 2.0 * p / (q + s) if s > 0 else (q - s) / (2.0 * K2)
         log_f = lambda r: p * np.log(r) - K2 * r * r / 2.0 - s * r  # noqa: E731
         # log f has curvature <= -K^2: Newton descends onto the root monotonically,
-        # so only rounding (at large alpha/K) can step back across the peak
+        # so only rounding (at large alpha/K) can step back across the peak, or make
+        # the step 0/0 where r_peak absorbs the start's offset (at tiny k, where p is
+        # rebuilt from eps by cancellation); either stops the search
         target, r = log_f(r_peak) - _TAIL_DROP, r_peak + (2.0 * _TAIL_DROP / K2) ** 0.5
-        for _ in range(4):
-            step = (log_f(r) - target) / (p / r - K2 * r - s)
-            if r - step <= r_peak:
-                break
-            r -= step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(4):
+                step = (log_f(r) - target) / (p / r - K2 * r - s)
+                if not r - step > r_peak:
+                    break
+                r -= step
         r_outer = max(turning_points(sys, eps).real_roots, default=0.0)
         r_edge = max(1.5 * r_outer, float(r))
         # 1e-6 absorbs the rounding of p, so that n is the same for K-scaled systems
@@ -167,17 +170,23 @@ def _inverse_iteration(H: np.ndarray, shift: float) -> np.ndarray:
 
     Each component comes out accurate to its own size, where divide-and-conquer
     (``np.linalg.eigh``) leaves ~u |H| noise in the tiny ones near r = 0 and false
-    nodes at l >= 40. An exactly singular pivot moves the shift by a few ulps."""
-    step = 4.0 * np.spacing(np.max(np.abs(H)))
+    nodes at l >= 40. H - shift I is divided by max|H|, and v by max|v| before each
+    norm, so that neither overflows where |H| is tiny (k = 1e-300). An exactly
+    singular pivot, or a solve that overflows even so, moves the shift by a few ulps."""
+    def unit(v: np.ndarray) -> np.ndarray:
+        v = v / np.max(np.abs(v))
+        return v / np.linalg.norm(v)
+
+    scale = np.max(np.abs(H))
+    step = 4.0 * np.spacing(scale)
     for _ in range(8):
         try:
-            A = H - shift * np.eye(len(H))
-            v = np.linalg.solve(A, np.ones(len(H)))
-            v = np.linalg.solve(A, v / np.linalg.norm(v))
-            return v / np.linalg.norm(v)
-        except np.linalg.LinAlgError:
+            with np.errstate(over="raise", invalid="raise"):
+                A = (H - shift * np.eye(len(H))) / scale
+                return unit(np.linalg.solve(A, unit(np.linalg.solve(A, np.ones(len(H))))))
+        except (np.linalg.LinAlgError, FloatingPointError):
             shift, step = shift + step, 2.0 * step
-    raise RuntimeError(f"H - {shift} I stays singular after 8 shifts")
+    raise RuntimeError(f"H - {shift} I stays singular or overflows after 8 shifts")
 
 
 def confirm(

@@ -103,25 +103,23 @@ def power_matching_coefficients(
     return cs
 
 
-def termination_residual(sol: QuasiExactSolution, beta_override: float | None = None) -> float:
+def termination_residual(sol: QuasiExactSolution) -> float:
     """Normwise defect of the solution's own H in the recurrence rows
 
         (j+1)(a+j+1) c_{j+1} = (2j + a - c) c_{j-1} + (jb - D) c_j,   j = 0..n+1,
 
     with c_{-1} = c_{n+1} = c_{n+2} = 0 (rows n and n+1 hold the constraint on b
     and the energy): the largest row defect over the largest row of |terms|, at
-    the Heun parameters of the solution's system and energy, optionally with a
-    perturbed beta at fixed epsilon. c = 2 eps/K^2 + b^2/4 counts as
-    |2 eps/K^2| + b^2/4: at large b the two cancel, and the rounding of eps shows
-    at the scale of b^2."""
-    sys = sol.system() if beta_override is None else replace(sol.system(), beta=beta_override)
-    hp = to_heun_params(sys, sol.epsilon)
+    the Heun parameters of the solution's system and energy. c = 2 eps/K^2 + b^2/4
+    counts as |2 eps/K^2| + b^2/4: at large b the two cancel, and the rounding of
+    eps shows at the scale of b^2."""
+    hp = to_heun_params(sol.system(), sol.epsilon)
     cs = np.concatenate(([0.0], sol.heun_coefficients, [0.0, 0.0]))  # c_{-1}..c_{n+2}
     previous, current, following = cs[:-2], cs[1:-1], cs[2:]
     j = np.arange(sol.n + 2.0)
     lead = (j + 1) * (hp.a + j + 1)
     defect = lead * following - (2 * j + hp.a - hp.c) * previous - (j * hp.b - hp.D) * current
-    c_size = 2.0 * abs(sol.epsilon) / sys.K**2 + hp.b**2 / 4.0
+    c_size = 2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0
     terms = (lead * np.abs(following) + (2 * j + hp.a + c_size) * np.abs(previous)
              + np.abs(j * hp.b - hp.D) * np.abs(current))
     return float(np.max(np.abs(defect)) / np.max(terms))
@@ -277,7 +275,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Perturbing beta off-manifold breaks termination by >= 10x tolerance."""
-    ratios = [termination_residual(sol, beta_override=sol.beta + 1e-3) / TERMINATION_RTOL
+    ratios = [termination_residual(replace(sol, beta=sol.beta + 1e-3)) / TERMINATION_RTOL
               for n in (1, 2, 3, 5) for l in (0, 1) for sol in solve_family(n, l, 1.0, 1.0)]
     smallest = float(np.min(ratios))  # NaN if any ratio is NaN, as in _worst
     return CriterionResult(

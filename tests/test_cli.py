@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biheun
 from biheun.cli import build_parser, main
@@ -164,6 +168,23 @@ class TestSpectrum:
         )
         assert code == 3
         assert out == "" and err.startswith("solver error: ")
+
+    def test_tiny_k_nan_newton_step_is_solver_error(self, capsys):
+        # alpha/K ~ 1e81: the mesh's Newton step was 0/0 (a RuntimeWarning), and the
+        # row then failed as "r_edge must be positive and finite (got 0.0)"
+        code, out, err = run_cli(
+            ["spectrum", "--n", "1", "--l", "5", "--alpha=1e6", "--k=1e-300", "--verify"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert "oracle did not confirm" in err and "(n=1, l=5, branch=0)" in err
+
+    def test_overflowing_beta_is_config_error(self, capsys):
+        # beta = b K^3 overflows at K^3 = 1e225: PhysicalSystem refuses the infinite beta
+        code, out, err = run_cli(["spectrum", "--n", "1", "--alpha", "1e300", "--k", "1e300"],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err.startswith("config error: beta must be finite")
 
     def test_deterministic_output(self, capsys):
         args = ["spectrum", "--n", "0..2", "--l", "0..1", "--alpha", "1", "--k", "2"]
@@ -389,6 +410,21 @@ class TestWavefunction:
         assert rows[0][1] > 0
         assert sum(row[1] * row[2] for row in rows) > 0
 
+    @pytest.mark.parametrize(
+        "argv", [["--n", "5", "--l", "40", "--alpha=1e-154", "--branch", "1"],
+                 ["--n", "0", "--l", "0", "--alpha=1e-10"]],
+    )
+    def test_tiny_k(self, capsys, argv):
+        # |H| ~ 1e-300: inverse iteration's norm overflowed to a NaN vector (exit 3,
+        # "has 0 nodes"), and the mesh's Newton step was 0/0
+        code, out, err = run_cli(["wavefunction", *argv, "--k=1e-300", "--format", "json"],
+                                 capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["diagnostics"]["node_count"] == payload["diagnostics"]["oracle_index"]
+        worst = max(abs(row["difference"]) for row in payload["results"])
+        assert worst <= 1e-3 * max(abs(row["R_polynomial"]) for row in payload["results"])
+
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
             ["wavefunction", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
@@ -579,3 +615,39 @@ def test_commands_run_without_scipy(argv):
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _powers(lo: float, hi: float) -> st.SearchStrategy[float]:
+    """10^U(lo, hi)."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """argv for every command that reads the system, each number in --flag=value form."""
+    command = draw(st.sampled_from(["spectrum", "spectrum --verify", "wavefunction",
+                                    "turning-points"])).split()
+    alpha = draw(st.one_of(st.just(0.0), _powers(-12.0, 6.0)))
+    argv = [*command, f"--l={draw(st.integers(0, 40))}", f"--alpha={alpha!r}",
+            f"--k={draw(_powers(-12.0, 12.0))!r}"]
+    if command[0] == "turning-points":
+        signed = st.tuples(st.sampled_from([-1.0, 1.0]), _powers(-6.0, 6.0))
+        beta, epsilon = (sign * size for sign, size in (draw(signed), draw(signed)))
+        return [*argv, f"--beta={beta!r}", f"--epsilon={epsilon!r}"]
+    n = draw(st.integers(0, 8))
+    argv.append(f"--n={n}")
+    if command[0] == "wavefunction":
+        argv.append(f"--branch={draw(st.integers(0, n))}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_every_argv_maps_to_an_exit_code(argv):
+    # warnings are errors here: a numpy warning on the way fails the example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue()

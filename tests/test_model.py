@@ -35,6 +35,18 @@ class TestPhysicalSystem:
         with pytest.raises(ValueError):
             PhysicalSystem(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [(dict(alpha=float("nan"), beta=0.0, k=1.0, l=0), "alpha"),
+         (dict(alpha=0.0, beta=float("inf"), k=1.0, l=0), "beta"),
+         (dict(alpha=0.0, beta=0.0, k=float("nan"), l=0), "k"),
+         (dict(alpha=float("inf"), beta=0.0, k=1.0, l=0), "alpha")],
+    )
+    def test_non_finite_inputs_rejected(self, kwargs, name):
+        # a NaN k passed every comparison, and an infinite one gave eps = NaN downstream
+        with pytest.raises(OverflowError, match=rf"^{name} must be finite \(got (nan|inf)\)$"):
+            PhysicalSystem(**kwargs)
+
 
 class TestTurningPoints:
     def test_out_of_range_overflows(self):

@@ -50,6 +50,14 @@ class TestRadialGrid:
         # outer turning point of 2*5 + 8r - r^2 is beyond r = 9
         assert grid.r_edge > 1.4 * 9.0
 
+    @pytest.mark.parametrize("n, l, alpha", [(1, 5, 1e6), (0, 0, 1e-10)])
+    def test_auto_stops_on_a_nan_newton_step(self, n, l, alpha):
+        # k = 1e-300: r_peak absorbs the start's offset and the first Newton step is
+        # 0/0 (a RuntimeWarning, then r = NaN and "r_edge must be positive")
+        sol = solve_family(n, l, alpha, 1e-300)[0]
+        grid = RadialGrid.auto(sol.system(), sol.epsilon)
+        assert 0 < grid.r_edge < np.inf
+
     @pytest.mark.parametrize(
         "n, l, alpha, k, branch",
         [(0, 0, 0.0, 1.0, 0), (5, 0, 0.0, 1.0, 1), (8, 3, 1.0, 0.3, 8),
@@ -190,6 +198,15 @@ class TestFdEigensolve:
         w = oscillator_result.grid.weights()
         for f in oscillator_result.vectors:
             assert np.sum(w * f * f) == pytest.approx(1.0, rel=1e-12)
+
+    def test_vectors_where_the_operator_is_tiny(self):
+        # k = 1e-300: |H| ~ 1e-300, and the norm of the solve's 1/|H|-sized vector
+        # overflowed to a NaN vector with no nodes
+        sol = solve_family(5, 40, 1e-154, 1e-300)[1]
+        sys = sol.system()
+        res = fd_eigensolve(sys, RadialGrid.auto(sys, sol.epsilon), range(4, 5), vectors=True)
+        assert np.sum(res.grid.weights() * res.vectors[0] ** 2) == pytest.approx(1.0, rel=1e-12)
+        assert node_count(res.vectors[0]) == 4
 
     def test_orthogonality(self, oscillator_result):
         w = oscillator_result.grid.weights()

@@ -225,6 +225,14 @@ class TestSolveFamily:
         with pytest.raises(ValueError, match=match):
             solve_family(n, l, alpha, 1.0)
 
+    def test_rejects_non_finite_k(self):
+        # k = inf returned one solution with eps = NaN; k = NaN was reported as
+        # an alpha/K that "overflows a double"
+        with pytest.raises(OverflowError, match=r"k must be finite \(got inf\)"):
+            solve_family(0, 0, 1.0, float("inf"))
+        with pytest.raises(OverflowError, match=r"k must be finite \(got nan\)"):
+            solve_family(2, 0, 1.0, float("nan"))
+
     def test_overflowing_h_is_solver_error(self):
         # alpha/K = 1e12: the lowest-b H has c_j beyond the largest double
         with pytest.raises(RuntimeError, match=r"\(n=60, l=0, branch=0\)"):
