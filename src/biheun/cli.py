@@ -12,9 +12,9 @@ constraint, and each root defines a different potential.
 ``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state and
 requires the mesh energy within ``oracle.RTOL`` (1e-9) of max(1, |eps|).
 
-Exit codes, all mapped in ``main``: 0 success, 2 config error (ConfigError, or an
-OverflowError for input a double cannot hold), 3 solver failure (any other
-ValueError or RuntimeError), 4 verification failure.
+Exit codes, all mapped in ``main``: 0 success, 2 config error (ConfigError, an
+OverflowError for input a double cannot hold, an OSError for an unwritable --out),
+3 solver failure (any other ValueError or RuntimeError), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import sys as _sys
 import typing
 from dataclasses import asdict, dataclass
@@ -76,8 +75,6 @@ class RunConfig:
                 raise ConfigError(
                     f"{name} must be {RunConfig.__annotations__[name]} (got {value!r})"
                 )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite (got {value})")
         try:
             PhysicalSystem(self.alpha, self.beta or 0.0, self.k, 0)
         except ValueError as exc:
@@ -327,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         return COMMANDS[config.command](config)
-    except (ConfigError, OverflowError) as exc:  # OverflowError: input a double cannot hold
+    except (ConfigError, OverflowError, OSError) as exc:  # input out of range, unwritable --out
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError) as exc:

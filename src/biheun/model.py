@@ -59,7 +59,7 @@ class TurningPointSet:
 
     Roots are ordered real-ascending first, then complex conjugate pairs by
     ascending real part. ``vieta_residuals`` holds the absolute defects of
-    the four elementary-symmetric-function identities.
+    the four elementary-symmetric-function identities, in z = K r units.
     """
 
     roots: tuple[complex, complex, complex, complex]
@@ -115,16 +115,13 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
 def vieta_residuals(
     roots: tuple[complex, ...], sys: PhysicalSystem, epsilon: float
 ) -> tuple[float, float, float, float]:
-    """Absolute defects of the four Vieta identities for the quartic roots."""
-    r1, r2, r3, r4 = roots
-    e1 = r1 + r2 + r3 + r4
-    e2 = r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4
-    e3 = r2 * r3 * r4 + r1 * r3 * r4 + r1 * r2 * r4 + r1 * r2 * r3
-    e4 = r1 * r2 * r3 * r4
-    k = sys.k
-    return (
-        abs(e1 + sys.beta / k),
-        abs(e2 + 2.0 * epsilon / k),
-        abs(e3 - sys.alpha / k),
-        abs(e4 - sys.l * (sys.l + 1) / k),
-    )
+    """Absolute defects of the four Vieta identities at z = K r of the monic quartic
+    z^4 + b z^3 - (2 eps/K^2) z^2 - (alpha/K) z + l(l+1) that ``np.roots`` solves."""
+    _, c1, c2, c3, c4 = _quartic_coeffs(sys, epsilon)  # the negated monic quartic
+    K = sys.K
+    z1, z2, z3, z4 = [K * r for r in roots]
+    e1 = z1 + z2 + z3 + z4
+    e2 = z1 * z2 + z1 * z3 + z1 * z4 + z2 * z3 + z2 * z4 + z3 * z4
+    e3 = z2 * z3 * z4 + z1 * z3 * z4 + z1 * z2 * z4 + z1 * z2 * z3
+    e4 = z1 * z2 * z3 * z4
+    return abs(e1 - c1), abs(e2 + c2), abs(e3 - c3), abs(e4 + c4)

@@ -76,13 +76,10 @@ class QuasiExactSolution:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
 
     def heun_parameters(self) -> HeunParameters:
-        return _manifold_parameters(self.n, self.l, self.b_root, self.alpha / self.K)
-
-
-def _manifold_parameters(n: int, l: int, b: float, alpha_over_K: float) -> HeunParameters:
-    """Heun parameters with c = 2(n+l+1)+1 exact, not 2 eps/K^2 + b^2/4 from the
-    rounded energy, whose cancellation against b^2/4 loses c's digits at large b."""
-    return HeunParameters(2.0 * l + 1.0, b, 2.0 * (n + l + 1) + 1.0, -2.0 * alpha_over_K)
+        """Heun parameters with c = 2(n+l+1)+1 exact, not 2 eps/K^2 + b^2/4 from the
+        rounded energy, whose cancellation against b^2/4 loses c's digits at large b."""
+        return HeunParameters(2.0 * self.l + 1.0, self.b_root, 2.0 * (self.n + self.l + 1) + 1.0,
+                              -2.0 * (self.alpha / self.K))
 
 
 def energy_from_termination(n: int, l: int, K: float, b: float) -> float:
@@ -114,7 +111,7 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
 
     The b are the eigenvalues of the Jacobi matrix S = P^-1 W^-1 M P, P diagonal
     and positive (module docstring); H's coefficients c are the null vector of
-    M - b W at each b (``_heun_coefficients``), scaled to c_0 = 1.
+    M - b W at each b (``_null_vectors``), scaled to c_0 = 1.
 
     ``level`` is n - i for the i-th b in ascending order: the eigenvector
     P^-1 c of the m-th largest eigenvalue of a Jacobi matrix with positive
@@ -130,11 +127,10 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     if not np.isfinite(aK):
         raise OverflowError(f"alpha/K = {alpha}/{K} overflows a double")
     j = np.arange(n + 1.0)
-    w = j + l + 1  # diagonal of W
-    up = (j[:-1] + 1) * (j[:-1] + 2 * l + 2) / w[:-1]  # (W^-1 M)_{j, j+1}
-    down = 2 * (n - j[:-1]) / w[1:]  # (W^-1 M)_{j+1, j}
-    b_roots = np.linalg.eigvalsh(np.diag(aK / w) + np.diag(np.sqrt(up * down), -1))
-    coeffs = _heun_coefficients(n, l, aK, b_roots)
+    lo, up, w = 2 * (n + 1 - j), (j + 1) * (j + 2 * l + 2), j + l + 1  # M_{j,j-1}, M_{j,j+1}, W_jj
+    off = np.sqrt(up[:-1] / w[:-1] * (lo[1:] / w[1:]))  # S's sub-diagonal, symmetrised W^-1 M
+    b_roots = np.linalg.eigvalsh(np.diag(aK / w) + np.diag(off, -1))
+    coeffs = _null_vectors(lo, up, aK - np.outer(w, b_roots))
     if not np.isfinite(coeffs).all():
         i = np.argmin(np.isfinite(coeffs).all(axis=0))
         raise RuntimeError(f"H's coefficients are not finite for (n={n}, l={l}, branch={i})")
@@ -144,19 +140,19 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     ]
 
 
-def _heun_coefficients(n: int, l: int, alpha_over_K: float, b: np.ndarray) -> np.ndarray:
-    """H's coefficients for each root in b, one column each, scaled to c_0 = 1.
+def _null_vectors(lo: np.ndarray, up: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Null vectors of the tridiagonal matrices with sub-diagonal lo[1:], super-diagonal
+    up[:-1] and diagonal d[:, i], one column each, scaled to c_0 = 1.
 
-    A twisted factorisation of M - b W (Dhillon & Parlett, Linear Algebra
-    Appl. 387, 1 (2004)): eliminate from row 0 down (pivots fwd) and from
-    row n up (pivots bwd), set c_r = 1 at the row r where the two meet with
-    the smallest defect |fwd_r + bwd_r - d_r|, and fill outward by the pivot
-    ratios. Each c_j is then accurate to its own size, so the ratio c_j/c_0
-    survives where an eigenvector's small components hold only rounding.
+    A twisted factorisation (Dhillon & Parlett, Linear Algebra Appl. 387, 1
+    (2004)): eliminate from row 0 down (pivots fwd) and from row n up (pivots
+    bwd), set c_r = 1 at the row r where the two meet with the smallest defect
+    |fwd_r + bwd_r - d_r|, and fill outward by the pivot ratios. Each c_j is
+    then accurate to its own size, so the ratio c_j/c_0 survives where an
+    eigenvector's small components hold only rounding.
     """
+    n = len(lo) - 1
     j = np.arange(n + 1.0)
-    lo, up = 2 * (n + 1 - j), (j + 1) * (j + 2 * l + 2)  # M_{j, j-1}, M_{j, j+1}
-    d = alpha_over_K - np.outer(j + l + 1, b)  # (M - b W)_{j, j}, a column per root
     fwd, bwd = d.copy(), d.copy()
     # overflow, a c_0 that underflows and an exactly zero pivot give inf or nan,
     # which the caller rejects

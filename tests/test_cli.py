@@ -3,9 +3,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biheun
+import biheun.verify
 from biheun.cli import build_parser, main
 from biheun.oracle import RadialGrid
 from biheun.quantize import solve_family
@@ -255,6 +260,21 @@ class TestTurningPoints:
         roots = sorted(float(line.split(",")[1]) for line in out.strip().split("\n")[1:])
         assert roots[0] == pytest.approx(-(2e300**0.5), rel=1e-12)
         assert roots[-1] == pytest.approx(2e300**0.5, rel=1e-12)
+        # the identities in r held alpha/k = 1e310 (inf); in z = K r they stay finite
+        assert np.all(np.isfinite(column(out, "vieta_residual")))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--epsilon", "1", "--k", "1e-300", "--alpha", "1e10"],
+         ["--l", "5", "--alpha=1e-6", "--k=1e-300", "--beta=2.5", "--epsilon=1e10"]],
+    )
+    def test_tiny_k_vieta_residuals_are_finite(self, argv):
+        # in r the identities overflowed to inf, and the second one to inf - inf = nan
+        argv = ["turning-points", *argv]
+        proc = _python(f"import sys; from biheun.cli import main; sys.exit(main({argv!r}))")
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert "nan" not in proc.stdout and "inf" not in proc.stdout
+        assert np.all(np.isfinite(column(proc.stdout, "vieta_residual")))
 
     def test_out_of_range_is_config_error(self, capsys):
         # alpha/K = 1e375 overflows a double even in z = K r
@@ -528,6 +548,20 @@ class TestConfigHandling:
         assert out == ""
         assert path.read_text().startswith("[PASS] criterion 1: stub -- ok [")
 
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--n", "0"], ["wavefunction", "--n", "0"],
+         ["turning-points", "--epsilon", "1"], ["verify"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, argv, target):
+        # a missing directory (FileNotFoundError) or a directory (IsADirectoryError)
+        # was a traceback, exit 1
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / target)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("config error: ")
+
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         # absurdly tight oracle tolerance cannot be met
         from biheun import oracle
@@ -543,17 +577,15 @@ class TestConfigHandling:
 COMMON = {"--config", "--out"}
 SYSTEM = COMMON | {"--format", "--l", "--alpha", "--k"}
 FAMILY = SYSTEM | {"--n"}
+OPTIONS = {
+    "spectrum": FAMILY | {"--verify"},
+    "wavefunction": FAMILY | {"--branch"},
+    "turning-points": SYSTEM | {"--beta", "--epsilon"},
+    "verify": COMMON,
+}
 
 
-@pytest.mark.parametrize(
-    "command, options",
-    [
-        ("spectrum", FAMILY | {"--verify"}),
-        ("wavefunction", FAMILY | {"--branch"}),
-        ("turning-points", SYSTEM | {"--beta", "--epsilon"}),
-        ("verify", COMMON),
-    ],
-)
+@pytest.mark.parametrize("command, options", OPTIONS.items())
 def test_each_command_takes_only_the_flags_it_reads(command, options):
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -651,3 +683,69 @@ def test_every_argv_maps_to_an_exit_code(argv):
     assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         assert "nan" not in out.getvalue()
+
+
+def _signed(lo: float, hi: float) -> st.SearchStrategy[float]:
+    """±10^U(lo, hi)."""
+    return st.tuples(st.sampled_from([-1.0, 1.0]), _powers(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+def _range_spec(top: int) -> st.SearchStrategy:
+    """An --n or --l value in 0..top: an int, its string, or a range of two values."""
+    return st.one_of(st.integers(0, top), st.integers(0, top).map(str),
+                     st.integers(0, top - 1).map(lambda a: f"{a}..{a + 1}"))
+
+
+# values of each config key's own type, in the argv property's domain; "out"
+# is a file name inside the example's temporary directory
+_RIGHT = {
+    "n": _range_spec(8), "l": _range_spec(40), "alpha": st.one_of(st.just(0.0), _powers(-12.0, 6.0)),
+    "k": _powers(-12.0, 12.0), "beta": _signed(-6.0, 6.0), "epsilon": _signed(-6.0, 6.0),
+    "branch": st.integers(0, 8), "verify": st.booleans(),
+    "format": st.sampled_from(["csv", "json", "xml"]), "out": st.sampled_from([None, "", "out"]),
+}
+# any JSON value, which is of the wrong type for most keys; no digits in the
+# strings, so none of them is a range wider than _RIGHT's
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([0.5, -1.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(st.characters(exclude_categories=("Nd",)), max_size=4),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _config(draw) -> tuple[str, dict]:
+    """A command and a JSON config of some of its keys, about one value in eight of any type."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    config = {}
+    for key in sorted(o[2:] for o in OPTIONS[command] - {"--config"}):
+        if draw(st.booleans()):
+            wrong = _ANY.filter(lambda v: key != "out" or not isinstance(v, str))
+            config[key] = draw(wrong if draw(st.integers(0, 7)) == 0 else _RIGHT[key])
+    return command, config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_config())
+def test_every_config_file_maps_to_an_exit_code(case):
+    command, config = case
+    out, err = io.StringIO(), io.StringIO()
+    # verify runs criterion 7 alone: the property is about the config, not the suite
+    with (tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(),
+          mock.patch.object(biheun.verify, "ALL_CRITERIA", (biheun.verify.criterion_7,)),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        if isinstance(config.get("out"), str) and config["out"]:
+            config["out"] = os.path.join(tmp, config["out"])
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        code = main([command, "--config", path])
+        text = out.getvalue()
+        if code == 0 and config.get("out"):
+            with open(config["out"]) as fh:
+                text = fh.read()
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        assert not re.search(r"\bnan\b", text, re.IGNORECASE)

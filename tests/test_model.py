@@ -210,3 +210,14 @@ class TestVietaResiduals:
         tp = turning_points(sys, 3.0)
         assert max(vieta_residuals(tp.roots, sys, 3.0)) < 1e-9
         assert tp.vieta_residuals == vieta_residuals(tp.roots, sys, 3.0)
+
+    @pytest.mark.parametrize(
+        "sys, eps",
+        [(PhysicalSystem(alpha=1e10, beta=0.0, k=1e-300, l=0), 1.0),
+         (PhysicalSystem(alpha=1e-6, beta=2.5, k=1e-300, l=5), 1e10)],
+    )
+    def test_tiny_k_defects_are_finite(self, sys, eps):
+        # in r the identities held alpha/k = 1e310 and 2 eps/k = 2e310, which
+        # overflowed to inf (and inf - inf = nan); in z = K r they are the
+        # coefficients np.roots solves, at most 2.5e225 here
+        assert np.all(np.isfinite(vieta_residuals(turning_points(sys, eps).roots, sys, eps)))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import biheun
@@ -25,3 +28,21 @@ def test_all_is_the_public_surface():
 def test_internal_names_stay_in_their_modules(name):
     with pytest.raises(ImportError):
         exec(f"from biheun import {name}", {})
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(biheun.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    # a name counts as used when it is read, listed in __all__, or is the
+    # __future__ feature ``annotations``
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    assert imported - used - {"annotations"} == set()
