@@ -24,6 +24,7 @@ import contextlib
 import functools
 import json
 import sys as _sys
+import time
 import typing
 from dataclasses import asdict, dataclass
 
@@ -138,22 +139,39 @@ def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Conf
     return c
 
 
+@contextlib.contextmanager
+def _stage(timings: dict, name: str):
+    """Add the seconds the block takes to ``timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+
+
 def cmd_spectrum(config: RunConfig) -> int:
     header = ["n", "l", "branch", "b", "beta", "epsilon", "ode_residual"]
     if config.verify:
         header.append("oracle_gap")
     rows: list[list] = []
-    diagnostics: dict = {"families": 0, "solutions": 0}
+    timings: dict = {}
+    diagnostics: dict = {"families": 0, "solutions": 0, "timings_s": timings}
     for n in config.n_values():
         for l in config.l_values():
-            sols = solve_family(n, l, config.alpha, config.k)
+            with _stage(timings, "solve"):
+                sols = solve_family(n, l, config.alpha, config.k)
             diagnostics["families"] += 1
             for branch, sol in enumerate(sols):
                 diagnostics["solutions"] += 1
-                row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon, sol.ode_residual]
+                with _stage(timings, "certify"):
+                    row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon, sol.ode_residual]
                 if config.verify:
-                    row.append(_confirm(sol, branch).gap)
+                    with _stage(timings, "oracle"):
+                        row.append(_confirm(sol, branch).gap)
                 rows.append(row)
+    diagnostics["max_ode_residual"] = max(row[6] for row in rows)
+    if config.verify:
+        diagnostics["max_oracle_gap"] = max(row[7] for row in rows)
     _emit(config, header, rows, diagnostics)
     return EXIT_OK
 

@@ -19,6 +19,7 @@ Solutions become degree-n polynomials exactly when c_{n+1} = c_{n+2} = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,27 +81,48 @@ def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:
     return cs
 
 
-def ode_residual(hp: HeunParameters, coeffs: np.ndarray, z: float) -> float:
-    """Relative residual of the Heun ODE for H = sum coeffs[j] z^j at one z > 0.
+@functools.cache
+def _derivative_weights(m: int) -> np.ndarray:
+    """The (m, 3) matrix with columns 1, j, j(j-1), j = 0..m-1."""
+    j = np.arange(m, dtype=float)
+    w = np.column_stack((np.ones(m), j, j * (j - 1.0)))
+    w.setflags(write=False)  # shared by every caller through the cache
+    return w
 
-    |H'' + (-2z - b + (1+a)/z) H' + (-2-a+c+D/z) H| divided by its
-    absolute-value (backward-error) scale, in which every monomial and ODE
-    coefficient enters with |.|, floored at 1. Cancellation inside H(z)
-    therefore cannot shrink the denominator below the rounding floor of the
-    evaluation, and a solution of the ODE reads at the level of rounding.
+
+def ode_residual(hp: HeunParameters, coeffs: np.ndarray, z: float) -> float:
+    """Relative residual of the Heun ODE for H = sum coeffs[j] z^j at one z, 0 < z < inf.
+
+    The terms t_j = c_j z^j give three moment sums against the cached weights
+    1, j, j(j-1): S_0 = H, S_1 = z H' and S_2 = z^2 H''. The residual
+    |S_2/z^2 + coef1 S_1/z + coef0 S_0|, with coef1 = -2z - b + (1+a)/z and
+    coef0 = -2 - a + c + D/z, is divided by its absolute-value (backward-error)
+    scale A_2/z^2 + |coef1| A_1/z + |coef0| A_0, where A_k are the same sums over
+    |t_j|: every monomial and ODE coefficient enters with |.|, floored at 1.
+    Cancellation inside H(z) therefore cannot shrink the denominator below the
+    rounding floor of the evaluation (|S_k| <= A_k, so rounding stays within u
+    times the scale), and a solution of the ODE reads at the level of rounding.
+
+    ValueError unless 0 < z < inf. The terms and sums are numpy work under the
+    caller's ``np.errstate``; whatever passes it, a residual or scale that is not
+    finite (an infinite scale would read 0) raises FloatingPointError.
     """
-    if z <= 0:
-        raise ValueError(f"z must be positive (got {z})")
+    z = float(z)
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"z must be positive and finite (got {z})")
     coef1 = -2.0 * z - hp.b + (1.0 + hp.a) / z
     coef0 = -2.0 - hp.a + hp.c + hp.D / z
-    # term j of H'' + coef1 H' + coef0 H is c_j z^j [j(j-1)/z^2 + coef1 j/z + coef0]
-    j = np.arange(len(coeffs))
+    w = _derivative_weights(len(coeffs))
+    j = w[:, 1]
     if (len(coeffs) - 1) * math.log(z) < 700.0:
         terms = coeffs * z**j
     else:  # z^n overflows where no c_j z^j need: form each term in logs
         with np.errstate(divide="ignore"):  # log 0 = -inf gives a 0 term
             terms = np.sign(coeffs) * np.exp(np.log(np.abs(coeffs)) + j * math.log(z))
-    d2, d1 = j * (j - 1) / (z * z), j / z
-    residual = abs(terms @ (d2 + coef1 * d1 + coef0))
-    scale = np.abs(terms) @ (d2 + abs(coef1) * d1 + abs(coef0))
-    return float(residual / max(scale, 1.0))
+    s0, s1, s2 = terms.dot(w).tolist()
+    a0, a1, a2 = np.abs(terms).dot(w).tolist()
+    residual = abs((s2 / z + coef1 * s1) / z + coef0 * s0)
+    scale = (a2 / z + abs(coef1) * a1) / z + abs(coef0) * a0
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise FloatingPointError(f"not finite at z = {z}: residual {residual}, scale {scale}")
+    return residual / max(scale, 1.0)

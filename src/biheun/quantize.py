@@ -58,8 +58,8 @@ class QuasiExactSolution:
     def ode_residual(self) -> float:
         """Sup of the relative Heun ODE residual of H at 50 z in (0, 2*K*r4], r4
         the largest |turning point|: 50 ``heun.ode_residual`` calls on the first
-        read, none after. RuntimeError on overflow, which would give a nan sample
-        (dropped by max) or a 0 one."""
+        read, none after. RuntimeError on the kernel's FloatingPointError: an
+        overflow would give a nan sample (dropped by max) or a 0 one."""
         tp = turning_points(self.system(), self.epsilon)
         r4 = max((abs(z) for z in tp.roots), default=1.0)
         z_hi = 2.0 * self.K * max(r4, 1.0)
@@ -67,7 +67,7 @@ class QuasiExactSolution:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return max(ode_residual(hp, self.heun_coefficients, z)
-                           for z in np.linspace(z_hi / 50, z_hi, 50))
+                           for z in np.linspace(z_hi / 50, z_hi, 50).tolist())
         except FloatingPointError as exc:
             raise RuntimeError(f"(n={self.n}, l={self.l}, branch={self.n - self.level}): "
                                f"ODE residual {exc}") from exc

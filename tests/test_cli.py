@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -196,6 +197,25 @@ class TestSpectrum:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_json_stage_timings_and_worst_figures(self, capsys, verify):
+        argv = ["spectrum", "--n", "0..4", "--l", "0..1", "--alpha", "1.3", "--k", "0.7",
+                "--format", "json"] + ["--verify"] * verify
+        start = time.perf_counter()
+        code, out, _ = run_cli(argv, capsys)
+        wall = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(out)
+        diag, results = payload["diagnostics"], payload["results"]
+        assert set(diag["timings_s"]) == {"solve", "certify"} | ({"oracle"} if verify else set())
+        assert all(t >= 0 for t in diag["timings_s"].values())
+        assert sum(diag["timings_s"].values()) <= wall
+        assert diag["max_ode_residual"] == max(r["ode_residual"] for r in results)
+        if verify:
+            assert diag["max_oracle_gap"] == max(r["oracle_gap"] for r in results)
+        else:
+            assert "max_oracle_gap" not in diag
 
     def test_json_round_trip(self, capsys, tmp_path):
         args = [

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from biheun.heun import (
     HeunParameters,
+    _derivative_weights,
     coefficient_sequence,
     ode_residual,
     to_heun_params,
@@ -11,6 +14,18 @@ from biheun.heun import (
 from biheun.model import PhysicalSystem
 from biheun.quantize import solve_family
 from biheun.verify import power_matching_coefficients
+
+
+def _per_term_figure(hp, terms, z):
+    """The relative ODE residual summed term by term: t_j = c_j z^j weighted by
+    j(j-1)/z^2 + coef1 j/z + coef0, over the same sum with every factor in |.|."""
+    coef1 = -2.0 * z - hp.b + (1.0 + hp.a) / z
+    coef0 = -2.0 - hp.a + hp.c + hp.D / z
+    residual = scale = 0.0
+    for j, t in enumerate(terms):
+        residual += t * (j * (j - 1) / z**2 + coef1 * j / z + coef0)
+        scale += abs(t) * (j * (j - 1) / z**2 + abs(coef1) * j / z + abs(coef0))
+    return abs(residual) / max(scale, 1.0)
 
 
 def _tail(cs, n):
@@ -193,3 +208,42 @@ class TestOdeResidual:
         hp = HeunParameters(a=1.0, b=0.0, c=0.0, d=0.0)
         with pytest.raises(ValueError):
             ode_residual(hp, coefficient_sequence(hp, 5), 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        abcd=st.tuples(*[st.floats(-1e3, 1e3)] * 4),
+        cs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=41),
+        z=st.floats(1e-3, 1e3),
+    )
+    def test_matches_per_term_sum(self, abcd, cs, z):
+        hp = HeunParameters(*abcd)
+        cs = np.array(cs)
+        want = _per_term_figure(hp, cs * z ** np.arange(len(cs)), z)
+        assert abs(ode_residual(hp, cs, z) - want) <= 1e-14
+
+    def test_log_branch(self):
+        # 80 log z > 700: z^80 = 1e320 overflows, c_80 z^80 = 1e20 does not
+        hp = HeunParameters(a=1.0, b=0.5, c=3.0, d=-2.0)
+        cs = np.zeros(81)
+        cs[0], cs[80] = 1.0, 1e-300
+        want = _per_term_figure(hp, [1.0] + [0.0] * 79 + [1e20], 1e4)
+        assert ode_residual(hp, cs, 1e4) == pytest.approx(want, abs=1e-14)
+
+    def test_weights_are_read_only(self):
+        w = _derivative_weights(5)
+        assert w.tolist() == [[1, j, j * (j - 1)] for j in range(5)]
+        assert not w.flags.writeable
+        assert _derivative_weights(5) is w
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf])
+    def test_rejects_non_finite_z(self, z):
+        hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
+        with pytest.raises(ValueError):
+            ode_residual(hp, np.ones(3), z)
+
+    @pytest.mark.parametrize("errors", ["ignore", "raise"])
+    def test_infinite_coefficient_raises(self, errors):
+        # with numpy's checks off the kernel's own check still refuses the nan
+        hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
+        with np.errstate(all=errors), pytest.raises(FloatingPointError):
+            ode_residual(hp, np.array([1.0, np.inf, 2.0]), 1.5)
