@@ -21,10 +21,10 @@ from .model import PhysicalSystem, turning_points
 
 RTOL = 1e-9  # confirm's bound on the energy gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
-# the most points a mesh takes (eigenvalues in 17 ms, 27 ms with one vector, on a
-# 2-core VM; the weights stay finite to 600): an epsilon far from every bound state
-# or a large l would ask auto for gigabytes
-_LARGEST_MESH = 400
+# the most points a mesh takes (eigenvalues in 40 ms, 50 ms with one vector, on a
+# 2-core VM; the weights stay finite to 640): level 180 at l = 0 needs 580, and an
+# epsilon far from every bound state or a large l would ask auto for gigabytes
+_LARGEST_MESH = 600
 
 
 @functools.cache
@@ -121,9 +121,9 @@ class EigenSolveResult:
 
 @dataclass(frozen=True)
 class Confirmation:
-    """Outcome of checking one energy against the oracle level at ``level``: ``energy``
-    on the mesh ``grid`` sized by ``RadialGrid.auto``, ``gap`` = |energy - epsilon|, and
-    ``vector`` the level's f on ``grid`` (as in EigenSolveResult) or None if not asked for."""
+    """Outcome of checking one energy against the oracle level at ``level``: ``energy`` on
+    the mesh ``grid`` sized by ``RadialGrid.auto``, ``gap`` = |energy - eps| / max(1, |eps|),
+    and ``vector`` the level's f on ``grid`` (as in EigenSolveResult) or None if not asked for."""
 
     grid: RadialGrid
     level: int
@@ -197,13 +197,14 @@ def confirm(
     By Sturm oscillation a bound state with m nodes is level m of its potential,
     so the caller passes the node count of its own solution and the oracle computes
     that one eigenvalue on ``RadialGrid.auto(sys, epsilon)``. Passes when the gap
-    is within RTOL * max(1, |epsilon|)."""
+    is within RTOL and a requested ``vector`` has ``level`` nodes."""
     grid = RadialGrid.auto(sys, epsilon)
     res = fd_eigensolve(sys, grid, range(level, level + 1), vectors=vector)
     energy = float(res.energies[0])
-    gap = abs(energy - epsilon)
-    passed = gap <= RTOL * max(1.0, abs(epsilon))
-    return Confirmation(grid, level, energy, gap, passed, res.vectors[0] if vector else None)
+    gap = abs(energy - epsilon) / max(1.0, abs(epsilon))
+    f = res.vectors[0] if vector else None
+    passed = gap <= RTOL and (f is None or node_count(f) == level)
+    return Confirmation(grid, level, energy, gap, passed, f)
 
 
 def node_count(vector: np.ndarray) -> int:

@@ -82,13 +82,6 @@ class QuasiExactSolution:
                               -2.0 * (self.alpha / self.K))
 
 
-def energy_from_termination(n: int, l: int, K: float, b: float) -> float:
-    """eps = K^2 (n + l + 3/2) - K^2 b^2 / 8, from c = 2(n+l+1)+1."""
-    if K <= 0:
-        raise ValueError(f"K must be positive (got {K})")
-    return K * K * (n + l + 1.5) - K * K * b * b / 8.0
-
-
 def _assemble_solution(
     n: int, l: int, alpha: float, k: float, b: float, coeffs: np.ndarray, level: int
 ) -> QuasiExactSolution:
@@ -100,7 +93,7 @@ def _assemble_solution(
         k=k,
         b_root=b,
         beta=b * K**3,
-        epsilon=energy_from_termination(n, l, K, b),
+        epsilon=K * K * (n + l + 1.5) - K * K * b * b / 8.0,
         heun_coefficients=coeffs,
         level=level,
     )

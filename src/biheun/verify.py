@@ -131,16 +131,11 @@ def _worst(figures: list[float] | np.ndarray) -> float:
     return float(np.max(figures))
 
 
-def _relative_gap(sol: QuasiExactSolution) -> float:
-    """The oracle's energy gap relative to max(1, |eps|), the scale of RTOL."""
-    return confirm(sol.system(), sol.epsilon, sol.level).gap / max(1.0, abs(sol.epsilon))
-
-
 def criterion_1() -> CriterionResult:
     """n=0 closed form energies appear in the oracle spectrum."""
     t0 = time.perf_counter()
-    worst = _worst([_relative_gap(closed_form_n0(l, alpha, 1.0))
-                    for l in (0, 1, 2, 3) for alpha in (0.5, 1.0, 2.0)])
+    sols = [closed_form_n0(l, alpha, 1.0) for l in (0, 1, 2, 3) for alpha in (0.5, 1.0, 2.0)]
+    worst = _worst([confirm(sol.system(), sol.epsilon, sol.level).gap for sol in sols])
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         1,
@@ -157,7 +152,7 @@ def criterion_2() -> CriterionResult:
         for alpha in (0.0, 1.0):
             sols = closed_form_n1(l, alpha, 1.0)
             roots = [s.b_root for s in solve_family(1, l, alpha, 1.0)]
-            gaps += [_relative_gap(sol) for sol in sols]
+            gaps += [confirm(sol.system(), sol.epsilon, sol.level).gap for sol in sols]
             if len(roots) != len(sols):  # a missing root is an infinite mismatch
                 mismatches.append(np.inf)
                 continue
@@ -178,7 +173,7 @@ def criterion_3() -> CriterionResult:
             for sol in solve_family(n, l, alpha, 1.0)]
     worst_term = _worst([termination_residual(sol) for sol in sols])
     worst_ode = _worst([sol.ode_residual for sol in sols])
-    worst_gap = _worst([_relative_gap(sol) for sol in sols])
+    worst_gap = _worst([confirm(sol.system(), sol.epsilon, sol.level).gap for sol in sols])
     return CriterionResult(
         3,
         f"general n<=8: termination {TERMINATION_RTOL:g}, ODE residual 1e-9, oracle {RTOL:g}",
@@ -211,11 +206,10 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Oscillator limit: eps = 2 n_r + l + 3/2 within 1e-5."""
-    # an absolute bound: confirm's pass test is relative to max(1, |eps|)
-    worst = _worst([
-        confirm(PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=l), 2.0 * nr + l + 1.5, nr).gap
-        for l in (0, 1, 2) for nr in range(3)
-    ])
+    # an absolute bound: confirm's gap is relative to max(1, |eps|)
+    levels = [(PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=l), 2.0 * nr + l + 1.5, nr)
+              for l in (0, 1, 2) for nr in range(3)]
+    worst = _worst([abs(confirm(sys, eps, nr).energy - eps) for sys, eps, nr in levels])
     return CriterionResult(
         5, "oscillator limit levels within 1e-5", worst <= 1e-5, f"worst abs error={worst:.2e}"
     )

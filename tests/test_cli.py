@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import typing
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -465,6 +466,51 @@ class TestWavefunction:
         worst = max(abs(row["difference"]) for row in payload["results"])
         assert worst <= 1e-3 * max(abs(row["R_polynomial"]) for row in payload["results"])
 
+    def test_curves_that_disagree_are_solver_error(self, capsys):
+        # H's float coefficients are ill-conditioned here: the curves differed by 18x
+        # R_polynomial's peak with exit 0, while ode_residual read 8e-16
+        code, out, err = run_cli(
+            ["wavefunction", "--n", "30", "--l", "0", "--alpha", "1", "--k", "1",
+             "--branch", "0"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "(n=30, l=0, branch=0)" in err
+
+    def test_json_stage_timings_and_worst_difference(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", "6", "--l", "1", "--alpha", "1.3", "--k", "0.7",
+             "--branch", "2", "--format", "json"],
+            capsys,
+        )
+        wall = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(out)
+        diag, results = payload["diagnostics"], payload["results"]
+        assert set(diag["timings_s"]) == {"solve", "certify", "oracle", "curves"}
+        assert all(t >= 0 for t in diag["timings_s"].values())
+        assert sum(diag["timings_s"].values()) <= wall
+        worst = max(abs(row["difference"]) for row in results)
+        assert diag["max_rel_difference"] == worst / max(abs(row["R_polynomial"])
+                                                         for row in results)
+        assert diag["max_rel_difference"] <= 1e-5
+
+    def test_wrong_node_count_is_solver_error(self, capsys, monkeypatch):
+        # confirm judges the node count with the gap, and the error names both
+        from biheun import cli, oracle
+
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "node_count", lambda vector: 3)
+        code, out, err = run_cli(
+            ["wavefunction", "--n", "3", "--l", "1", "--alpha", "1", "--branch", "1"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "(n=3, l=1, branch=1)" in err
+        assert re.search(r"relative gap \S+, 3 nodes", err)
+
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
             ["wavefunction", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1",
@@ -581,6 +627,16 @@ class TestConfigHandling:
         code, out, err = run_cli([*argv, "--out", str(tmp_path / target)], capsys)
         assert code == 2
         assert out == "" and err.startswith("config error: ")
+
+    def test_field_types_are_read_once(self, capsys, monkeypatch):
+        # validate evaluated RunConfig's 11 string annotations on every command
+        def unavailable(*args, **kwargs):
+            raise AssertionError("typing.get_type_hints called")
+
+        monkeypatch.setattr(typing, "get_type_hints", unavailable)
+        for _ in range(2):
+            assert run_cli(["spectrum", "--n", "0"], capsys)[0] == 0
+        assert run_cli(["spectrum", "--n", "0", "--alpha=-1"], capsys)[0] == 2
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         # absurdly tight oracle tolerance cannot be met

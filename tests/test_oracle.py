@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import roots_laguerre
 
+from biheun import oracle
 from biheun.model import PhysicalSystem, turning_points
 from biheun.oracle import (
     _LARGEST_MESH,
+    RTOL,
     RadialGrid,
     _mesh,
     confirm,
@@ -83,7 +85,7 @@ class TestRadialGrid:
         sol = solve_family(32, 0, 0.0, 3.0)[0]
         sys = sol.system()
         c = confirm(sys, sol.epsilon, sol.level)
-        assert c.passed and c.gap <= 1e-9 * abs(sol.epsilon)
+        assert c.passed and c.gap <= 1e-9
 
     @pytest.mark.parametrize("n, l, alpha, k", [(4, 1, 1.0, 3.0), (12, 0, 20.0, 0.3)])
     def test_auto_is_K_covariant(self, n, l, alpha, k):
@@ -108,9 +110,9 @@ class TestRadialGrid:
         # an energy far above any state of the family asks for n ~ 1e6, and
         # l = 10^6 for a million points
         sys = PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=0)
-        assert RadialGrid.auto(sys, 1e6).points == _LARGEST_MESH == 400
+        assert RadialGrid.auto(sys, 1e6).points == _LARGEST_MESH == 600
         assert not confirm(sys, 1e6, 0).passed
-        assert RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=10**6)).points == 400
+        assert RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=10**6)).points == 600
 
     @pytest.mark.parametrize(
         "grid",
@@ -169,9 +171,10 @@ class TestLaguerreMesh:
                     z -= l_k * z / (points * (l_k - l_prev))
                 assert abs(lam[i] / (mpmath.exp(z) / total) - 1) <= 1e-12
 
-    @pytest.mark.parametrize("points", [300, 400])
+    @pytest.mark.parametrize("points", [300, 400, 600])
     def test_weights_finite_at_large_n(self, points):
-        # exp(-x/2) alone underflows from x ~ 1,400; x_N is ~1,180 at N = 300, ~1,580 at 400
+        # exp(-x/2) alone underflows from x ~ 1,400; x_N is ~1,180 at N = 300, ~1,580 at
+        # 400 and ~2,350 at 600
         _, lam = _mesh(points)
         assert np.all(np.isfinite(lam)) and np.all(lam > 0)
 
@@ -307,7 +310,7 @@ class TestConfirm:
         c = confirm(sys, 1.5, 0)
         assert c.passed and c.level == 0
         assert c.gap < 1e-8
-        assert c.gap == abs(c.energy - 1.5)
+        assert c.gap == abs(c.energy - 1.5) / 1.5
         assert c.vector is None
 
     def test_out_of_range(self, oscillator):
@@ -342,6 +345,24 @@ class TestConfirm:
             for wrong in (sol.level - 1, sol.level + 1):
                 if wrong >= 0:
                     assert not confirm(sys, sol.epsilon, wrong).passed
+
+    def test_vector_with_wrong_node_count_fails(self, oscillator, monkeypatch):
+        # Sturm: the level-1 vector must have 1 node, whatever the energy gap reads
+        sys, _ = oscillator
+        assert confirm(sys, 3.5, 1, vector=True).passed
+        monkeypatch.setattr(oracle, "node_count", lambda vector: 2)
+        c = confirm(sys, 3.5, 1, vector=True)
+        assert c.gap <= RTOL and not c.passed
+        assert confirm(sys, 3.5, 1).passed  # no vector, no node count
+
+    @pytest.mark.parametrize("n, l", [(140, 0), (140, 1), (140, 2), (140, 3), (180, 0)])
+    def test_top_level_beyond_400_points(self, n, l):
+        # 40 + 3n + l points: level 140 read a gap of 2.6e-7 on 400, and level
+        # 180 one of 0.71
+        sol = solve_family(n, l, 1.0, 1.0)[0]
+        c = confirm(sol.system(), sol.epsilon, sol.level)
+        assert c.grid.points == 40 + 3 * n + l
+        assert c.passed and c.level == n
 
     def test_refutes_b_off_by_1e_6(self):
         """RTOL has teeth: b off by 1e-6 relative (beta and epsilon rebuilt from it)
@@ -399,7 +420,7 @@ def test_sized_grid_confirms_every_state(alpha_over_K):
             sys = sol.system()
             c = confirm(sys, sol.epsilon, sol.level)
             assert c.passed, (n, l, sol.level, c.gap)
-            worst = max(worst, c.gap / max(1.0, abs(sol.epsilon)))
+            worst = max(worst, c.gap)
     if alpha_over_K <= 3.0:
         assert worst <= 1e-8
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from biheun.heun import ode_residual
 from biheun.model import turning_points
 from biheun.oracle import confirm
-from biheun.quantize import energy_from_termination, solve_family, wavefunction
+from biheun.quantize import _assemble_solution, solve_family, wavefunction
 from biheun.verify import (
     TERMINATION_RTOL,
     closed_form_n0,
@@ -18,18 +18,17 @@ from biheun.verify import (
 
 
 class TestEnergyFromTermination:
+    # eps = K^2 (n + l + 3/2) - K^2 b^2 / 8, read on the assembled solution
     def test_pure_oscillator_ground(self):
-        assert energy_from_termination(0, 0, 1.0, 0.0) == 1.5
+        assert _assemble_solution(0, 0, 0.0, 1.0, 0.0, np.array([1.0]), 0).epsilon == 1.5
 
     def test_n0_with_b_one(self):
-        assert energy_from_termination(0, 0, 1.0, 1.0) == 1.375
+        assert _assemble_solution(0, 0, 1.0, 1.0, 1.0, np.array([1.0]), 0).epsilon == 1.375
 
     def test_k_scaling(self):
-        assert energy_from_termination(1, 0, 2.0, 0.0) == 10.0
-
-    def test_rejects_nonpositive_k_scale(self):
-        with pytest.raises(ValueError):
-            energy_from_termination(0, 0, 0.0, 1.0)
+        # k = 16: K = 2
+        sol = _assemble_solution(1, 0, 0.0, 16.0, 0.0, np.array([1.0, 0.0]), 0)
+        assert sol.epsilon == 10.0
 
 
 def _n1_quadratic(l, aK, b):
