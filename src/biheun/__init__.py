@@ -8,7 +8,7 @@ cross-validates every energy against an independent Lagrange-Laguerre mesh
 eigensolver.
 """
 
-from .heun import HeunParameters, ode_residual
+from .heun import HeunParameters
 from .model import PhysicalSystem, TurningPointSet, turning_points
 from .oracle import RadialGrid, confirm, fd_eigensolve, node_count
 from .quantize import QuasiExactSolution, solve_family, wavefunction
@@ -23,7 +23,6 @@ __all__ = [
     "confirm",
     "fd_eigensolve",
     "node_count",
-    "ode_residual",
     "run_acceptance",
     "solve_family",
     "turning_points",

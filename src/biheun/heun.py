@@ -1,4 +1,4 @@
-"""Bi-confluent Heun parameter map, 3-term recurrence, relative ODE residual.
+"""Bi-confluent Heun parameter map, 3-term recurrence rows, relative ODE residual.
 
 The equation solved by H(z) is
 
@@ -11,15 +11,16 @@ which the scaled radial problem reaches through z = K*r and
 
 The series H = sum c_j z^j obeys the 3-term recurrence
 
-    c_1 = -D / (1+a),
-    c_{j+1} = [(2j + a - c) c_{j-1} + (j b - D) c_j] / ((j+1)(a+j+1)),  j >= 1.
+    c_{j+1} = [(2j + a - c) c_{j-1} + (j b - D) c_j] / ((j+1)(a+j+1)),  j >= 0,
 
-Solutions become degree-n polynomials exactly when c_{n+1} = c_{n+2} = 0.
+with c_{-1} = 0. Solutions become degree-n polynomials exactly when
+c_{n+1} = c_{n+2} = 0. Row j of the recurrence is the coefficient of z^j in
+z times the ODE applied to H, so ``recurrence_rows`` gives the series, the
+termination figure and the ODE residual alike.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +60,33 @@ def to_heun_params(sys: PhysicalSystem, epsilon: float) -> HeunParameters:
     )
 
 
+def _row_factors(hp: HeunParameters, j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Factors of c_{j+1}, c_{j-1} and c_j in row j: (j+1)(a+j+1), 2j + a - c, jb - D."""
+    return (j + 1) * (hp.a + j + 1), 2 * j + hp.a - hp.c, j * hp.b - hp.D
+
+
+def recurrence_rows(hp: HeunParameters, coeffs: np.ndarray, c_size: float) -> np.ndarray:
+    """Defects R_j and sizes T_j of the rows j = 0..len(coeffs) for H = sum coeffs[j] z^j.
+
+    R_j = (j+1)(a+j+1) c_{j+1} - (2j + a - c) c_{j-1} - (jb - D) c_j with
+    c_{-1} = 0 and zeros past the last coefficient, so that z times the ODE
+    applied to H is exactly sum_j R_j z^j. T_j is the same three terms in |.|,
+    with D counted by its parts as (j + (a+1)/2)|b| + |d|/2 (D itself is a
+    cancellation) and c by the magnitude ``c_size`` the caller knows it to have.
+    Returns the (2, len(coeffs) + 1) array of rows R and T.
+    """
+    j = np.arange(len(coeffs) + 1.0)
+    lead, previous, current = _row_factors(hp, j)
+    cs = np.concatenate(([0.0], coeffs, [0.0, 0.0]))  # c_{-1}..c_{n+2}
+    before, at, after = cs[:-2], cs[1:-1], cs[2:]
+    defect = lead * after - previous * before - current * at
+    size = (lead * np.abs(after) + (2 * j + hp.a + c_size) * np.abs(before)
+            + ((j + (hp.a + 1) / 2) * abs(hp.b) + abs(hp.d) / 2) * np.abs(at))
+    return np.stack((defect, size))
+
+
 def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:
-    """c_0..c_{n_coeffs} by the 3-term recurrence, c_0 = 1.
+    """c_0..c_{n_coeffs} with c_0 = 1, each row j of ``recurrence_rows`` solved for c_{j+1}.
 
     On the termination manifold c_{n+1}, c_{n+2} and every later coefficient
     come out near rounding level, but the forward recurrence loses digits at
@@ -69,60 +95,22 @@ def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:
     """
     if n_coeffs < 0:
         raise ValueError(f"n_coeffs must be >= 0 (got {n_coeffs})")
-    a, b, c, D = hp.a, hp.b, hp.c, hp.D
-    cs = np.zeros(n_coeffs + 1)
-    cs[0] = 1.0
-    if n_coeffs >= 1:
-        cs[1] = -D / (1.0 + a)
-    for j in range(1, n_coeffs):
-        cs[j + 1] = ((2.0 * j + a - c) * cs[j - 1] + (j * b - D) * cs[j]) / (
-            (j + 1.0) * (a + j + 1.0)
-        )
-    return cs
+    cs = [0.0, 1.0]  # c_{-1}, c_0
+    for lead, previous, current in zip(*_row_factors(hp, np.arange(float(n_coeffs)))):
+        cs.append((previous * cs[-2] + current * cs[-1]) / lead)
+    return np.array(cs[1:])
 
 
-@functools.cache
-def _derivative_weights(m: int) -> np.ndarray:
-    """The (m, 3) matrix with columns 1, j, j(j-1), j = 0..m-1."""
-    j = np.arange(m, dtype=float)
-    w = np.column_stack((np.ones(m), j, j * (j - 1.0)))
-    w.setflags(write=False)  # shared by every caller through the cache
-    return w
+def ode_residual(rows: np.ndarray, z: float) -> float:
+    """Relative Heun ODE residual |sum_j R_j z^j| / sum_j T_j z^j of the rows
+    (R, T) of ``recurrence_rows`` at one z > 0.
 
-
-def ode_residual(hp: HeunParameters, coeffs: np.ndarray, z: float) -> float:
-    """Relative residual of the Heun ODE for H = sum coeffs[j] z^j at one z, 0 < z < inf.
-
-    The terms t_j = c_j z^j give three moment sums against the cached weights
-    1, j, j(j-1): S_0 = H, S_1 = z H' and S_2 = z^2 H''. The residual
-    |S_2/z^2 + coef1 S_1/z + coef0 S_0|, with coef1 = -2z - b + (1+a)/z and
-    coef0 = -2 - a + c + D/z, is divided by its absolute-value (backward-error)
-    scale A_2/z^2 + |coef1| A_1/z + |coef0| A_0, where A_k are the same sums over
-    |t_j|: every monomial and ODE coefficient enters with |.|, floored at 1.
-    Cancellation inside H(z) therefore cannot shrink the denominator below the
-    rounding floor of the evaluation (|S_k| <= A_k, so rounding stays within u
-    times the scale), and a solution of the ODE reads at the level of rounding.
-
-    ValueError unless 0 < z < inf. The terms and sums are numpy work under the
-    caller's ``np.errstate``; whatever passes it, a residual or scale that is not
-    finite (an infinite scale would read 0) raises FloatingPointError.
+    The numerator is |z times the ODE applied to H|, the denominator the same
+    sum with every term in |.|, so a solution reads at the level of rounding.
+    T_1 >= (2 + a + c)|c_0| keeps the denominator positive when c_0 != 0.
+    ValueError unless 0 < z < inf, where the denominator is a size.
     """
-    z = float(z)
     if not 0.0 < z < math.inf:
         raise ValueError(f"z must be positive and finite (got {z})")
-    coef1 = -2.0 * z - hp.b + (1.0 + hp.a) / z
-    coef0 = -2.0 - hp.a + hp.c + hp.D / z
-    w = _derivative_weights(len(coeffs))
-    j = w[:, 1]
-    if (len(coeffs) - 1) * math.log(z) < 700.0:
-        terms = coeffs * z**j
-    else:  # z^n overflows where no c_j z^j need: form each term in logs
-        with np.errstate(divide="ignore"):  # log 0 = -inf gives a 0 term
-            terms = np.sign(coeffs) * np.exp(np.log(np.abs(coeffs)) + j * math.log(z))
-    s0, s1, s2 = terms.dot(w).tolist()
-    a0, a1, a2 = np.abs(terms).dot(w).tolist()
-    residual = abs((s2 / z + coef1 * s1) / z + coef0 * s0)
-    scale = (a2 / z + abs(coef1) * a1) / z + abs(coef0) * a0
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise FloatingPointError(f"not finite at z = {z}: residual {residual}, scale {scale}")
-    return residual / max(scale, 1.0)
+    defect, size = (rows @ z ** np.arange(float(rows.shape[1]))).tolist()
+    return abs(defect) / size

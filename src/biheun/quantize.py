@@ -24,11 +24,12 @@ fixed potential.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .heun import HeunParameters, ode_residual
+from .heun import HeunParameters, ode_residual, recurrence_rows
 from .model import PhysicalSystem, turning_points
 
 
@@ -56,21 +57,31 @@ class QuasiExactSolution:
 
     @functools.cached_property
     def ode_residual(self) -> float:
-        """Sup of the relative Heun ODE residual of H at 50 z in (0, 2*K*r4], r4
-        the largest |turning point|: 50 ``heun.ode_residual`` calls on the first
-        read, none after. RuntimeError on the kernel's FloatingPointError: an
-        overflow would give a nan sample (dropped by max) or a 0 one."""
+        """Sup of the relative Heun ODE residual of H at 50 z in (0, z_hi], z_hi =
+        2 max(K r4, 1), r4 the largest |turning point|.
+
+        The rows of ``heun.recurrence_rows`` are formed once, with c = 2(n+l+1)+1
+        counted exactly, and row j is scaled once, in logs, by z_hi^j over the
+        geometric mean of the largest T_j z^j at the top and the bottom sample.
+        The 50 ``heun.ode_residual`` calls (on the first read, none after) then
+        take z / z_hi <= 1, so no power of z can overflow, and every sample's
+        sums stay within range while n log 50 < 1400 (n < 360). RuntimeError
+        naming the state if a row is not finite."""
         tp = turning_points(self.system(), self.epsilon)
         r4 = max((abs(z) for z in tp.roots), default=1.0)
-        z_hi = 2.0 * self.K * max(r4, 1.0)
+        z_hi = 2.0 * max(self.K * r4, 1.0)
         hp = self.heun_parameters()
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return max(ode_residual(hp, self.heun_coefficients, z)
-                           for z in np.linspace(z_hi / 50, z_hi, 50).tolist())
-        except FloatingPointError as exc:
+        with np.errstate(all="ignore"):  # a row that is not finite is refused below
+            rows = recurrence_rows(hp, self.heun_coefficients, hp.c)
+            j = np.arange(rows.shape[1])
+            logs = np.log(np.abs(rows)) + j * math.log(z_hi)
+            # log of the largest T_j z^j at the top and the bottom sample
+            top, bottom = np.max(logs[1]), np.max(logs[1] - j * math.log(50))
+            rows = np.sign(rows) * np.exp(logs - (top + bottom) / 2)
+        if not np.isfinite(rows).all():
             raise RuntimeError(f"(n={self.n}, l={self.l}, branch={self.n - self.level}): "
-                               f"ODE residual {exc}") from exc
+                               "recurrence rows of the ODE residual are not finite")
+        return max(ode_residual(rows, t) for t in np.linspace(1 / 50, 1.0, 50).tolist())
 
     def system(self) -> PhysicalSystem:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)

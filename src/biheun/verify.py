@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heun import HeunParameters, coefficient_sequence, to_heun_params
+from .heun import HeunParameters, coefficient_sequence, recurrence_rows, to_heun_params
 from .model import PhysicalSystem, turning_points
 from .oracle import RTOL, RadialGrid, confirm, fd_eigensolve
 from .quantize import QuasiExactSolution, _assemble_solution, solve_family
@@ -104,25 +104,16 @@ def power_matching_coefficients(
 
 
 def termination_residual(sol: QuasiExactSolution) -> float:
-    """Normwise defect of the solution's own H in the recurrence rows
-
-        (j+1)(a+j+1) c_{j+1} = (2j + a - c) c_{j-1} + (jb - D) c_j,   j = 0..n+1,
-
-    with c_{-1} = c_{n+1} = c_{n+2} = 0 (rows n and n+1 hold the constraint on b
-    and the energy): the largest row defect over the largest row of |terms|, at
-    the Heun parameters of the solution's system and energy. c = 2 eps/K^2 + b^2/4
-    counts as |2 eps/K^2| + b^2/4: at large b the two cancel, and the rounding of
-    eps shows at the scale of b^2."""
+    """Normwise defect of the solution's own H in the recurrence rows j = 0..n+1
+    (``heun.recurrence_rows``; rows n and n+1 hold the constraint on b and the
+    energy): the largest |R_j| over the largest T_j, at the Heun parameters of the
+    solution's system and energy. c = 2 eps/K^2 + b^2/4 counts as |2 eps/K^2| +
+    b^2/4: at large b the two cancel, and the rounding of eps shows at the scale
+    of b^2."""
     hp = to_heun_params(sol.system(), sol.epsilon)
-    cs = np.concatenate(([0.0], sol.heun_coefficients, [0.0, 0.0]))  # c_{-1}..c_{n+2}
-    previous, current, following = cs[:-2], cs[1:-1], cs[2:]
-    j = np.arange(sol.n + 2.0)
-    lead = (j + 1) * (hp.a + j + 1)
-    defect = lead * following - (2 * j + hp.a - hp.c) * previous - (j * hp.b - hp.D) * current
     c_size = 2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0
-    terms = (lead * np.abs(following) + (2 * j + hp.a + c_size) * np.abs(previous)
-             + np.abs(j * hp.b - hp.D) * np.abs(current))
-    return float(np.max(np.abs(defect)) / np.max(terms))
+    defect, size = recurrence_rows(hp, sol.heun_coefficients, c_size)
+    return float(np.max(np.abs(defect)) / np.max(size))
 
 
 def _worst(figures: list[float] | np.ndarray) -> float:

@@ -1,31 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from biheun.heun import (
     HeunParameters,
-    _derivative_weights,
     coefficient_sequence,
     ode_residual,
+    recurrence_rows,
     to_heun_params,
 )
 from biheun.model import PhysicalSystem
 from biheun.quantize import solve_family
 from biheun.verify import power_matching_coefficients
-
-
-def _per_term_figure(hp, terms, z):
-    """The relative ODE residual summed term by term: t_j = c_j z^j weighted by
-    j(j-1)/z^2 + coef1 j/z + coef0, over the same sum with every factor in |.|."""
-    coef1 = -2.0 * z - hp.b + (1.0 + hp.a) / z
-    coef0 = -2.0 - hp.a + hp.c + hp.D / z
-    residual = scale = 0.0
-    for j, t in enumerate(terms):
-        residual += t * (j * (j - 1) / z**2 + coef1 * j / z + coef0)
-        scale += abs(t) * (j * (j - 1) / z**2 + abs(coef1) * j / z + abs(coef0))
-    return abs(residual) / max(scale, 1.0)
 
 
 def _tail(cs, n):
@@ -176,74 +166,88 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             coefficient_sequence(hp, -1)
         with pytest.raises(ValueError):
-            ode_residual(hp, coefficient_sequence(hp, 10), -1.0)
+            ode_residual(recurrence_rows(hp, coefficient_sequence(hp, 10), 0.0), -1.0)
+
+
+class TestRecurrenceRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        l=st.integers(0, 49),
+        bcd=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+        cs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=41),
+        z=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    )
+    def test_rows_are_z_times_the_ode(self, l, bcd, cs, z):
+        # sum_j R_j z^j = z (H'' + (-2z - b + (1+a)/z) H' + (-2 - a + c + D/z) H)
+        hp = HeunParameters(2.0 * l + 1.0, *bcd)
+        defect, size = recurrence_rows(hp, np.array(cs), abs(hp.c)) @ z ** np.arange(len(cs) + 1)
+        h, h1, h2 = (polyval(z, polyder(cs, m)) for m in (0, 1, 2))
+        ode = z * h2 + (-2 * z * z - hp.b * z + 1 + hp.a) * h1 + ((-2 - hp.a + hp.c) * z + hp.D) * h
+        assert abs(defect - ode) <= 1e-14 * size
+
+    def test_hand_rows(self):
+        # a=1, b=1, c=3, d=0 (D=-1), H = 1 + z: R_0 = 2*1 - 0 - 1*1, R_1 = 0 - 0*1 - 2*1,
+        # R_2 = -2*1; T_j counts D as (j+1)|b| + 0
+        rows = recurrence_rows(HeunParameters(1.0, 1.0, 3.0, 0.0), np.array([1.0, 1.0]), 3.0)
+        assert rows.tolist() == [[1.0, -2.0, -2.0], [3.0, 8.0, 8.0]]
+
+    def test_termination_rows_vanish(self):
+        # the solver's H zeroes every row up to rounding, the last two included
+        for sol in solve_family(5, 1, 1.0, 1.0):
+            hp = sol.heun_parameters()
+            defect, size = recurrence_rows(hp, sol.heun_coefficients, hp.c)
+            assert len(defect) == 7
+            assert np.max(np.abs(defect)) <= 1e-15 * np.max(size)
 
 
 class TestOdeResidual:
     def test_terminated_polynomial_is_exact(self):
         # n=1 point: H is c_0 + c_1 z; the tail past it is rounding noise
         hp = HeunParameters(a=1.0, b=2.0**0.5, c=5.0, d=0.0)
-        cs = coefficient_sequence(hp, 1)
+        rows = recurrence_rows(hp, coefficient_sequence(hp, 1), hp.c)
         for z in (0.3, 1.0, 2.5, 7.0):
-            assert ode_residual(hp, cs, z) < 1e-12
+            assert ode_residual(rows, z) < 1e-12
 
     def test_constant_solution(self):
         hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
-        assert ode_residual(hp, coefficient_sequence(hp, 5), 1.0) == 0.0
+        assert ode_residual(recurrence_rows(hp, coefficient_sequence(hp, 5), hp.c), 1.0) == 0.0
 
     def test_wrong_c_shifts_residual(self):
         hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
         cs = coefficient_sequence(hp, 5)
         bad = HeunParameters(a=1.0, b=1.0, c=3.1, d=-2.0)
-        # residual shifts by exactly 0.1 * |H(z)| = 0.1
-        assert ode_residual(bad, cs, 1.0) == pytest.approx(0.1)
+        # H == 1: R_1 = 0.1 alone, over T_0 + T_1 = (|b| + |d|/2) + (2 + a + c)
+        assert ode_residual(recurrence_rows(bad, cs, bad.c), 1.0) == pytest.approx(0.1 / 8.1)
 
     def test_relative_to_absolute_value_scale(self):
-        # c off by 10 with H == 1: residual 10 over the scale |coef0| |H| = 10
-        cs = coefficient_sequence(HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0), 5)
-        bad = HeunParameters(a=1.0, b=1.0, c=13.0, d=-2.0)
-        assert ode_residual(bad, cs, 1.0) == pytest.approx(1.0)
+        # H == 1, b = d = 0: the one defect R_1 = -(2 + a - c) has no cancellation,
+        # so it reads 1 over the size with c counted as |c|
+        hp = HeunParameters(a=1.0, b=0.0, c=-3.0, d=0.0)
+        assert ode_residual(recurrence_rows(hp, np.ones(1), 3.0), 0.7) == 1.0
 
     def test_rejects_z_zero(self):
         hp = HeunParameters(a=1.0, b=0.0, c=0.0, d=0.0)
         with pytest.raises(ValueError):
-            ode_residual(hp, coefficient_sequence(hp, 5), 0.0)
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        abcd=st.tuples(*[st.floats(-1e3, 1e3)] * 4),
-        cs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=41),
-        z=st.floats(1e-3, 1e3),
-    )
-    def test_matches_per_term_sum(self, abcd, cs, z):
-        hp = HeunParameters(*abcd)
-        cs = np.array(cs)
-        want = _per_term_figure(hp, cs * z ** np.arange(len(cs)), z)
-        assert abs(ode_residual(hp, cs, z) - want) <= 1e-14
-
-    def test_log_branch(self):
-        # 80 log z > 700: z^80 = 1e320 overflows, c_80 z^80 = 1e20 does not
-        hp = HeunParameters(a=1.0, b=0.5, c=3.0, d=-2.0)
-        cs = np.zeros(81)
-        cs[0], cs[80] = 1.0, 1e-300
-        want = _per_term_figure(hp, [1.0] + [0.0] * 79 + [1e20], 1e4)
-        assert ode_residual(hp, cs, 1e4) == pytest.approx(want, abs=1e-14)
-
-    def test_weights_are_read_only(self):
-        w = _derivative_weights(5)
-        assert w.tolist() == [[1, j, j * (j - 1)] for j in range(5)]
-        assert not w.flags.writeable
-        assert _derivative_weights(5) is w
+            ode_residual(recurrence_rows(hp, coefficient_sequence(hp, 5), 0.0), 0.0)
 
     @pytest.mark.parametrize("z", [np.nan, np.inf])
     def test_rejects_non_finite_z(self, z):
         hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
         with pytest.raises(ValueError):
-            ode_residual(hp, np.ones(3), z)
+            ode_residual(recurrence_rows(hp, np.ones(3), hp.c), z)
 
     @pytest.mark.parametrize("errors", ["ignore", "raise"])
     def test_infinite_coefficient_raises(self, errors):
-        # with numpy's checks off the kernel's own check still refuses the nan
-        hp = HeunParameters(a=1.0, b=1.0, c=3.0, d=-2.0)
-        with np.errstate(all=errors), pytest.raises(FloatingPointError):
-            ode_residual(hp, np.array([1.0, np.inf, 2.0]), 1.5)
+        # the certificate forms its rows under its own error state: the caller's
+        # neither hides the inf nor turns it into a FloatingPointError
+        sol = solve_family(2, 0, 1.0, 1.0)[1]
+        bad = replace(sol, heun_coefficients=np.array([1.0, np.inf, 2.0]))
+        with np.errstate(all=errors), pytest.raises(RuntimeError, match="not finite"):
+            bad.ode_residual
+
+    def test_infinite_coefficient_raises_without_warning(self):
+        # under numpy's default error state, which the suite turns into errors
+        sol = solve_family(2, 0, 1.0, 1.0)[1]
+        bad = replace(sol, heun_coefficients=np.array([1.0, np.inf, 2.0]))
+        with pytest.raises(RuntimeError, match=r"\(n=2, l=0, branch=1\): recurrence rows"):
+            bad.ode_residual

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheun.heun import ode_residual
-from biheun.model import turning_points
 from biheun.oracle import confirm
 from biheun.quantize import _assemble_solution, solve_family, wavefunction
 from biheun.verify import (
@@ -268,12 +266,11 @@ class TestCertificateCost:
         assert ode_residual_calls[0] == 50
 
     def test_overflow_raises_on_read(self):
-        # alpha/K ~ 3.8e9: branch 0's certificate overflows; branch 10's reads
-        # at rounding level, and building the family raises neither
+        # alpha/K ~ 3.8e9: branch 0's terms c_j z^j reach 1e310 at the top
+        # sample, which overflowed; the rows, scaled once, read at rounding level
         sols = solve_family(20, 0, 1.2e8, 1e-6)
         assert sols[10].ode_residual <= 1e-12
-        with pytest.raises(RuntimeError, match=r"\(n=20, l=0, branch=0\): ODE residual"):
-            sols[0].ode_residual
+        assert sols[0].ode_residual <= 1e-12
 
 
 class TestCoulombLimit:
@@ -321,10 +318,35 @@ class TestOdeResidual:
         for sol in solve_family(n, l, alpha, k):
             c = sol.heun_coefficients
             bad = c + 1e-8 * np.max(np.abs(c)) * rng.choice([-1.0, 1.0], size=c.size)
-            tp = turning_points(sol.system(), sol.epsilon)
-            z_hi = 2.0 * sol.K * max(max(abs(z) for z in tp.roots), 1.0)
-            zs = np.linspace(z_hi / 50, z_hi, 50)
-            assert max(ode_residual(sol.heun_parameters(), bad, z) for z in zs) > 1e-9
+            assert dataclasses.replace(sol, heun_coefficients=bad).ode_residual > 1e-9
+
+    @pytest.mark.parametrize(
+        "n, l, alpha, k",
+        [(1, 0, 1.0, 1.0), (2, 1, 1.0, 1.0), (3, 0, 1.0, 1.0), (5, 0, 1.0, 1.0),
+         (8, 1, 1.0, 1.0), (20, 0, 1e4, 1.0), (1, 0, 1e6, 1e-6)],
+    )
+    def test_flags_b_off_by_1e_6(self, n, l, alpha, k):
+        # H and c kept, b moved: the rows no longer vanish, also at large b,
+        # where counting c as b^2/2 would drown the defect
+        for sol in solve_family(n, l, alpha, k):
+            off = dataclasses.replace(sol, b_root=sol.b_root * (1 + 1e-6))
+            assert off.ode_residual >= 1e-8
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 24),
+        l=st.integers(0, 3),
+        alpha=st.floats(0.0, 5.0),
+        k=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+    )
+    def test_k_scaling_covariance(self, n, l, alpha, k):
+        # z = K r: the state at (alpha, k) is its twin at (alpha/K, 1) in z, with
+        # the same b and H, eps = K^2 eps' and the same certificate
+        K = k ** 0.25
+        for sol, twin in zip(solve_family(n, l, alpha, k), solve_family(n, l, alpha / K, 1.0)):
+            assert sol.b_root == twin.b_root
+            assert sol.epsilon == pytest.approx(K * K * twin.epsilon, rel=1e-13, abs=0)
+            assert sol.ode_residual == pytest.approx(twin.ode_residual, rel=1e-13, abs=0)
 
 
 class TestWavefunction:

@@ -7,8 +7,8 @@ import biheun
 
 PUBLIC = {
     "HeunParameters", "PhysicalSystem", "QuasiExactSolution", "RadialGrid",
-    "TurningPointSet", "confirm", "fd_eigensolve", "node_count", "ode_residual",
-    "run_acceptance", "solve_family", "turning_points", "wavefunction",
+    "TurningPointSet", "confirm", "fd_eigensolve", "node_count", "run_acceptance",
+    "solve_family", "turning_points", "wavefunction",
 }
 
 
@@ -22,8 +22,8 @@ def test_all_is_the_public_surface():
 
 @pytest.mark.parametrize(
     "name",
-    ["closed_form_n0", "closed_form_n1", "coefficient_sequence", "to_heun_params",
-     "EigenSolveResult", "energy_from_termination", "vieta_residuals"],
+    ["closed_form_n0", "closed_form_n1", "coefficient_sequence", "ode_residual",
+     "recurrence_rows", "to_heun_params", "EigenSolveResult", "vieta_residuals"],
 )
 def test_internal_names_stay_in_their_modules(name):
     with pytest.raises(ImportError):
@@ -31,7 +31,9 @@ def test_internal_names_stay_in_their_modules(name):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(Path(biheun.__file__).parent.glob("*.py")), ids=lambda p: p.name
+    "path",
+    sorted(Path(biheun.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
     # a name counts as used when it is read, listed in __all__, or is the
