@@ -11,6 +11,8 @@ constraint, and each root defines a different potential.
 ``spectrum --verify`` and ``wavefunction`` check each row with
 ``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state; its
 gap relative to max(1, |eps|), held to ``oracle.RTOL`` (1e-9), is ``oracle_gap``.
+``spectrum`` and ``wavefunction`` hold each printed ``ode_residual`` to
+``quantize.ODE_RTOL`` (1e-9).
 
 Exit codes, all mapped in ``main``: 0 success, 2 config error (ConfigError, an
 OverflowError for input a double cannot hold, an OSError for an unwritable --out),
@@ -32,7 +34,7 @@ import numpy as np
 
 from .model import PhysicalSystem, turning_points
 from .oracle import Confirmation, confirm, node_count
-from .quantize import QuasiExactSolution, _log_envelope_and_h, solve_family
+from .quantize import ODE_RTOL, QuasiExactSolution, solve_family, wavefunction
 from .verify import run_acceptance
 
 EXIT_OK = 0
@@ -144,6 +146,13 @@ def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Conf
     return c
 
 
+def _check_certificate(n: int, l: int, branch: int, ode_residual: float) -> None:
+    """RuntimeError naming the row when its printed ode_residual exceeds ODE_RTOL."""
+    if not ode_residual <= ODE_RTOL:
+        raise RuntimeError(f"(n={n}, l={l}, branch={branch}): ode_residual "
+                           f"{ode_residual:.3e} exceeds {ODE_RTOL:g}")
+
+
 @contextlib.contextmanager
 def _stage(timings: dict, name: str):
     """Add the seconds the block takes to ``timings[name]``."""
@@ -174,7 +183,9 @@ def cmd_spectrum(config: RunConfig) -> int:
                     with _stage(timings, "oracle"):
                         row.append(_confirm(sol, branch).gap)
                 rows.append(row)
-    diagnostics["max_ode_residual"] = max(row[6] for row in rows)
+    worst = rows[int(np.argmax([row[6] for row in rows]))]  # a NaN is the worst
+    _check_certificate(*worst[:3], worst[6])
+    diagnostics["max_ode_residual"] = worst[6]
     if config.verify:
         diagnostics["max_oracle_gap"] = max(row[7] for row in rows)
     _emit(config, header, rows, diagnostics)
@@ -195,19 +206,12 @@ def cmd_wavefunction(config: RunConfig) -> int:
     with _stage(timings, "oracle"):
         c = _confirm(sol, config.branch, vector=True)
     # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
-    # the oracle vector already is. The envelope's log-maximum is taken out before
-    # the exp, which overflows from l ~ 330 and underflows at every node at alpha =
-    # 1e9, l = 60, and R r is scaled to max 1 before it is squared
+    # the oracle vector already is
     with _stage(timings, "curves"):
         r = c.grid.nodes()
         w = c.grid.weights()
         r_oracle = c.vector / r
-        log_envelope, h = _log_envelope_and_h(sol, r)
-        r_poly = np.exp(log_envelope - np.max(log_envelope)) * h
-        peak = np.max(np.abs(r_poly * r))
-        if not 0 < peak < np.inf:
-            raise RuntimeError(f"R_polynomial has max |R r| {peak} on the mesh for {where}")
-        r_poly = r_poly / peak
+        r_poly = wavefunction(sol, r)
         r_poly = r_poly / np.sqrt(np.sum(w * (r_poly * r) ** 2))
         if np.dot(r_poly, r_oracle) < 0:
             r_oracle = -r_oracle
@@ -219,6 +223,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
                            f"of R_polynomial's peak for {where}")
     with _stage(timings, "certify"):
         ode_residual = sol.ode_residual
+    _check_certificate(n, l, config.branch, ode_residual)
 
     header = ["r", "R_polynomial", "R_oracle", "difference"]
     rows = np.column_stack([r, r_poly, r_oracle, difference]).tolist()

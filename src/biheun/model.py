@@ -9,8 +9,8 @@ The quartic scale is K = k^(1/4); k > 0 is required throughout.
 
 The turning points are the roots of the quartic
 -k r^4 - beta r^3 + 2 eps r^2 + alpha r - l(l+1), taken as the
-companion-matrix eigenvalues of the same quartic in z = K r, with no
-refinement.
+companion-matrix eigenvalues of the same quartic in z = K r; a small pair far
+below the large one is taken from the large pair through Vieta's identities.
 """
 
 from __future__ import annotations
@@ -89,14 +89,28 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """All four roots of the turning-point quartic, classified and ordered.
 
     One backward-stable eigensolve of the companion matrix of the quartic in
-    z = K r (``np.roots``), then r = z/K; a root is classified real when
+    z = K r (``np.roots``); when the two smallest |z| lie below 1e-4 of the
+    third, their product and sum are recomputed as e4/(z3 z4) and
+    (e3 - z1 z2 (z3 + z4))/(z3 z4) and the quadratic is solved in its stable
+    form. Then r = z/K; a root is classified real when
     |Im| <= 1e-9 * (1 + |Re|). OverflowError when the quartic's coefficients
     in z or its roots in r overflow a double.
     """
     K = sys.K
+    coeffs = _quartic_coeffs(sys, epsilon)
+    zs = sorted(np.roots(coeffs).tolist(), key=abs)
+    big = zs[2] * zs[3]
+    if abs(zs[1]) < 1e-4 * abs(zs[2]) and 0 < abs(big) < math.inf:
+        # np.roots holds a small root only to about u max|coeff|: take the small
+        # pair from the large one through Vieta's e3 = alpha/K and e4 = l(l+1)
+        p = -coeffs[4] / big
+        s = (coeffs[3] - p * (zs[2] + zs[3])) / big
+        d = cmath.sqrt(s * s - 4.0 * p)
+        t = (s + d if abs(s + d) >= abs(s - d) else s - d) / 2.0  # no cancellation
+        zs[:2] = t, (p / t if t else 0j)
     real: list[complex] = []
     cplx: list[complex] = []
-    for z in np.roots(_quartic_coeffs(sys, epsilon)):
+    for z in zs:
         r = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
         if not cmath.isfinite(r):
             raise OverflowError(f"turning point out of range: {z} / K = {r}")

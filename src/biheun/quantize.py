@@ -32,6 +32,8 @@ import numpy as np
 from .heun import HeunParameters, ode_residual, recurrence_rows
 from .model import PhysicalSystem, turning_points
 
+ODE_RTOL = 1e-9  # bound on ode_residual: criterion 3, and each row spectrum and wavefunction print
+
 
 @dataclass(frozen=True)
 class QuasiExactSolution:
@@ -173,28 +175,29 @@ def _null_vectors(lo: np.ndarray, up: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
-    """Unnormalized R(r) = r^l exp(-beta r / 2K^2) exp(-K^2 r^2 / 2) H(K r)."""
-    log_envelope, h = _log_envelope_and_h(sol, radii)
-    return np.exp(log_envelope) * h
+    """R(r) = r^l exp(-beta r / 2K^2) exp(-K^2 r^2 / 2) H(K r), scaled so that
+    max |R r| over ``radii`` is 1.
 
-
-def _log_envelope_and_h(
-    sol: QuasiExactSolution, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """l log r - beta r / 2K^2 - K^2 r^2 / 2 and H(K r), whose exp-product is R(r).
-
-    The envelope is one exp of the log: r^l alone overflows at large l (r^300 at
-    r = 17) where the product does not, and a caller that only needs R up to a
-    constant takes the log's maximum out first, since the product itself
-    overflows from l ~ 330 (its peak is near exp((l/2)(ln l - 1)) at k = 1)."""
+    The envelope is one exp of its log, with the log's maximum taken out first:
+    r^l alone overflows at large l (r^300 at r = 17), the product overflows from
+    l ~ 330 (its peak is near exp((l/2)(ln l - 1)) at k = 1) and underflows at
+    every radius at alpha = 1e9, l = 60. RuntimeError naming the state when the
+    peak is 0 or not finite."""
     r = np.asarray(radii, dtype=float)
     if np.any(r < 0):
         raise ValueError("radii must be non-negative")
     K = sol.K
     z = K * r
     h = np.zeros_like(z)
-    for c in sol.heun_coefficients[::-1]:
-        h = h * z + c
-    with np.errstate(divide="ignore"):  # r = 0: log r = -inf, r^l = 0 for l > 0
+    # r = 0: log r = -inf, r^l = 0 for l > 0; an H that is not finite is refused below
+    with np.errstate(all="ignore"):
+        for c in sol.heun_coefficients[::-1]:
+            h = h * z + c
         power = sol.l * np.log(r) if sol.l else 0.0
-    return power - sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0, h
+        log_envelope = power - sol.beta * r / (2.0 * K * K) - K * K * r * r / 2.0
+        R = np.exp(log_envelope - np.max(log_envelope)) * h
+        peak = np.max(np.abs(R * r))
+    if not 0 < peak < np.inf:
+        raise RuntimeError(f"R has max |R r| {peak} for (n={sol.n}, l={sol.l}, "
+                           f"branch={sol.n - sol.level})")
+    return R / peak

@@ -20,7 +20,7 @@ import numpy as np
 from .heun import HeunParameters, coefficient_sequence, recurrence_rows, to_heun_params
 from .model import PhysicalSystem, turning_points
 from .oracle import RTOL, RadialGrid, confirm, fd_eigensolve
-from .quantize import QuasiExactSolution, _assemble_solution, solve_family
+from .quantize import ODE_RTOL, QuasiExactSolution, _assemble_solution, solve_family
 
 # Largest termination_residual a solution on the manifold may show.
 TERMINATION_RTOL = 1e-10
@@ -168,7 +168,7 @@ def criterion_3() -> CriterionResult:
     return CriterionResult(
         3,
         f"general n<=8: termination {TERMINATION_RTOL:g}, ODE residual 1e-9, oracle {RTOL:g}",
-        worst_term <= TERMINATION_RTOL and worst_ode <= 1e-9 and worst_gap <= RTOL,
+        worst_term <= TERMINATION_RTOL and worst_ode <= ODE_RTOL and worst_gap <= RTOL,
         f"{len(sols)} solutions; worst termination={worst_term:.2e}, "
         f"ode={worst_ode:.2e}, oracle gap={worst_gap:.2e}",
     )

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biheun
+import biheun.quantize
 import biheun.verify
 from biheun.cli import build_parser, main
-from biheun.oracle import RadialGrid
-from biheun.quantize import solve_family
+from biheun.oracle import RadialGrid, confirm
+from biheun.quantize import solve_family, wavefunction
 
 
 def run_cli(args, capsys):
@@ -136,6 +137,20 @@ class TestSpectrum:
         code, out, _ = run_cli(["spectrum", "--n", "0..3", "--alpha", "1", "--k", "1"], capsys)
         assert code == 0
         assert ode_residual_calls[0] == 50 * len(column(out, "ode_residual")) == 50 * 10
+
+    def test_certificate_above_bound_is_solver_error(self, capsys):
+        # branch 250's ode_residual read 0.22 (56 rows above 1e-12) with exit 0
+        code, out, err = run_cli(["spectrum", "--n", "250", "--alpha", "1e4", "--k", "1"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err == ("solver error: (n=250, l=0, branch=250): "
+                       "ode_residual 2.193e-01 exceeds 1e-09\n")
+
+    def test_nan_certificate_is_solver_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(biheun.quantize, "ode_residual", lambda rows, t: float("nan"))
+        code, out, err = run_cli(["spectrum", "--n", "2", "--l", "1", "--alpha", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err == "solver error: (n=2, l=1, branch=0): ode_residual nan exceeds 1e-09\n"
 
     @pytest.mark.parametrize("alpha", ["1e20", "1e30", "1e100"])
     def test_unresolvable_tail_is_solver_error(self, capsys, alpha):
@@ -353,6 +368,32 @@ class TestWavefunction:
             diag = json.loads(out)["diagnostics"]
             assert diag["node_count"] == nodes
             assert diag["ode_residual"] <= 1e-12
+
+    def test_certificate_above_bound_is_solver_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(biheun.quantize, "ode_residual", lambda rows, t: 1e-3)
+        code, out, err = run_cli(
+            ["wavefunction", "--n", "3", "--l", "1", "--alpha", "1", "--branch", "1"], capsys
+        )
+        assert code == 3 and out == ""
+        assert err == "solver error: (n=3, l=1, branch=1): ode_residual 1.000e-03 exceeds 1e-09\n"
+
+    @pytest.mark.parametrize("n, l, alpha, k, branch",
+                             [(7, 2, 1.1, 0.6, 3), (3, 360, 1.0, 1.0, 1), (2, 60, 1e9, 1.0, 0)])
+    def test_polynomial_column_is_the_library_curve(self, capsys, n, l, alpha, k, branch):
+        # one R(r): the command prints quantize.wavefunction on the oracle's mesh,
+        # normalised in that mesh's quadrature
+        sol = solve_family(n, l, alpha, k)[branch]
+        grid = confirm(sol.system(), sol.epsilon, sol.level, vector=True).grid
+        r, w = grid.nodes(), grid.weights()
+        want = wavefunction(sol, r)
+        want = want / np.sqrt(np.sum(w * (want * r) ** 2))
+        code, out, _ = run_cli(
+            ["wavefunction", "--n", str(n), "--l", str(l), "--alpha", str(alpha), "--k", str(k),
+             "--branch", str(branch), "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert [row["R_polynomial"] for row in json.loads(out)["results"]] == want.tolist()
 
     def test_rows_follow_the_sized_grid(self, capsys):
         # the state sets the point count: one row per node of its mesh, 40 + 3n + l

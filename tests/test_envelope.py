@@ -1,4 +1,4 @@
-"""Accuracy envelope of solve_family out to n = 80, against 50-digit roots.
+"""Accuracy envelope of solve_family out to n = 160, against 50-digit roots.
 
 The reference (``perfbench.reference``) finds each b by Newton's method on
 the terminating coefficient c_{n+1}(b) in mpmath and shares no code with
@@ -55,4 +55,11 @@ def test_envelope_against_mpmath(n, l, alpha, k):
     [(25, 0, 100.0, 1.0), (25, 0, 300.0, 1.0), (25, 0, 1e4, 1.0), (20, 2, 1e4, 0.5)],
 )
 def test_envelope_at_large_alpha(n, l, alpha, k):
+    _check_family(n, l, alpha, k)
+
+
+# meshes past 400 points: a reference for b and eps besides the oracle
+@pytest.mark.slow
+@pytest.mark.parametrize("n, l, alpha, k", [(120, 0, 1.0, 1.0), (160, 0, 1.0, 1.0)])
+def test_envelope_beyond_n_80(n, l, alpha, k):
     _check_family(n, l, alpha, k)

@@ -172,6 +172,42 @@ class TestReferenceRoots:
             self.assert_matches_reference(sys, float(well.fun) + delta, 1e-10)
 
 
+def small_roots_reference(sys, eps):
+    """The two smallest-modulus roots r at 80 digits. mpmath.polyroots resolves each
+    root only to the size of the largest, so it solves the reversed z-quartic, whose
+    roots are 1/z; an exact zero root (l = 0) is divided out first."""
+    with mpmath.workdps(80):
+        K = mpmath.mpf(sys.k) ** 0.25
+        coeffs = [mpmath.mpf(1), mpmath.mpf(sys.beta) / K**3, -2 * mpmath.mpf(eps) / K**2,
+                  -mpmath.mpf(sys.alpha) / K, mpmath.mpf(sys.l * (sys.l + 1))]
+        zeros = []
+        while coeffs[-1] == 0:
+            coeffs.pop()
+            zeros.append(0j)
+        w = sorted(mpmath.polyroots(coeffs[::-1], maxsteps=500, extraprec=500), key=abs)
+        return sorted(zeros + [complex(1 / (x * K)) for x in w[-2:]], key=abs)[:2]
+
+
+class TestSmallRoots:
+    """Two roots far below the other two, which np.roots holds only to u max|coeff|."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta, k, l, eps",
+        [(1e10, 0.0, 1e-300, 0, 1.0),  # read 0 and 0 for -5e9 and 0
+         (1e-6, 2.5, 1e-300, 5, 1e10)],  # read 0 and 0 for +-3.873e-5
+    )
+    def test_against_80_digits(self, alpha, beta, k, l, eps):
+        sys = PhysicalSystem(alpha, beta, k, l)
+        got = sorted(turning_points(sys, eps).roots, key=abs)[:2]
+        for z, want in zip(got, small_roots_reference(sys, eps)):
+            assert abs(z - want) <= 1e-11 * abs(want)
+
+    def test_vieta_identity_3(self):
+        # e3 = alpha/K = 1e85, whose defect read 1e85 with both small roots at 0
+        tp = turning_points(PhysicalSystem(1e10, 0.0, 1e-300, 0), 1.0)
+        assert tp.vieta_residuals[2] <= 1e-15 * 1e85
+
+
 class TestVietaResiduals:
     def test_exact_roots_give_tiny_residuals(self):
         # build the quartic from chosen roots, then check the identities

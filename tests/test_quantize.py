@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheun.oracle import confirm
+from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import _assemble_solution, solve_family, wavefunction
 from biheun.verify import (
     TERMINATION_RTOL,
@@ -350,19 +350,43 @@ class TestOdeResidual:
 
 
 class TestWavefunction:
+    # R is returned up to a constant factor: scaled so that max |R r| over the radii is 1
     def test_n0_envelope(self):
         sol = closed_form_n0(0, 1.0, 1.0)  # H == 1, beta = 1, K = 1
         r = np.linspace(0.01, 6.0, 200)
         got = wavefunction(sol, r)
         want = np.exp(-r / 2.0 - r * r / 2.0)
-        assert np.allclose(got, want, rtol=1e-14)
+        assert np.allclose(got / want, got[0] / want[0], rtol=1e-14)
+        assert np.max(np.abs(got * r)) == pytest.approx(1.0, rel=1e-15)
         assert np.all(np.diff(got) < 0)
 
     def test_small_r_power_law(self):
         sol = closed_form_n0(2, 1.0, 1.0)
         r = np.array([1e-6, 1e-5, 1e-4])
         ratio = wavefunction(sol, r) / r**2
-        assert np.allclose(ratio, 1.0, atol=1e-3)
+        assert np.allclose(ratio / ratio[0], 1.0, atol=1e-3)
+
+    def test_finite_on_the_mesh_at_large_l(self):
+        # exp of the envelope overflowed from l ~ 330 (a RuntimeWarning, an error here)
+        for sol in solve_family(3, 360, 1.0, 1.0):
+            r = RadialGrid.auto(sol.system(), sol.epsilon).nodes()
+            R = wavefunction(sol, r)
+            assert np.isfinite(R).all()
+            assert np.max(np.abs(R * r)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_not_all_zero_at_large_alpha(self):
+        # exp of the envelope underflowed at every node, and R read 0 everywhere
+        sol = solve_family(2, 60, 1e9, 1.0)[0]
+        r = RadialGrid.auto(sol.system(), sol.epsilon).nodes()
+        R = wavefunction(sol, r)
+        assert np.any(R != 0)
+        assert np.max(np.abs(R * r)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_h_that_is_not_finite_names_the_state(self):
+        sol = solve_family(3, 1, 1.0, 1.0)[1]
+        bad = dataclasses.replace(sol, heun_coefficients=np.array([1.0, np.nan, 1.0, 1.0]))
+        with pytest.raises(RuntimeError, match=r"\(n=3, l=1, branch=1\)"):
+            wavefunction(bad, np.linspace(0.1, 5.0, 20))
 
     def test_overlap_with_oracle(self):
         sol = closed_form_n0(0, 1.0, 1.0)

@@ -48,3 +48,13 @@ def test_no_unused_imports(path):
                                                 for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     assert imported - used - {"annotations"} == set()
+
+
+def test_cli_imports_no_private_name():
+    # the front end reads the library through its public names, so it cannot
+    # grow a second path to a quantity
+    tree = ast.parse((Path(biheun.__file__).parent / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               if node.level or (node.module or "").startswith("biheun")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
