@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import PhysicalSystem, turning_points
 from .oracle import Confirmation, confirm, node_count
-from .quantize import ODE_RTOL, QuasiExactSolution, solve_family, wavefunction
+from .quantize import ODE_RTOL, QuasiExactSolution, certify, solve_family, wavefunction
 from .verify import run_acceptance
 
 EXIT_OK = 0
@@ -175,10 +175,11 @@ def cmd_spectrum(config: RunConfig) -> int:
             with _stage(timings, "solve"):
                 sols = solve_family(n, l, config.alpha, config.k)
             diagnostics["families"] += 1
-            for branch, sol in enumerate(sols):
+            with _stage(timings, "certify"):
+                certificates = certify(sols)
+            for branch, (sol, ode_residual) in enumerate(zip(sols, certificates)):
                 diagnostics["solutions"] += 1
-                with _stage(timings, "certify"):
-                    row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon, sol.ode_residual]
+                row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon, ode_residual]
                 if config.verify:
                     with _stage(timings, "oracle"):
                         row.append(_confirm(sol, branch).gap)

@@ -66,23 +66,25 @@ def _row_factors(hp: HeunParameters, j: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def recurrence_rows(hp: HeunParameters, coeffs: np.ndarray, c_size: float) -> np.ndarray:
-    """Defects R_j and sizes T_j of the rows j = 0..len(coeffs) for H = sum coeffs[j] z^j.
+    """Defects R_j and sizes T_j of the rows j = 0..N for H = sum coeffs[..., j] z^j, N =
+    coeffs.shape[-1], one H per row of a leading axis, with ``hp.b`` one or (rows, 1).
 
     R_j = (j+1)(a+j+1) c_{j+1} - (2j + a - c) c_{j-1} - (jb - D) c_j with
     c_{-1} = 0 and zeros past the last coefficient, so that z times the ODE
     applied to H is exactly sum_j R_j z^j. T_j is the same three terms in |.|,
     with D counted by its parts as (j + (a+1)/2)|b| + |d|/2 (D itself is a
     cancellation) and c by the magnitude ``c_size`` the caller knows it to have.
-    Returns the (2, len(coeffs) + 1) array of rows R and T.
+    Returns the (..., 2, N + 1) array of rows R and T.
     """
-    j = np.arange(len(coeffs) + 1.0)
+    j = np.arange(coeffs.shape[-1] + 1.0)
     lead, previous, current = _row_factors(hp, j)
-    cs = np.concatenate(([0.0], coeffs, [0.0, 0.0]))  # c_{-1}..c_{n+2}
-    before, at, after = cs[:-2], cs[1:-1], cs[2:]
+    cs = np.zeros(coeffs.shape[:-1] + (len(j) + 2,))  # c_{-1}..c_{n+2}
+    cs[..., 1:-2] = coeffs
+    before, at, after = cs[..., :-2], cs[..., 1:-1], cs[..., 2:]
     defect = lead * after - previous * before - current * at
     size = (lead * np.abs(after) + (2 * j + hp.a + c_size) * np.abs(before)
             + ((j + (hp.a + 1) / 2) * abs(hp.b) + abs(hp.d) / 2) * np.abs(at))
-    return np.stack((defect, size))
+    return np.stack((defect, size), axis=-2)
 
 
 def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:

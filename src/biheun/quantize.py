@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .heun import HeunParameters, ode_residual, recurrence_rows
-from .model import PhysicalSystem, turning_points
+from .model import PhysicalSystem, turning_point_sets
 
 ODE_RTOL = 1e-9  # bound on ode_residual: criterion 3, and each row spectrum and wavefunction print
+_SAMPLES = np.linspace(1 / 50, 1.0, 50).tolist()  # the certificate's z / z_hi
 
 
 @dataclass(frozen=True)
@@ -59,31 +60,8 @@ class QuasiExactSolution:
 
     @functools.cached_property
     def ode_residual(self) -> float:
-        """Sup of the relative Heun ODE residual of H at 50 z in (0, z_hi], z_hi =
-        2 max(K r4, 1), r4 the largest |turning point|.
-
-        The rows of ``heun.recurrence_rows`` are formed once, with c = 2(n+l+1)+1
-        counted exactly, and row j is scaled once, in logs, by z_hi^j over the
-        geometric mean of the largest T_j z^j at the top and the bottom sample.
-        The 50 ``heun.ode_residual`` calls (on the first read, none after) then
-        take z / z_hi <= 1, so no power of z can overflow, and every sample's
-        sums stay within range while n log 50 < 1400 (n < 360). RuntimeError
-        naming the state if a row is not finite."""
-        tp = turning_points(self.system(), self.epsilon)
-        r4 = max((abs(z) for z in tp.roots), default=1.0)
-        z_hi = 2.0 * max(self.K * r4, 1.0)
-        hp = self.heun_parameters()
-        with np.errstate(all="ignore"):  # a row that is not finite is refused below
-            rows = recurrence_rows(hp, self.heun_coefficients, hp.c)
-            j = np.arange(rows.shape[1])
-            logs = np.log(np.abs(rows)) + j * math.log(z_hi)
-            # log of the largest T_j z^j at the top and the bottom sample
-            top, bottom = np.max(logs[1]), np.max(logs[1] - j * math.log(50))
-            rows = np.sign(rows) * np.exp(logs - (top + bottom) / 2)
-        if not np.isfinite(rows).all():
-            raise RuntimeError(f"(n={self.n}, l={self.l}, branch={self.n - self.level}): "
-                               "recurrence rows of the ODE residual are not finite")
-        return max(ode_residual(rows, t) for t in np.linspace(1 / 50, 1.0, 50).tolist())
+        """``certify`` of this solution alone, on the first read (none after)."""
+        return certify([self])[0]
 
     def system(self) -> PhysicalSystem:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
@@ -93,6 +71,35 @@ class QuasiExactSolution:
         rounded energy, whose cancellation against b^2/4 loses c's digits at large b."""
         return HeunParameters(2.0 * self.l + 1.0, self.b_root, 2.0 * (self.n + self.l + 1) + 1.0,
                               -2.0 * (self.alpha / self.K))
+
+
+def certify(sols: list[QuasiExactSolution]) -> list[float]:
+    """The ODE-residual certificate of each solution of one (n, l, alpha, k) family: the
+    sup of the relative Heun ODE residual of H at 50 z in (0, z_hi], z_hi = 2 max(K r4, 1),
+    r4 the largest |turning point| of the branch.
+
+    One stacked ``model.turning_point_sets`` solve gives every z_hi and one
+    ``heun.recurrence_rows`` call every branch's rows, c = 2(n+l+1)+1 counted exactly. Row j
+    is scaled once, in logs, by z_hi^j over the geometric mean of the largest T_j z^j at the
+    top and the bottom sample, so each branch's 50 ``heun.ode_residual`` calls take z / z_hi
+    <= 1, no power of z can overflow, and every sample's sums stay within range while
+    n log 50 < 1400 (n < 360). RuntimeError naming the first branch with rows not finite."""
+    first = sols[0]  # the family's n, l, alpha and k
+    tps = turning_point_sets([s.system() for s in sols], [s.epsilon for s in sols])
+    z_hi = [2.0 * max(first.K * max(abs(z) for z in tp.roots), 1.0) for tp in tps]
+    hp = replace(first.heun_parameters(), b=np.array([[s.b_root] for s in sols]))
+    with np.errstate(all="ignore"):  # a row that is not finite is refused below
+        rows = recurrence_rows(hp, np.array([s.heun_coefficients for s in sols]), hp.c)
+        j = np.arange(rows.shape[-1])
+        logs = np.log(np.abs(rows)) + j * np.array([math.log(z) for z in z_hi])[:, None, None]
+        # log of the largest T_j z^j at the top and the bottom sample
+        top, bottom = np.max(logs[:, 1], axis=-1), np.max(logs[:, 1] - j * math.log(50), axis=-1)
+        rows = np.sign(rows) * np.exp(logs - ((top + bottom) / 2)[:, None, None])
+    bad = [s for s, finite in zip(sols, np.isfinite(rows).all(axis=(1, 2))) if not finite]
+    if bad:
+        raise RuntimeError(f"(n={bad[0].n}, l={bad[0].l}, branch={bad[0].n - bad[0].level}): "
+                           "recurrence rows of the ODE residual are not finite")
+    return [max(ode_residual(branch, t) for t in _SAMPLES) for branch in rows]
 
 
 def _assemble_solution(

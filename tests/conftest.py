@@ -2,6 +2,7 @@ import pytest
 
 import biheun.quantize
 from biheun.heun import ode_residual
+from biheun.model import turning_point_sets
 
 
 @pytest.fixture
@@ -15,3 +16,17 @@ def ode_residual_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(biheun.quantize, "ode_residual", counted)
     return calls
+
+
+@pytest.fixture
+def turning_point_solves(monkeypatch) -> list[int]:
+    """The number of rows of each stacked turning-point solve the certificate makes,
+    through its ``turning_point_sets`` binding: one item per solve."""
+    rows: list[int] = []
+
+    def counted(systems, eps):
+        rows.append(len(systems))
+        return turning_point_sets(systems, eps)
+
+    monkeypatch.setattr(biheun.quantize, "turning_point_sets", counted)
+    return rows

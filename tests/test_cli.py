@@ -110,7 +110,7 @@ class TestSpectrum:
             assert len(rows) == 26
             assert all(r <= 1e-12 for r in column(out, "ode_residual"))
 
-    def test_overflowing_ode_residual_is_solver_error(self, capsys):
+    def test_certifies_family_whose_terms_overflowed(self, capsys):
         # alpha/K ~ 3.8e9: branch 0's terms c_j z^j reach 1e310 at the top
         # sample, which overflowed (exit 3); the rows, scaled once, certify it
         code, out, _ = run_cli(
@@ -133,10 +133,11 @@ class TestSpectrum:
         assert len(residuals) == 81
         assert all(r <= 1e-12 for r in residuals)
 
-    def test_certificate_per_row(self, capsys, ode_residual_calls):
+    def test_certificate_per_row(self, capsys, ode_residual_calls, turning_point_solves):
         code, out, _ = run_cli(["spectrum", "--n", "0..3", "--alpha", "1", "--k", "1"], capsys)
         assert code == 0
         assert ode_residual_calls[0] == 50 * len(column(out, "ode_residual")) == 50 * 10
+        assert turning_point_solves == [1, 2, 3, 4]  # one stacked solve per family
 
     def test_certificate_above_bound_is_solver_error(self, capsys):
         # branch 250's ode_residual read 0.22 (56 rows above 1e-12) with exit 0
@@ -347,16 +348,18 @@ class TestWavefunction:
         assert diag["oracle_index"] == diag["node_count"] == 2
         assert diag["oracle_gap"] < 1e-7
 
-    def test_certificate_of_its_own_branch(self, capsys, ode_residual_calls):
+    def test_certificate_of_its_own_branch(self, capsys, ode_residual_calls,
+                                           turning_point_solves):
         code, out, _ = run_cli(
             ["wavefunction", "--n", "12", "--branch", "4", "--alpha", "1", "--format", "json"],
             capsys,
         )
         assert code == 0
         assert ode_residual_calls[0] == 50
+        assert turning_point_solves == [1]
         assert json.loads(out)["diagnostics"]["ode_residual"] <= 1e-12
 
-    def test_sibling_certificate_overflow(self, capsys):
+    def test_certifies_each_branch_whose_terms_overflowed(self, capsys):
         # alpha/K ~ 3.8e9: branch 0's certificate overflowed, which made every
         # branch exit 3 while each solution's certificate was built with the
         # family, and later branch 0 alone; now neither overflows

@@ -1,14 +1,32 @@
+import itertools
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from biheun.model import (
     QUARTIC_IMAG_TOL,
     PhysicalSystem,
+    _quartic_coeffs,
+    _quartic_roots,
+    turning_point_sets,
     turning_points,
     vieta_residuals,
 )
+
+
+def _sized(lo, hi):
+    """Floats in [lo, hi], with 0 drawn often: alpha = 0 and l = 0 drop quartic terms.
+    Nonzero draws are at least 1e-6 in size, so the roots' products cannot underflow."""
+    return st.one_of(st.just(0.0), st.floats(lo, hi).filter(lambda x: abs(x) >= 1e-6))
+
+
+CASES = st.tuples(_sized(0.0, 1e4), _sized(-1e3, 1e3), st.floats(1e-4, 1e4),
+                  st.integers(0, 3), _sized(-1e4, 1e4))
 
 
 def quartic_coeffs(sys, eps):
@@ -208,7 +226,41 @@ class TestSmallRoots:
         assert tp.vieta_residuals[2] <= 1e-15 * 1e85
 
 
+class TestStackedRoots:
+    """One stacked eigensolve gives each row the roots np.roots gives it alone."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cases=st.lists(CASES, min_size=1, max_size=6))
+    @example(cases=[(1.0, 1.0, 1.0, 0, 2.0), (0.0, 1.0, 1.0, 0, 2.0), (0.0, 0.0, 1.0, 0, 0.0),
+                    (1.0, 0.5, 2.0, 2, 3.0)])
+    def test_equals_np_roots_per_row(self, cases):
+        systems = [PhysicalSystem(*case[:4]) for case in cases]
+        eps = [case[4] for case in cases]
+        coeffs = np.array([_quartic_coeffs(sys, e) for sys, e in zip(systems, eps)])
+        for row, c in zip(_quartic_roots(coeffs), coeffs):
+            want = np.roots(c)  # real when every root is: trailing zeros are dropped, then appended
+            if not np.iscomplexobj(want):
+                assert not row.imag.any()
+                row = row.real
+            assert row.tobytes() == want.tobytes()
+        assert turning_point_sets(systems, eps) == [turning_points(*pair)
+                                                    for pair in zip(systems, eps)]
+
+
 class TestVietaResiduals:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=CASES)
+    def test_identities_hold_to_backward_error(self, case):
+        # each z_i carries an error of about u max|z|, so the identity e_k carries
+        # u (S_k + max|z| S_{k-1}), S_k the elementary symmetric function of the |z_i|;
+        # 20,000 random cases read at most 9.6 u
+        sys = PhysicalSystem(*case[:4])
+        tp = turning_points(sys, case[4])
+        size = [sys.K * abs(r) for r in tp.roots]
+        S = [sum(map(math.prod, itertools.combinations(size, k))) for k in range(5)]
+        for k, residual in enumerate(tp.vieta_residuals, start=1):
+            assert residual <= 32 * np.finfo(float).eps * (S[k] + max(size) * S[k - 1])
+
     def test_exact_roots_give_tiny_residuals(self):
         # build the quartic from chosen roots, then check the identities
         roots = [-3.0, -1.0, 0.5, 2.0]

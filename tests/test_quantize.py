@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biheun.oracle import RadialGrid, confirm
-from biheun.quantize import _assemble_solution, solve_family, wavefunction
+from biheun.quantize import _assemble_solution, certify, solve_family, wavefunction
 from biheun.verify import (
     TERMINATION_RTOL,
     closed_form_n0,
@@ -271,6 +271,51 @@ class TestCertificateCost:
         sols = solve_family(20, 0, 1.2e8, 1e-6)
         assert sols[10].ode_residual <= 1e-12
         assert sols[0].ode_residual <= 1e-12
+
+
+def _bytes(figures) -> bytes:
+    return np.array(figures, dtype=float).tobytes()
+
+
+class TestFamilyCertificate:
+    """``certify`` of a family and of each branch alone are one computation."""
+
+    FAMILIES = ([(n, l, 1.7, 0.6) for n in range(33) for l in range(4)]
+                + [(n, l, 1e4, 1.0) for n in range(20, 26) for l in range(3)]
+                + [(20, 0, 1.2e8, 1e-6)])
+
+    def test_family_equals_batches_of_one(self):
+        for n, l, alpha, k in self.FAMILIES:
+            sols = solve_family(n, l, alpha, k)
+            family = certify(sols)
+            assert _bytes(family) == _bytes([certify([sol])[0] for sol in sols]), (n, l, alpha)
+            assert _bytes(family) == _bytes([sol.ode_residual for sol in sols]), (n, l, alpha)
+            assert max(family) <= 1e-12
+
+    def test_replaced_solution_certifies_its_own_h(self):
+        sols = solve_family(8, 1, 1.0, 1.0)
+        family = certify(sols)
+        assert sols[3].ode_residual == family[3]  # cached on the instance
+        c = sols[3].heun_coefficients.copy()
+        c[4] *= 1 + 1e-6
+        bent = dataclasses.replace(sols[3], heun_coefficients=c)
+        assert bent.ode_residual == certify([bent])[0] > 1e-9
+        assert certify([*sols[:3], bent, *sols[4:]])[3] == bent.ode_residual
+        assert certify(sols) == family  # the family is untouched
+
+    def test_rows_not_finite_are_refused_for_their_branch_only(self):
+        sols = solve_family(20, 0, 1.0, 1.0)
+        c = sols[6].heun_coefficients.copy()
+        c[5] = np.inf
+        bad = dataclasses.replace(sols[6], heun_coefficients=c)
+        message = r"\(n=20, l=0, branch=6\): recurrence rows of the ODE residual are not finite"
+        with pytest.raises(RuntimeError, match=message):
+            certify([*sols[:6], bad, *sols[7:]])
+        with pytest.raises(RuntimeError, match=message):
+            bad.ode_residual
+        # its siblings, alone or as a family, do not read the bad branch
+        assert max(sol.ode_residual for sol in sols[:6] + sols[7:]) <= 1e-12
+        assert max(certify(sols[:6] + sols[7:])) <= 1e-12
 
 
 class TestCoulombLimit:
