@@ -85,47 +85,31 @@ def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> list[float]:
     return coeffs
 
 
-def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """The roots of each row of descending quartic coefficients, bytewise as ``np.roots``
-    gives them: a row with t trailing zero coefficients is solved as its quotient of
-    degree 4 - t, then t zeros are appended. One stacked eigensolve of the companion
-    matrices per t; an (m, 4) complex array."""
-    zs = np.zeros((len(coeffs), 4), complex)
-    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)  # the leading -1 is never zero
-    for m in {4 - t for t in trailing.tolist()} - {0}:  # -z^4 has four zero roots
-        rows = trailing == 4 - m
-        c = coeffs[rows]
-        companion = np.zeros((len(c), m * m))  # flat: ones on the sub-diagonal, -c/c_0 on top
-        companion[:, m::m + 1] = 1.0
-        companion[:, :m] = -c[:, 1:m + 1] / c[:, :1]
-        zs[rows, :m] = np.linalg.eigvals(companion.reshape(-1, m, m))
-    return zs
-
-
-def turning_point_sets(systems: list[PhysicalSystem], eps: list[float]) -> list[TurningPointSet]:
-    """``turning_points`` of each (system, epsilon) pair, from one stacked ``_quartic_roots``."""
-    coeffs = np.array([_quartic_coeffs(*pair) for pair in zip(systems, eps)])
-    return list(map(_turning_point_set, systems, eps, coeffs.tolist(), _quartic_roots(coeffs)))
+def largest_root_moduli(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray:
+    """The largest |z| of the turning-point quartic in z = K r of each (system, epsilon)
+    pair: one stacked eigensolve of the companion matrices of ``_quartic_coeffs``. Trailing
+    zero coefficients are not deflated, as a zero root is never the largest."""
+    c = np.array([_quartic_coeffs(*pair) for pair in zip(systems, eps)])
+    companion = np.zeros((len(c), 16))  # flat: ones on the sub-diagonal, -c/c_0 = c on top
+    companion[:, 4::5] = 1.0
+    companion[:, :4] = c[:, 1:]
+    return np.abs(np.linalg.eigvals(companion.reshape(-1, 4, 4))).max(axis=1)
 
 
 def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """All four roots of the turning-point quartic, classified and ordered.
 
     One backward-stable eigensolve of the companion matrix of the quartic in
-    z = K r (``np.roots``' arithmetic); when the two smallest |z| lie below 1e-4
-    of the third, their product and sum are recomputed as e4/(z3 z4) and
+    z = K r (``np.roots``); when the two smallest |z| lie below 1e-4 of the
+    third, their product and sum are recomputed as e4/(z3 z4) and
     (e3 - z1 z2 (z3 + z4))/(z3 z4) and the quadratic is solved in its stable
     form. Then r = z/K; a root is classified real when
     |Im| <= 1e-9 * (1 + |Re|). OverflowError when the quartic's coefficients
     in z or its roots in r overflow a double.
     """
-    return turning_point_sets([sys], [epsilon])[0]
-
-
-def _turning_point_set(sys: PhysicalSystem, epsilon: float, coeffs: list, roots: np.ndarray):
     K = sys.K
-    # np.roots returns floats when every root is real, and the retake below keeps its types
-    zs = sorted((roots if roots.imag.any() else roots.real).tolist(), key=abs)
+    coeffs = _quartic_coeffs(sys, epsilon)
+    zs = sorted(np.roots(coeffs).tolist(), key=abs)
     big = zs[2] * zs[3]
     if abs(zs[1]) < 1e-4 * abs(zs[2]) and 0 < abs(big) < math.inf:
         # np.roots holds a small root only to about u max|coeff|: take the small

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .heun import HeunParameters, ode_residual, recurrence_rows
-from .model import PhysicalSystem, turning_point_sets
+from .model import PhysicalSystem, largest_root_moduli
 
 ODE_RTOL = 1e-9  # bound on ode_residual: criterion 3, and each row spectrum and wavefunction print
 _SAMPLES = np.linspace(1 / 50, 1.0, 50).tolist()  # the certificate's z / z_hi
@@ -78,20 +78,20 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     sup of the relative Heun ODE residual of H at 50 z in (0, z_hi], z_hi = 2 max(K r4, 1),
     r4 the largest |turning point| of the branch.
 
-    One stacked ``model.turning_point_sets`` solve gives every z_hi and one
+    One stacked ``model.largest_root_moduli`` solve gives every z_hi and one
     ``heun.recurrence_rows`` call every branch's rows, c = 2(n+l+1)+1 counted exactly. Row j
     is scaled once, in logs, by z_hi^j over the geometric mean of the largest T_j z^j at the
     top and the bottom sample, so each branch's 50 ``heun.ode_residual`` calls take z / z_hi
     <= 1, no power of z can overflow, and every sample's sums stay within range while
     n log 50 < 1400 (n < 360). RuntimeError naming the first branch with rows not finite."""
     first = sols[0]  # the family's n, l, alpha and k
-    tps = turning_point_sets([s.system() for s in sols], [s.epsilon for s in sols])
-    z_hi = [2.0 * max(first.K * max(abs(z) for z in tp.roots), 1.0) for tp in tps]
+    z_hi = 2.0 * np.maximum(largest_root_moduli([s.system() for s in sols],
+                                                [s.epsilon for s in sols]), 1.0)
     hp = replace(first.heun_parameters(), b=np.array([[s.b_root] for s in sols]))
     with np.errstate(all="ignore"):  # a row that is not finite is refused below
         rows = recurrence_rows(hp, np.array([s.heun_coefficients for s in sols]), hp.c)
         j = np.arange(rows.shape[-1])
-        logs = np.log(np.abs(rows)) + j * np.array([math.log(z) for z in z_hi])[:, None, None]
+        logs = np.log(np.abs(rows)) + j * np.log(z_hi)[:, None, None]
         # log of the largest T_j z^j at the top and the bottom sample
         top, bottom = np.max(logs[:, 1], axis=-1), np.max(logs[:, 1] - j * math.log(50), axis=-1)
         rows = np.sign(rows) * np.exp(logs - ((top + bottom) / 2)[:, None, None])

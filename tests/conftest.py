@@ -2,7 +2,7 @@ import pytest
 
 import biheun.quantize
 from biheun.heun import ode_residual
-from biheun.model import turning_point_sets
+from biheun.model import largest_root_moduli
 
 
 @pytest.fixture
@@ -21,12 +21,12 @@ def ode_residual_calls(monkeypatch) -> list[int]:
 @pytest.fixture
 def turning_point_solves(monkeypatch) -> list[int]:
     """The number of rows of each stacked turning-point solve the certificate makes,
-    through its ``turning_point_sets`` binding: one item per solve."""
+    through its ``largest_root_moduli`` binding: one item per solve."""
     rows: list[int] = []
 
     def counted(systems, eps):
         rows.append(len(systems))
-        return turning_point_sets(systems, eps)
+        return largest_root_moduli(systems, eps)
 
-    monkeypatch.setattr(biheun.quantize, "turning_point_sets", counted)
+    monkeypatch.setattr(biheun.quantize, "largest_root_moduli", counted)
     return rows

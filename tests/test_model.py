@@ -12,8 +12,7 @@ from biheun.model import (
     QUARTIC_IMAG_TOL,
     PhysicalSystem,
     _quartic_coeffs,
-    _quartic_roots,
-    turning_point_sets,
+    largest_root_moduli,
     turning_points,
     vieta_residuals,
 )
@@ -226,25 +225,23 @@ class TestSmallRoots:
         assert tp.vieta_residuals[2] <= 1e-15 * 1e85
 
 
-class TestStackedRoots:
-    """One stacked eigensolve gives each row the roots np.roots gives it alone."""
+class TestLargestRootModuli:
+    """One stacked eigensolve gives each row the largest |z| np.roots gives it alone."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(cases=st.lists(CASES, min_size=1, max_size=6))
     @example(cases=[(1.0, 1.0, 1.0, 0, 2.0), (0.0, 1.0, 1.0, 0, 2.0), (0.0, 0.0, 1.0, 0, 0.0),
                     (1.0, 0.5, 2.0, 2, 3.0)])
-    def test_equals_np_roots_per_row(self, cases):
+    def test_equals_max_abs_np_roots_per_row(self, cases):
+        # l = 0 and alpha = 0 give trailing zero coefficients, which np.roots deflates and
+        # the stacked solve keeps; (0, 0, 1, 0, 0) has every root at 0
         systems = [PhysicalSystem(*case[:4]) for case in cases]
         eps = [case[4] for case in cases]
-        coeffs = np.array([_quartic_coeffs(sys, e) for sys, e in zip(systems, eps)])
-        for row, c in zip(_quartic_roots(coeffs), coeffs):
-            want = np.roots(c)  # real when every root is: trailing zeros are dropped, then appended
-            if not np.iscomplexobj(want):
-                assert not row.imag.any()
-                row = row.real
-            assert row.tobytes() == want.tobytes()
-        assert turning_point_sets(systems, eps) == [turning_points(*pair)
-                                                    for pair in zip(systems, eps)]
+        got = largest_root_moduli(systems, eps)
+        assert got.shape == (len(cases),)
+        for z4, sys, e in zip(got.tolist(), systems, eps):
+            want = max(np.abs(np.roots(_quartic_coeffs(sys, e))), default=0.0)
+            assert z4 == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestVietaResiduals:

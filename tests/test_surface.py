@@ -58,3 +58,20 @@ def test_cli_imports_no_private_name():
                if node.level or (node.module or "").startswith("biheun")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_unreferenced_private_definitions():
+    # a module-level private function or class that nothing in the package reads is
+    # dead code; a use in the tests does not keep it alive
+    trees = [ast.parse(path.read_text()) for path in Path(biheun.__file__).parent.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    referenced = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            referenced |= {alias.name for alias in node.names}
+    assert defined - referenced == set()
