@@ -27,7 +27,7 @@ _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
 _LARGEST_MESH = 600
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_LARGEST_MESH)  # every legal size fits: about 3 MB in all
 def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Zeros x_i of L_N, N = points, ascending, as eigenvalues of its Jacobi matrix
     (Golub-Welsch), and Christoffel weights lambda_i = 1 / sum_{k<N} (L_k(x_i) e^(-x_i/2))^2.
@@ -47,6 +47,29 @@ def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
     for a in (x, lam):
         a.setflags(write=False)  # shared by every caller through the cache
     return x, lam
+
+
+@functools.lru_cache(maxsize=4)  # one (n, l) family shares a size; 5.8 MB per entry at 600
+def _kinetic(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The h-free parts of the mesh's kinetic matrix, read-only: T_ij = num_ij / (den_ij h^2)
+    off the diagonal and T_ii = t_num_i / (t_den_i h h), returned as (num, den, t_num, t_den),
+
+        num_ij = (-1)^(i-j) (x_i + x_j),   den_ij = sqrt(x_i x_j) (x_i - x_j)^2,
+        t_num_i = 4 + (4N + 2) x_i - x_i^2,   t_den_i = 12 x_i^2,
+
+    whose diagonals ``fd_eigensolve`` overwrites with T_ii + V_ii."""
+    x, _ = _mesh(points)
+    num = x[:, None] + x
+    num[1::2, ::2] *= -1.0  # (-1)^(i-j): every entry with i + j odd
+    num[::2, 1::2] *= -1.0
+    dx = x[:, None] - x
+    np.fill_diagonal(dx, 1.0)
+    den = np.sqrt(np.outer(x, x)) * dx * dx
+    t_num = 4.0 + (4.0 * points + 2.0) * x - x * x
+    t_den = 12.0 * x * x
+    for a in (num, den, t_num, t_den):
+        a.setflags(write=False)  # shared by every caller through the cache
+    return num, den, t_num, t_den
 
 
 @dataclass(frozen=True)
@@ -139,6 +162,10 @@ def fd_eigensolve(
     """Eigenvalues at ``levels`` (consecutive, ascending) of the radial problem
     on the mesh ``grid``, plus their eigenvectors when ``vectors`` is true.
 
+    H is the kinetic matrix of ``_kinetic(grid.points)``, cached per size, divided by
+    h^2 with the rounding of its direct assembly, plus the potential at the nodes; a
+    cache hit and a miss give the same H, and so the same energies and vectors.
+
     The name is from the finite-difference grid the mesh replaced; it stays
     because ``perfbench/tracer.py`` wraps this function by name to attribute
     the oracle's time and mesh size."""
@@ -149,14 +176,10 @@ def fd_eigensolve(
     x, _ = _mesh(grid.points)
     h = grid.r_edge / x[-1]
     r = h * x
-    i = np.arange(grid.points)
-    sign = 1 - 2 * ((i[:, None] + i) % 2)  # (-1)^(i-j)
-    dx = x[:, None] - x
-    np.fill_diagonal(dx, 1.0)
-    H = sign * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * dx * dx * (h * h))
-    t_ii = (4.0 + (4.0 * grid.points + 2.0) * x - x * x) / (12.0 * x * x * h * h)
+    num, den, t_num, t_den = _kinetic(grid.points)
+    H = num / (den * (h * h))
     v = -sys.alpha / r + sys.beta * r + sys.k * r * r + sys.l * (sys.l + 1) / (r * r)
-    np.fill_diagonal(H, t_ii + v)
+    np.fill_diagonal(H, t_num / (t_den * h * h) + v)
     lam = np.linalg.eigvalsh(H)[levels.start:levels.stop]
     if not vectors:
         return EigenSolveResult(energies=lam / 2.0, vectors=None, grid=grid)

@@ -99,7 +99,7 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     if bad:
         raise RuntimeError(f"(n={bad[0].n}, l={bad[0].l}, branch={bad[0].n - bad[0].level}): "
                            "recurrence rows of the ODE residual are not finite")
-    return [max(ode_residual(branch, t) for t in _SAMPLES) for branch in rows]
+    return [max([ode_residual(branch, t) for t in _SAMPLES]) for branch in rows]
 
 
 def _assemble_solution(

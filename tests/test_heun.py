@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
+from biheun import heun
 from biheun.heun import (
     HeunParameters,
     coefficient_sequence,
@@ -251,3 +252,41 @@ class TestOdeResidual:
         bad = replace(sol, heun_coefficients=np.array([1.0, np.inf, 2.0]))
         with pytest.raises(RuntimeError, match=r"\(n=2, l=0, branch=1\): recurrence rows"):
             bad.ode_residual
+
+
+def _uncached_residual(rows, z):
+    # the residual with z^j formed afresh; one (2, m) product, as ode_residual takes
+    # it (a separate R @ z^j and T @ z^j sum in another order and can round apart)
+    defect, size = (rows @ z ** np.arange(float(rows.shape[1]))).tolist()
+    return abs(defect) / size
+
+
+_rows = st.integers(1, 40).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m),
+    st.lists(st.floats(1e-6, 1e6), min_size=m, max_size=m),
+)).map(lambda rt: np.array([rt[0], np.abs(rt[0]) + np.array(rt[1])]))
+
+
+class TestCachedPowers:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=_rows, z=st.floats(0.0, 1.0, exclude_min=True))
+    def test_equals_the_uncached_residual(self, rows, z):
+        first = ode_residual(rows, z)  # a miss or a hit, then surely a hit
+        assert first == ode_residual(rows, z) == _uncached_residual(rows, z)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pair=st.tuples(_rows, _rows).filter(lambda p: p[0].shape != p[1].shape),
+           z=st.floats(0.0, 1.0, exclude_min=True))
+    def test_one_z_at_two_lengths(self, pair, z):
+        # back to back, each length reads its own powers
+        for rows in pair + pair:
+            assert ode_residual(rows, z) == _uncached_residual(rows, z)
+            assert len(heun._powers(z, rows.shape[1])) == rows.shape[1]
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_z_enters_no_cache(self, z):
+        before = heun._powers.cache_info()
+        with pytest.raises(ValueError):
+            ode_residual(np.ones((2, 3)), z)
+        after = heun._powers.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)

@@ -304,6 +304,52 @@ class TestFdEigensolve:
         assert np.allclose(res.vectors[0], expected, rtol=0, atol=1e-12)
 
 
+def _direct_eigensolve(sys, grid, levels):
+    """Energies and vectors of H assembled entry by entry, with no cached part."""
+    x, _ = _mesh(grid.points)
+    h = grid.r_edge / x[-1]
+    r = h * x
+    i = np.arange(grid.points)
+    sign = 1 - 2 * ((i[:, None] + i) % 2)  # (-1)^(i-j)
+    dx = x[:, None] - x
+    np.fill_diagonal(dx, 1.0)
+    H = sign * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * dx * dx * (h * h))
+    t_ii = (4.0 + (4.0 * grid.points + 2.0) * x - x * x) / (12.0 * x * x * h * h)
+    v = -sys.alpha / r + sys.beta * r + sys.k * r * r + sys.l * (sys.l + 1) / (r * r)
+    np.fill_diagonal(H, t_ii + v)
+    lam = np.linalg.eigvalsh(H)[levels.start:levels.stop]
+    c = np.array([oracle._inverse_iteration(H, shift) for shift in lam])
+    return lam / 2.0, c / np.sqrt(grid.weights())
+
+
+class TestCachedKinetic:
+    def _assert_bit_identical(self, sys, grid, levels):
+        res = fd_eigensolve(sys, grid, levels, vectors=True)
+        energies, vectors = _direct_eigensolve(sys, grid, levels)
+        assert np.array_equal(res.energies, energies)
+        assert np.array_equal(res.vectors, vectors)
+
+    @pytest.mark.parametrize("n, l, alpha, k", [(0, 0, 1.0, 1.0), (7, 2, 1.7, 0.6),
+                                                (12, 3, 2.1, 0.4), (30, 0, 1e4, 1.0)])
+    def test_miss_and_hit_equal_direct_assembly(self, n, l, alpha, k):
+        sol = solve_family(n, l, alpha, k)[n // 2]
+        sys = sol.system()
+        grid = RadialGrid.auto(sys, sol.epsilon)
+        oracle._kinetic.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            self._assert_bit_identical(sys, grid, range(sol.level, sol.level + 1))
+        assert oracle._kinetic.cache_info().hits >= 1
+
+    def test_grids_of_one_size_in_alternation(self):
+        # criterion 6's pair: one size, two edges, called in turn
+        sys = PhysicalSystem(alpha=1.0, beta=0.7, k=3.0, l=1)
+        grid = RadialGrid.auto(sys)
+        sys_s = PhysicalSystem(alpha=1.0 / sys.K, beta=0.7 / sys.K**3, k=1.0, l=1)
+        grid_s = RadialGrid(r_edge=grid.r_edge * sys.K, points=grid.points)
+        for s, g in [(sys, grid), (sys_s, grid_s)] * 2:
+            self._assert_bit_identical(s, g, range(3))
+
+
 class TestConfirm:
     def test_exact_limit(self, oscillator):
         sys, _ = oscillator

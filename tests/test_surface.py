@@ -1,6 +1,8 @@
 import ast
+import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biheun
@@ -75,3 +77,36 @@ def test_no_unreferenced_private_definitions():
         elif isinstance(node, ast.ImportFrom):
             referenced |= {alias.name for alias in node.names}
     assert defined - referenced == set()
+
+
+# every array cache in the package, with a sample call; the parser caches of the
+# front end hold one argparse object or key set per command, not arrays
+ARRAY_CACHES = {"oracle._mesh": (40,), "oracle._kinetic": (40,), "heun._powers": (0.5, 7)}
+OTHER_CACHES = {"cli.build_parser", "cli._config_keys"}
+
+
+def _caches():
+    found = {}
+    for path in Path(biheun.__file__).parent.glob("[!_]*.py"):  # __init__ only re-exports
+        module = importlib.import_module(f"biheun.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{path.stem}.{name}"] = value
+    return found
+
+
+def test_every_cache_is_listed():
+    assert set(_caches()) == set(ARRAY_CACHES) | OTHER_CACHES
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CACHES))
+def test_array_caches_are_bounded_and_read_only(name):
+    # a cached array is shared by every later caller, so a write would change
+    # their figures; an unbounded cache of arrays grows with every new argument
+    fn = _caches()[name]
+    assert fn.cache_info().maxsize is not None
+    arrays = fn(*ARRAY_CACHES[name])
+    for a in arrays if isinstance(arrays, tuple) else (arrays,):
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
