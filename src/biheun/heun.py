@@ -21,8 +21,6 @@ termination figure and the ODE residual alike.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,30 +102,14 @@ def coefficient_sequence(hp: HeunParameters, n_coeffs: int) -> np.ndarray:
     return np.array(cs[1:])
 
 
-@functools.lru_cache(maxsize=2048)
-def _powers(z: float, m: int) -> np.ndarray:
-    """z^j for j = 0..m-1, read-only: shared by every ``ode_residual`` call at (z, m)."""
-    p = z ** np.arange(float(m))
-    p.setflags(write=False)
-    return p
-
-
-def ode_residual(rows: np.ndarray, z: float) -> float:
+def ode_residual(rows: np.ndarray, powers: np.ndarray) -> float:
     """Relative Heun ODE residual |sum_j R_j z^j| / sum_j T_j z^j of the rows
-    (R, T) of ``recurrence_rows`` at one z > 0.
+    (R, T) of ``recurrence_rows`` at one z > 0, from ``powers``, its z^j for each column j.
 
     The numerator is |z times the ODE applied to H|, the denominator the same
     sum with every term in |.|, so a solution reads at the level of rounding.
     T_1 >= (2 + a + c)|c_0| keeps the denominator positive when c_0 != 0.
-    ValueError unless 0 < z < inf, where the denominator is a size.
-
-    The powers z^j come from a cache keyed by (z, number of columns) that
-    keeps 2,048 vectors: the certificate samples the same 50 z for every
-    row, so the degrees 0..32 fill 1,650 of them. They are the values this
-    call would compute, so the figure is the same.
     """
-    if not 0.0 < z < math.inf:
-        raise ValueError(f"z must be positive and finite (got {z})")
     # ndarray.dot makes the gemv that rows @ powers makes, without the matmul ufunc's overhead
-    defect, size = rows.dot(_powers(z, rows.shape[1])).tolist()
+    defect, size = rows.dot(powers).tolist()
     return abs(defect) / size

@@ -33,7 +33,7 @@ from .heun import HeunParameters, ode_residual, recurrence_rows
 from .model import PhysicalSystem, largest_root_moduli
 
 ODE_RTOL = 1e-9  # bound on ode_residual: criterion 3, and each row spectrum and wavefunction print
-_SAMPLES = np.linspace(1 / 50, 1.0, 50).tolist()  # the certificate's z / z_hi
+_SAMPLES = np.linspace(1 / 50, 1.0, 50)  # the certificate's z / z_hi
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,10 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     One stacked ``model.largest_root_moduli`` solve gives every z_hi and one
     ``heun.recurrence_rows`` call every branch's rows, c = 2(n+l+1)+1 counted exactly. Row j
     is scaled once, in logs, by z_hi^j over the geometric mean of the largest T_j z^j at the
-    top and the bottom sample, so each branch's 50 ``heun.ode_residual`` calls take z / z_hi
-    <= 1, no power of z can overflow, and every sample's sums stay within range while
-    n log 50 < 1400 (n < 360). RuntimeError naming the first branch with rows not finite."""
+    top and the bottom sample, so each branch's 50 ``heun.ode_residual`` calls take the
+    powers of t = z / z_hi <= 1 from one (50, n + 2) table the family shares, no power can
+    overflow, and every sample's sums stay within range while n log 50 < 1400 (n < 360).
+    RuntimeError naming the first branch with rows not finite."""
     first = sols[0]  # the family's n, l, alpha and k
     z_hi = 2.0 * np.maximum(largest_root_moduli([s.system() for s in sols],
                                                 [s.epsilon for s in sols]), 1.0)
@@ -99,7 +100,8 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     if bad:
         raise RuntimeError(f"(n={bad[0].n}, l={bad[0].l}, branch={bad[0].n - bad[0].level}): "
                            "recurrence rows of the ODE residual are not finite")
-    return [max([ode_residual(branch, t) for t in _SAMPLES]) for branch in rows]
+    powers = list(_SAMPLES[:, None] ** np.arange(float(rows.shape[-1])))  # row i: t_i^j
+    return [max([ode_residual(branch, p) for p in powers]) for branch in rows]
 
 
 def _assemble_solution(
@@ -134,8 +136,8 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     finding the energy at exactly that level.
     """
     K = PhysicalSystem(alpha, 0.0, k, l).K  # checks alpha, k and l
-    if n < 0:
-        raise ValueError(f"n must be non-negative (got {n})")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError(f"n must be non-negative and an integer (got {n})")
     aK = alpha / K
     if not np.isfinite(aK):
         raise OverflowError(f"alpha/K = {alpha}/{K} overflows a double")
@@ -191,8 +193,8 @@ def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
     every radius at alpha = 1e9, l = 60. RuntimeError naming the state when the
     peak is 0 or not finite."""
     r = np.asarray(radii, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radii must be non-negative")
+    if not 0 <= r.min() <= r.max() < np.inf:  # a NaN fails every comparison
+        raise ValueError("radii must be finite and non-negative")
     K = sol.K
     z = K * r
     h = np.zeros_like(z)

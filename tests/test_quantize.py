@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biheun.oracle import RadialGrid, confirm
-from biheun.quantize import _assemble_solution, certify, solve_family, wavefunction
+from biheun.quantize import _SAMPLES, _assemble_solution, certify, solve_family, wavefunction
 from biheun.verify import (
     TERMINATION_RTOL,
     closed_form_n0,
@@ -210,8 +210,8 @@ class TestSolveFamily:
     @pytest.mark.parametrize(
         "n, l, alpha, match",
         [(1, 0, -1.0, "alpha must be non-negative"), (1, -1, 1.0, "l must be"),
-         (-1, 0, 1.0, "n must be non-negative")],
-        ids=["alpha", "l", "n"],
+         (-1, 0, 1.0, "n must be non-negative"), (2.5, 0, 1.0, r"n must be .* an integer")],
+        ids=["alpha", "l", "n", "n_not_integer"],
     )
     def test_rejects_bad_input_before_the_eigensolve(self, monkeypatch, n, l, alpha, match):
         # a negative alpha used to pass the eigensolve and fail in the first solution
@@ -316,6 +316,22 @@ class TestFamilyCertificate:
         # its siblings, alone or as a family, do not read the bad branch
         assert max(sol.ode_residual for sol in sols[:6] + sols[7:]) <= 1e-12
         assert max(certify(sols[:6] + sols[7:])) <= 1e-12
+
+    def test_power_table_rows_are_the_fresh_powers(self, monkeypatch):
+        # each sample t reads t^j from one broadcast over the family's table: it must give
+        # the bits of t ** arange(m), or every printed ode_residual moves. H has n + 1 >= 1
+        # coefficients and its rows one column more, so m runs from 2, and up to 362 covers
+        # the certificate's range, n < 360
+        seen = []
+        monkeypatch.setattr("biheun.quantize.ode_residual",
+                            lambda rows, powers: seen.append(powers) or 0.0)
+        sol = solve_family(0, 0, 1.0, 1.0)[0]
+        for m in range(2, 363):
+            seen.clear()
+            certify([dataclasses.replace(sol, heun_coefficients=np.ones(m - 1))])
+            assert len(seen) == len(_SAMPLES)
+            for t, powers in zip(_SAMPLES.tolist(), seen):
+                assert powers.tobytes() == (t ** np.arange(float(m))).tobytes(), (t, m)
 
 
 class TestCoulombLimit:
@@ -426,6 +442,13 @@ class TestWavefunction:
         R = wavefunction(sol, r)
         assert np.any(R != 0)
         assert np.max(np.abs(R * r)) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_radii_that_are_not_finite_and_non_negative(self, bad):
+        # nan and inf radii were blamed on the state: "R has max |R r| nan for (n=2, ..."
+        sol = solve_family(2, 0, 1.0, 1.0)[0]
+        with pytest.raises(ValueError, match="radii must be finite and non-negative"):
+            wavefunction(sol, [bad, 1.0])
 
     def test_h_that_is_not_finite_names_the_state(self):
         sol = solve_family(3, 1, 1.0, 1.0)[1]

@@ -81,7 +81,7 @@ def test_no_unreferenced_private_definitions():
 
 # every array cache in the package, with a sample call; the parser caches of the
 # front end hold one argparse object or key set per command, not arrays
-ARRAY_CACHES = {"oracle._mesh": (40,), "oracle._kinetic": (40,), "heun._powers": (0.5, 7)}
+ARRAY_CACHES = {"oracle._mesh": (40,), "oracle._kinetic": (40,)}
 OTHER_CACHES = {"cli.build_parser", "cli._config_keys"}
 
 
