@@ -8,14 +8,12 @@ cross-validates every energy against an independent Lagrange-Laguerre mesh
 eigensolver.
 """
 
-from .heun import HeunParameters
 from .model import PhysicalSystem, TurningPointSet, turning_points
 from .oracle import RadialGrid, confirm, fd_eigensolve, node_count
 from .quantize import QuasiExactSolution, solve_family, wavefunction
 from .verify import run_acceptance
 
 __all__ = [
-    "HeunParameters",
     "PhysicalSystem",
     "QuasiExactSolution",
     "RadialGrid",

@@ -28,7 +28,7 @@ import json
 import sys as _sys
 import time
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
     else:
         results = [dict(zip(header, row)) for row in rows]
         keys = _config_keys(config.command)
-        embedded = {key: v for key, v in asdict(config).items() if key in keys}
+        embedded = {key: v for key, v in vars(config).items() if key in keys}
         payload = {"config": embedded, "results": results, "diagnostics": diagnostics}
         text = json.dumps(payload) + "\n"
     if config.out:
@@ -223,7 +223,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
         raise RuntimeError(f"R_polynomial and R_oracle differ by {max_rel_difference:.3e} "
                            f"of R_polynomial's peak for {where}")
     with _stage(timings, "certify"):
-        ode_residual = sol.ode_residual
+        ode_residual = certify([sol])[0]
     _check_certificate(n, l, config.branch, ode_residual)
 
     header = ["r", "R_polynomial", "R_oracle", "difference"]

@@ -46,8 +46,8 @@ def to_heun_params(sys: PhysicalSystem, epsilon: float) -> HeunParameters:
     """Map a physical system plus energy to bi-confluent Heun parameters.
 
     c is derived from epsilon, so it carries epsilon's rounding scaled by
-    2/K^2; on the termination manifold ``QuasiExactSolution.heun_parameters``
-    sets c = 2(n+l+1)+1 exactly instead.
+    2/K^2; on the termination manifold ``quantize.certify`` sets c = 2(n+l+1)+1
+    exactly instead.
     """
     K = sys.K
     b = sys.beta / K**3

@@ -43,7 +43,7 @@ class PhysicalSystem:
             raise ValueError(f"k must be positive (got {self.k})")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative (got {self.alpha})")
-        if self.l < 0 or int(self.l) != self.l:
+        if not (self.l >= 0 and float(self.l).is_integer()):  # NaN and inf fail too
             raise ValueError(f"l must be a non-negative integer (got {self.l})")
         object.__setattr__(self, "l", int(self.l))
 

@@ -84,8 +84,10 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not 0 < self.r_edge < np.inf:
             raise ValueError(f"r_edge must be positive and finite (got {self.r_edge})")
-        if not 16 <= self.points <= _LARGEST_MESH:
-            raise ValueError(f"points must be in 16..{_LARGEST_MESH} (got {self.points})")
+        if not (16 <= self.points <= _LARGEST_MESH and float(self.points).is_integer()):
+            raise ValueError(
+                f"points must be an integer in 16..{_LARGEST_MESH} (got {self.points})")
+        object.__setattr__(self, "points", int(self.points))
 
     def nodes(self) -> np.ndarray:
         x, _ = _mesh(self.points)

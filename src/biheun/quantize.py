@@ -23,9 +23,8 @@ fixed potential.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,19 +57,8 @@ class QuasiExactSolution:
     def K(self) -> float:
         return self.k ** 0.25
 
-    @functools.cached_property
-    def ode_residual(self) -> float:
-        """``certify`` of this solution alone, on the first read (none after)."""
-        return certify([self])[0]
-
     def system(self) -> PhysicalSystem:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
-
-    def heun_parameters(self) -> HeunParameters:
-        """Heun parameters with c = 2(n+l+1)+1 exact, not 2 eps/K^2 + b^2/4 from the
-        rounded energy, whose cancellation against b^2/4 loses c's digits at large b."""
-        return HeunParameters(2.0 * self.l + 1.0, self.b_root, 2.0 * (self.n + self.l + 1) + 1.0,
-                              -2.0 * (self.alpha / self.K))
 
 
 def certify(sols: list[QuasiExactSolution]) -> list[float]:
@@ -79,16 +67,19 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     r4 the largest |turning point| of the branch.
 
     One stacked ``model.largest_root_moduli`` solve gives every z_hi and one
-    ``heun.recurrence_rows`` call every branch's rows, c = 2(n+l+1)+1 counted exactly. Row j
-    is scaled once, in logs, by z_hi^j over the geometric mean of the largest T_j z^j at the
-    top and the bottom sample, so each branch's 50 ``heun.ode_residual`` calls take the
-    powers of t = z / z_hi <= 1 from one (50, n + 2) table the family shares, no power can
-    overflow, and every sample's sums stay within range while n log 50 < 1400 (n < 360).
-    RuntimeError naming the first branch with rows not finite."""
-    first = sols[0]  # the family's n, l, alpha and k
+    ``heun.recurrence_rows`` call every branch's rows. Their Heun parameters take c =
+    2(n+l+1)+1 exactly, not 2 eps/K^2 + b^2/4 from the rounded energy, whose cancellation
+    against b^2/4 loses c's digits at large b. Row j is scaled once, in logs, by z_hi^j over
+    the geometric mean of the largest T_j z^j at the top and the bottom sample, so each
+    branch's 50 ``heun.ode_residual`` calls take the powers of t = z / z_hi <= 1 from one
+    (50, n + 2) table the family shares, no power can overflow, and every sample's sums stay
+    within range while n log 50 < 1400 (n < 360). RuntimeError naming the first branch with
+    rows not finite."""
+    n, l, alpha, K = sols[0].n, sols[0].l, sols[0].alpha, sols[0].K  # the family's
     z_hi = 2.0 * np.maximum(largest_root_moduli([s.system() for s in sols],
                                                 [s.epsilon for s in sols]), 1.0)
-    hp = replace(first.heun_parameters(), b=np.array([[s.b_root] for s in sols]))
+    hp = HeunParameters(2.0 * l + 1.0, np.array([[s.b_root] for s in sols]),
+                        2.0 * (n + l + 1) + 1.0, -2.0 * (alpha / K))
     with np.errstate(all="ignore"):  # a row that is not finite is refused below
         rows = recurrence_rows(hp, np.array([s.heun_coefficients for s in sols]), hp.c)
         j = np.arange(rows.shape[-1])
@@ -135,9 +126,10 @@ def solve_family(n: int, l: int, alpha: float, k: float) -> list[QuasiExactSolut
     they reach the bound, which ``oracle.confirm`` checks independently by
     finding the energy at exactly that level.
     """
-    K = PhysicalSystem(alpha, 0.0, k, l).K  # checks alpha, k and l
+    sys = PhysicalSystem(alpha, 0.0, k, l)  # checks alpha, k and l
     if not (n >= 0 and float(n).is_integer()):
         raise ValueError(f"n must be non-negative and an integer (got {n})")
+    n, l, K = int(n), sys.l, sys.K
     aK = alpha / K
     if not np.isfinite(aK):
         raise OverflowError(f"alpha/K = {alpha}/{K} overflows a double")

@@ -601,6 +601,7 @@ class TestConfigHandling:
             (["spectrum", "--verify"], '{"r_min": 0.002, "r_max": 12}'),
             (["turning-points", "--epsilon", "1"],
              '{"tol": 1e-300, "r_max": 12, "grid_points": 100, "verify": true, "branch": 7}'),
+            (["spectrum"], "[1, 2]"),
         ],
     )
     def test_rejects_invalid_input(self, capsys, tmp_path, argv, config):

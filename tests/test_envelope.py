@@ -15,7 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from biheun.oracle import confirm  # noqa: E402
-from biheun.quantize import solve_family  # noqa: E402
+from biheun.quantize import certify, solve_family  # noqa: E402
 from perfbench import reference  # noqa: E402
 
 
@@ -32,10 +32,10 @@ def _check_family(n, l, alpha, k):
     sols = solve_family(n, l, alpha, k)
     b_ref = reference.b_roots(n, l, alpha, k)
     assert len(sols) == len(b_ref) == n + 1
-    for branch, (sol, b) in enumerate(zip(sols, b_ref)):
+    for branch, (sol, b, ode_residual) in enumerate(zip(sols, b_ref, certify(sols))):
         assert _rel(sol.b_root, b) <= 1e-13
         assert _rel(sol.epsilon, reference.energy(n, l, k, b)) <= 1e-13
-        assert sol.ode_residual <= 1e-12
+        assert ode_residual <= 1e-12
         assert sol.level == n - branch
         assert _sign_changes(sol.heun_coefficients) == sol.level
         assert confirm(sol.system(), sol.epsilon, sol.level).passed

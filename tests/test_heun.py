@@ -14,13 +14,19 @@ from biheun.heun import (
     to_heun_params,
 )
 from biheun.model import PhysicalSystem
-from biheun.quantize import solve_family
+from biheun.quantize import certify, solve_family
 from biheun.verify import power_matching_coefficients
 
 
 def _tail(cs, n):
     """Largest |c_j| past degree n relative to the largest |c_j| up to it."""
     return np.max(np.abs(cs[n + 1 :])) / np.max(np.abs(cs[: n + 1]))
+
+
+def _manifold_parameters(sol):
+    """(a, b, c, d) of a solution with c = 2(n+l+1)+1 exact, as ``certify`` forms them."""
+    return HeunParameters(2.0 * sol.l + 1.0, sol.b_root, 2.0 * (sol.n + sol.l + 1) + 1.0,
+                          -2.0 * (sol.alpha / sol.K))
 
 
 class TestParameterMap:
@@ -81,7 +87,7 @@ class TestRecurrenceFactors:
         assert cs[1] == 0.5
         assert cs[2] == pytest.approx(1.0 / 6.0, rel=1e-15)
 
-    def test_rejects_n_zero(self):
+    def test_accepts_zero_rejects_negative(self):
         # the recurrence starts at j = 1: zero steps leave c_0 alone, fewer fail
         hp = HeunParameters(a=1.0, b=0.0, c=0.0, d=0.0)
         assert coefficient_sequence(hp, 0).tolist() == [1.0]
@@ -134,7 +140,7 @@ class TestCoefficientSequence:
         for n in (1, 4, 12, 13, 20):
             for l, alpha, k in ((0, 0.0, 1.0), (1, 2.5, 0.3)):
                 for sol in solve_family(n, l, alpha, k):
-                    cs = coefficient_sequence(sol.heun_parameters(), n + 8)
+                    cs = coefficient_sequence(_manifold_parameters(sol), n + 8)
                     assert _tail(cs, n) <= 1e-15
 
     def test_entire_function_tail_decay(self):
@@ -192,7 +198,7 @@ class TestRecurrenceRows:
     def test_termination_rows_vanish(self):
         # the solver's H zeroes every row up to rounding, the last two included
         for sol in solve_family(5, 1, 1.0, 1.0):
-            hp = sol.heun_parameters()
+            hp = _manifold_parameters(sol)
             defect, size = recurrence_rows(hp, sol.heun_coefficients, hp.c)
             assert len(defect) == 7
             assert np.max(np.abs(defect)) <= 1e-15 * np.max(size)
@@ -238,17 +244,17 @@ class TestOdeResidual:
         sol = solve_family(2, 0, 1.0, 1.0)[1]
         bad = replace(sol, heun_coefficients=np.array([1.0, np.inf, 2.0]))
         with np.errstate(all=errors), pytest.raises(RuntimeError, match="not finite"):
-            bad.ode_residual
+            certify([bad])
 
     def test_infinite_coefficient_raises_without_warning(self):
         # under numpy's default error state, which the suite turns into errors
         sol = solve_family(2, 0, 1.0, 1.0)[1]
         bad = replace(sol, heun_coefficients=np.array([1.0, np.inf, 2.0]))
         with pytest.raises(RuntimeError, match=r"\(n=2, l=0, branch=1\): recurrence rows"):
-            bad.ode_residual
+            certify([bad])
 
 
-def _uncached_residual(rows, z):
+def _fresh_residual(rows, z):
     # the residual with z^j formed afresh; one (2, m) product, as ode_residual takes
     # it (a separate R @ z^j and T @ z^j sum in another order and can round apart)
     defect, size = (rows @ _powers(z, rows)).tolist()
@@ -261,12 +267,12 @@ _rows = st.integers(1, 40).flatmap(lambda m: st.tuples(
 )).map(lambda rt: np.array([rt[0], np.abs(rt[0]) + np.array(rt[1])]))
 
 
-class TestCachedPowers:
+class TestTablePowers:
     # the powers z^j that a family's table holds for all of its branches
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(rows=_rows, z=st.floats(0.0, 1.0, exclude_min=True))
-    def test_equals_the_uncached_residual(self, rows, z):
+    def test_equals_the_fresh_residual(self, rows, z):
         # the powers as the certificate passes them: a row of a table built in one
         # call, a view past the table's start
         table = np.array([[0.5], [z]]) ** np.arange(float(rows.shape[1]))
-        assert ode_residual(rows, table[1]) == _uncached_residual(rows, z)
+        assert ode_residual(rows, table[1]) == _fresh_residual(rows, z)

@@ -64,6 +64,13 @@ class TestPhysicalSystem:
         with pytest.raises(OverflowError, match=rf"^{name} must be finite \(got (nan|inf)\)$"):
             PhysicalSystem(**kwargs)
 
+    @pytest.mark.parametrize("l", [math.nan, math.inf])
+    def test_l_that_is_not_finite_is_not_an_integer(self, l):
+        # int(l) raised "cannot convert float NaN to integer" and an OverflowError
+        message = r"^l must be a non-negative integer \(got (nan|inf)\)$"
+        with pytest.raises(ValueError, match=message):
+            PhysicalSystem(1.0, 0.0, 1.0, l)
+
 
 class TestTurningPoints:
     def test_out_of_range_overflows(self):

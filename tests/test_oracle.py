@@ -41,6 +41,14 @@ class TestRadialGrid:
         assert grid.nodes()[-1] == pytest.approx(10.0, rel=1e-15)
         assert np.allclose(grid.nodes(), 10.0 / x[-1] * x, rtol=1e-12, atol=0)
 
+    def test_points_must_be_an_integer(self):
+        # 40.5 was accepted and failed with a TypeError in _mesh on first use
+        with pytest.raises(ValueError, match=r"points must be an integer in .* \(got 40\.5\)"):
+            RadialGrid(12.0, 40.5)
+        grid = RadialGrid(12.0, 40.0)
+        assert type(grid.points) is int and grid.points == 40
+        assert len(grid.nodes()) == 40
+
     def test_auto_covers_gaussian_tail(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
         grid = RadialGrid.auto(sys)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biheun.heun import recurrence_rows
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import _SAMPLES, _assemble_solution, certify, solve_family, wavefunction
 from biheun.verify import (
@@ -61,7 +62,8 @@ class TestConstraintPolynomial:
         n, l, aK = 3, 1, 1.0
         a = 2.0 * l + 1.0
         c = 2.0 * (n + l + 1) + 1.0
-        for sol in solve_family(n, l, aK, 1.0):
+        sols = solve_family(n, l, aK, 1.0)
+        for sol, ode_residual in zip(sols, certify(sols)):
             b = sol.b_root
             D = -b * (l + 1.0) + aK
             cs = np.zeros(n + 1)
@@ -73,7 +75,7 @@ class TestConstraintPolynomial:
                 )
             assert np.allclose(sol.heun_coefficients, cs, rtol=1e-12, atol=1e-14)
             assert abs(-2.0 * cs[n - 1] + (n * b - D) * cs[n]) < 1e-12
-            assert sol.ode_residual < 1e-14
+            assert ode_residual < 1e-14
 
     def test_n2_roots_terminate(self):
         for l, alpha, k in ((0, 1.0, 1.0), (1, 2.5, 0.3)):
@@ -83,7 +85,7 @@ class TestConstraintPolynomial:
                 assert termination_residual(sol) <= TERMINATION_RTOL
 
 
-class TestSolveBRoots:
+class TestBRoots:
     """Roots b of the termination constraint, from solve_family."""
 
     def test_linear_root(self):
@@ -139,7 +141,7 @@ class TestClosedForms:
             assert [s.level for s in closed] == [1, 0]
             for got, ref in zip(closed, solve_family(1, l, alpha, K**4)):
                 assert np.allclose(got.heun_coefficients, ref.heun_coefficients, rtol=1e-12)
-                assert got.ode_residual < 1e-14
+            assert max(certify(closed)) < 1e-14
 
 
 class TestSolveFamily:
@@ -197,11 +199,17 @@ class TestSolveFamily:
             off = dataclasses.replace(sol, epsilon=sol.epsilon * (1 + 1e-6))
             assert termination_residual(off) > TERMINATION_RTOL
 
-    def test_manifold_parameters_at_large_b(self):
+    def test_manifold_parameters_at_large_b(self, monkeypatch):
         # c = 2 eps/K^2 + b^2/4 from the rounded energy reads 4.992 here, not 5
-        for sol in solve_family(1, 0, 1e6, 1e-6):
-            assert sol.heun_parameters().c == 5.0
-            assert sol.ode_residual <= 1e-12
+        seen = []
+
+        def rows(hp, *args):
+            seen.append(hp)
+            return recurrence_rows(hp, *args)
+
+        monkeypatch.setattr("biheun.quantize.recurrence_rows", rows)
+        assert max(certify(solve_family(1, 0, 1e6, 1e-6))) <= 1e-12
+        assert [hp.c for hp in seen] == [5.0]
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -221,6 +229,12 @@ class TestSolveFamily:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigensolve)
         with pytest.raises(ValueError, match=match):
             solve_family(n, l, alpha, 1.0)
+
+    def test_integral_float_n_is_stored_as_int(self):
+        # n = 2.0 gave float n and level, which confirm refused with a TypeError
+        for s in solve_family(2.0, 0, 1.0, 1.0):
+            assert type(s.n) is int and type(s.level) is int
+            assert confirm(s.system(), s.epsilon, s.level).passed
 
     def test_rejects_non_finite_k(self):
         # k = inf returned one solution with eps = NaN; k = NaN was reported as
@@ -251,26 +265,24 @@ class TestSolveFamily:
             assert np.all(np.isfinite(c)) and c[0] == 1.0
             signs = np.sign(c[c != 0])
             assert np.sum(signs[1:] != signs[:-1]) == sol.level
-            assert sol.ode_residual <= 1e-12
+        assert max(certify(sols)) <= 1e-12
 
 
 class TestCertificateCost:
-    """The ODE-residual certificate costs nothing until a caller reads it."""
+    """The ODE-residual certificate costs nothing until a caller asks ``certify`` for it."""
 
     def test_computed_on_first_read_only(self, ode_residual_calls):
         sols = solve_family(8, 1, 1.0, 1.0)
         assert ode_residual_calls[0] == 0
-        first = sols[3].ode_residual
-        assert ode_residual_calls[0] == 50
-        assert sols[3].ode_residual == first
+        certify([sols[3]])
         assert ode_residual_calls[0] == 50
 
     def test_overflowing_terms_certify_without_raising(self):
         # alpha/K ~ 3.8e9: branch 0's terms c_j z^j reach 1e310 at the top
         # sample, which overflowed; the rows, scaled once, read at rounding level
-        sols = solve_family(20, 0, 1.2e8, 1e-6)
-        assert sols[10].ode_residual <= 1e-12
-        assert sols[0].ode_residual <= 1e-12
+        certificates = certify(solve_family(20, 0, 1.2e8, 1e-6))
+        assert certificates[10] <= 1e-12
+        assert certificates[0] <= 1e-12
 
 
 def _bytes(figures) -> bytes:
@@ -289,18 +301,17 @@ class TestFamilyCertificate:
             sols = solve_family(n, l, alpha, k)
             family = certify(sols)
             assert _bytes(family) == _bytes([certify([sol])[0] for sol in sols]), (n, l, alpha)
-            assert _bytes(family) == _bytes([sol.ode_residual for sol in sols]), (n, l, alpha)
             assert max(family) <= 1e-12
 
     def test_replaced_solution_certifies_its_own_h(self):
         sols = solve_family(8, 1, 1.0, 1.0)
         family = certify(sols)
-        assert sols[3].ode_residual == family[3]  # cached on the instance
         c = sols[3].heun_coefficients.copy()
         c[4] *= 1 + 1e-6
         bent = dataclasses.replace(sols[3], heun_coefficients=c)
-        assert bent.ode_residual == certify([bent])[0] > 1e-9
-        assert certify([*sols[:3], bent, *sols[4:]])[3] == bent.ode_residual
+        alone = certify([bent])[0]
+        assert alone > 1e-9
+        assert certify([*sols[:3], bent, *sols[4:]])[3] == alone
         assert certify(sols) == family  # the family is untouched
 
     def test_rows_not_finite_are_refused_for_their_branch_only(self):
@@ -312,9 +323,9 @@ class TestFamilyCertificate:
         with pytest.raises(RuntimeError, match=message):
             certify([*sols[:6], bad, *sols[7:]])
         with pytest.raises(RuntimeError, match=message):
-            bad.ode_residual
+            certify([bad])
         # its siblings, alone or as a family, do not read the bad branch
-        assert max(sol.ode_residual for sol in sols[:6] + sols[7:]) <= 1e-12
+        assert max(certify([sol])[0] for sol in sols[:6] + sols[7:]) <= 1e-12
         assert max(certify(sols[:6] + sols[7:])) <= 1e-12
 
     def test_power_table_rows_are_the_fresh_powers(self, monkeypatch):
@@ -376,10 +387,12 @@ class TestOdeResidual:
         # H off by 1e-8 of max|c_j|: the failure mode of an eigenvector's
         # small components holding only rounding
         rng = np.random.default_rng(n)
+        bent = []
         for sol in solve_family(n, l, alpha, k):
             c = sol.heun_coefficients
             bad = c + 1e-8 * np.max(np.abs(c)) * rng.choice([-1.0, 1.0], size=c.size)
-            assert dataclasses.replace(sol, heun_coefficients=bad).ode_residual > 1e-9
+            bent.append(dataclasses.replace(sol, heun_coefficients=bad))
+        assert min(certify(bent)) > 1e-9
 
     @pytest.mark.parametrize(
         "n, l, alpha, k",
@@ -389,9 +402,9 @@ class TestOdeResidual:
     def test_flags_b_off_by_1e_6(self, n, l, alpha, k):
         # H and c kept, b moved: the rows no longer vanish, also at large b,
         # where counting c as b^2/2 would drown the defect
-        for sol in solve_family(n, l, alpha, k):
-            off = dataclasses.replace(sol, b_root=sol.b_root * (1 + 1e-6))
-            assert off.ode_residual >= 1e-8
+        off = [dataclasses.replace(sol, b_root=sol.b_root * (1 + 1e-6))
+               for sol in solve_family(n, l, alpha, k)]
+        assert min(certify(off)) >= 1e-8
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -404,10 +417,11 @@ class TestOdeResidual:
         # z = K r: the state at (alpha, k) is its twin at (alpha/K, 1) in z, with
         # the same b and H, eps = K^2 eps' and the same certificate
         K = k ** 0.25
-        for sol, twin in zip(solve_family(n, l, alpha, k), solve_family(n, l, alpha / K, 1.0)):
+        sols, twins = solve_family(n, l, alpha, k), solve_family(n, l, alpha / K, 1.0)
+        for sol, twin in zip(sols, twins):
             assert sol.b_root == twin.b_root
             assert sol.epsilon == pytest.approx(K * K * twin.epsilon, rel=1e-13, abs=0)
-            assert sol.ode_residual == pytest.approx(twin.ode_residual, rel=1e-13, abs=0)
+        assert certify(sols) == pytest.approx(certify(twins), rel=1e-13, abs=0)
 
 
 class TestWavefunction:

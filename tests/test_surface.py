@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -8,9 +9,9 @@ import pytest
 import biheun
 
 PUBLIC = {
-    "HeunParameters", "PhysicalSystem", "QuasiExactSolution", "RadialGrid",
-    "TurningPointSet", "confirm", "fd_eigensolve", "node_count", "run_acceptance",
-    "solve_family", "turning_points", "wavefunction",
+    "PhysicalSystem", "QuasiExactSolution", "RadialGrid", "TurningPointSet", "confirm",
+    "fd_eigensolve", "node_count", "run_acceptance", "solve_family", "turning_points",
+    "wavefunction",
 }
 
 
@@ -25,7 +26,8 @@ def test_all_is_the_public_surface():
 @pytest.mark.parametrize(
     "name",
     ["closed_form_n0", "closed_form_n1", "coefficient_sequence", "ode_residual",
-     "recurrence_rows", "to_heun_params", "EigenSolveResult", "vieta_residuals"],
+     "recurrence_rows", "to_heun_params", "EigenSolveResult", "HeunParameters",
+     "vieta_residuals"],
 )
 def test_internal_names_stay_in_their_modules(name):
     with pytest.raises(ImportError):
@@ -86,12 +88,19 @@ OTHER_CACHES = {"cli.build_parser", "cli._config_keys"}
 
 
 def _caches():
+    # module-level functions with cache_info, and per-instance memos
+    # (functools.cached_property) of the classes a module defines
     found = {}
     for path in Path(biheun.__file__).parent.glob("[!_]*.py"):  # __init__ only re-exports
         module = importlib.import_module(f"biheun.{path.stem}")
         for name, value in vars(module).items():
-            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if hasattr(value, "cache_info"):
                 found[f"{path.stem}.{name}"] = value
+            elif isinstance(value, type):
+                found |= {f"{path.stem}.{name}.{attr}": memo for attr, memo in vars(value).items()
+                          if isinstance(memo, functools.cached_property)}
     return found
 
 
