@@ -8,9 +8,10 @@ For ``spectrum`` the linear coefficient beta is an *output*: polynomial
 solutions exist only where beta = b K^3 for a root b of the termination
 constraint, and each root defines a different potential.
 
-``spectrum --verify`` and ``wavefunction`` check each row with
-``oracle.confirm``, which sizes the Lagrange-Laguerre mesh to the state; its
-gap relative to max(1, |eps|), held to ``oracle.RTOL`` (1e-9), is ``oracle_gap``.
+``spectrum --verify`` checks each (n, l) family with one ``oracle.confirm_all``
+call, timed as one ``oracle`` stage, and ``wavefunction`` its one row; the
+oracle sizes the Lagrange-Laguerre mesh to each state, and its gap relative to
+max(1, |eps|), held to ``oracle.RTOL`` (1e-9), is ``oracle_gap``.
 ``spectrum`` and ``wavefunction`` hold each printed ``ode_residual`` to
 ``quantize.ODE_RTOL`` (1e-9).
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PhysicalSystem, turning_points
-from .oracle import Confirmation, confirm, node_count
+from .oracle import Confirmation, confirm_all, node_count
 from .quantize import ODE_RTOL, QuasiExactSolution, certify, solve_family, wavefunction
 from .verify import run_acceptance
 
@@ -133,17 +134,21 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _confirm(sol: QuasiExactSolution, branch: int, vector: bool = False) -> Confirmation:
-    """Oracle check of one solution at its Sturm level; RuntimeError if refuted."""
-    c = confirm(sol.system(), sol.epsilon, sol.level, vector=vector)
-    if not c.passed:
-        nodes = "" if c.vector is None else f", {node_count(c.vector)} nodes"
-        raise RuntimeError(
-            f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
-            f"l={sol.l}, branch={branch}): level {c.level} reads "
-            f"{c.energy} on the mesh, relative gap {c.gap:.3e}{nodes}"
-        )
-    return c
+def _confirm(sols: list[QuasiExactSolution], first_branch: int = 0,
+             vector: bool = False) -> list[Confirmation]:
+    """Oracle check of each solution at its Sturm level, ``sols[i]`` being branch
+    ``first_branch + i``; RuntimeError naming the first one refuted."""
+    checks = confirm_all([sol.system() for sol in sols], [sol.epsilon for sol in sols],
+                         [sol.level for sol in sols], vector=vector)
+    for branch, (sol, c) in enumerate(zip(sols, checks), start=first_branch):
+        if not c.passed:
+            nodes = "" if c.vector is None else f", {node_count(c.vector)} nodes"
+            raise RuntimeError(
+                f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
+                f"l={sol.l}, branch={branch}): level {c.level} reads "
+                f"{c.energy} on the mesh, relative gap {c.gap:.3e}{nodes}"
+            )
+    return checks
 
 
 def _check_certificate(n: int, l: int, branch: int, ode_residual: float) -> None:
@@ -177,13 +182,15 @@ def cmd_spectrum(config: RunConfig) -> int:
             diagnostics["families"] += 1
             with _stage(timings, "certify"):
                 certificates = certify(sols)
-            for branch, (sol, ode_residual) in enumerate(zip(sols, certificates)):
-                diagnostics["solutions"] += 1
-                row = [n, l, branch, sol.b_root, sol.beta, sol.epsilon, ode_residual]
-                if config.verify:
-                    with _stage(timings, "oracle"):
-                        row.append(_confirm(sol, branch).gap)
-                rows.append(row)
+            family = [[n, l, branch, sol.b_root, sol.beta, sol.epsilon, ode_residual]
+                      for branch, (sol, ode_residual) in enumerate(zip(sols, certificates))]
+            diagnostics["solutions"] += len(family)
+            if config.verify:
+                with _stage(timings, "oracle"):
+                    checks = _confirm(sols)
+                for row, c in zip(family, checks):
+                    row.append(c.gap)
+            rows += family
     worst = rows[int(np.argmax([row[6] for row in rows]))]  # a NaN is the worst
     _check_certificate(*worst[:3], worst[6])
     diagnostics["max_ode_residual"] = worst[6]
@@ -205,7 +212,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
     where = f"(n={n}, l={l}, branch={config.branch})"
 
     with _stage(timings, "oracle"):
-        c = _confirm(sol, config.branch, vector=True)
+        c = _confirm([sol], config.branch, vector=True)[0]
     # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
     # the oracle vector already is
     with _stage(timings, "curves"):

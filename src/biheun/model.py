@@ -85,22 +85,30 @@ def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> list[float]:
     return coeffs
 
 
-def largest_root_moduli(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray:
-    """The largest |z| of the turning-point quartic in z = K r of each (system, epsilon)
-    pair: one stacked eigensolve of the companion matrices of ``_quartic_coeffs``. Trailing
-    zero coefficients are not deflated, as a zero root is never the largest."""
+def quartic_roots(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray:
+    """The four roots z = K r of the turning-point quartic of each (system, epsilon) pair,
+    shape (len(systems), 4), unordered: one stacked eigensolve of the companion matrices of
+    ``_quartic_coeffs``, the matrix ``np.roots`` builds. Trailing zero coefficients (l = 0,
+    and alpha = 0 with it) are not deflated: LAPACK's balancing isolates each such root as
+    an exact 0, and the others can sit a few ulps from ``np.roots``' deflated solve."""
     c = np.array([_quartic_coeffs(*pair) for pair in zip(systems, eps)])
     companion = np.zeros((len(c), 16))  # flat: ones on the sub-diagonal, -c/c_0 = c on top
     companion[:, 4::5] = 1.0
     companion[:, :4] = c[:, 1:]
-    return np.abs(np.linalg.eigvals(companion.reshape(-1, 4, 4))).max(axis=1)
+    return np.linalg.eigvals(companion.reshape(-1, 4, 4))
+
+
+def largest_root_moduli(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray:
+    """The largest |z| of the turning-point quartic in z = K r of each (system, epsilon)
+    pair, from one ``quartic_roots`` solve."""
+    return np.abs(quartic_roots(systems, eps)).max(axis=1)
 
 
 def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """All four roots of the turning-point quartic, classified and ordered.
 
     One backward-stable eigensolve of the companion matrix of the quartic in
-    z = K r (``np.roots``); when the two smallest |z| lie below 1e-4 of the
+    z = K r (``quartic_roots``); when the two smallest |z| lie below 1e-4 of the
     third, their product and sum are recomputed as e4/(z3 z4) and
     (e3 - z1 z2 (z3 + z4))/(z3 z4) and the quadratic is solved in its stable
     form. Then r = z/K; a root is classified real when
@@ -109,10 +117,10 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """
     K = sys.K
     coeffs = _quartic_coeffs(sys, epsilon)
-    zs = sorted(np.roots(coeffs).tolist(), key=abs)
+    zs = sorted(quartic_roots([sys], [epsilon])[0].tolist(), key=abs)
     big = zs[2] * zs[3]
     if abs(zs[1]) < 1e-4 * abs(zs[2]) and 0 < abs(big) < math.inf:
-        # np.roots holds a small root only to about u max|coeff|: take the small
+        # the eigensolve holds a small root only to about u max|coeff|: take the small
         # pair from the large one through Vieta's e3 = alpha/K and e4 = l(l+1)
         p = -coeffs[4] / big
         s = (coeffs[3] - p * (zs[2] + zs[3])) / big
@@ -141,7 +149,7 @@ def vieta_residuals(
     roots: tuple[complex, ...], sys: PhysicalSystem, epsilon: float
 ) -> tuple[float, float, float, float]:
     """Absolute defects of the four Vieta identities at z = K r of the monic quartic
-    z^4 + b z^3 - (2 eps/K^2) z^2 - (alpha/K) z + l(l+1) that ``np.roots`` solves."""
+    z^4 + b z^3 - (2 eps/K^2) z^2 - (alpha/K) z + l(l+1) that ``quartic_roots`` solves."""
     _, c1, c2, c3, c4 = _quartic_coeffs(sys, epsilon)  # the negated monic quartic
     K = sys.K
     z1, z2, z3, z4 = [K * r for r in roots]

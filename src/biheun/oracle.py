@@ -6,18 +6,25 @@ nodes r_i = h x_i at the zeros x_i of L_N, the basis's exact kinetic matrix,
 the potential diagonal at the nodes, and eps = lambda/2 for each eigenvalue
 lambda of one dense symmetric eigensolve at the requested levels.
 
+``confirm_all`` checks a batch of states, such as the branches of one (n, l)
+family: one stacked ``quartic_roots`` solve and a scalar tail search per state
+size every mesh, and the states' H, grouped by mesh size, are solved as
+(g, N, N) stacks of at most one 600-point matrix's bytes, one ``eigvalsh``
+each. ``confirm`` and ``RadialGrid.auto`` are its batch of one.
+
 This module never touches the Heun machinery; it exists to confirm (or
 refute) quasi-exact energies and wavefunctions independently.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalSystem, turning_points
+from .model import QUARTIC_IMAG_TOL, PhysicalSystem, quartic_roots
 
 RTOL = 1e-9  # confirm's bound on the energy gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
@@ -57,7 +64,7 @@ def _kinetic(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         num_ij = (-1)^(i-j) (x_i + x_j),   den_ij = sqrt(x_i x_j) (x_i - x_j)^2,
         t_num_i = 4 + (4N + 2) x_i - x_i^2,   t_den_i = 12 x_i^2,
 
-    whose diagonals ``fd_eigensolve`` overwrites with T_ii + V_ii."""
+    whose diagonals ``_hamiltonians`` overwrites with T_ii + V_ii."""
     x, _ = _mesh(points)
     num = x[:, None] + x
     num[1::2, ::2] *= -1.0  # (-1)^(i-j): every entry with i + j odd
@@ -100,17 +107,34 @@ class RadialGrid:
 
     @classmethod
     def auto(cls, sys: PhysicalSystem, epsilon_hint: float | None = None) -> "RadialGrid":
-        """Mesh sized to the state at energy epsilon_hint (default K^2 (l + 3/2)).
+        """Mesh sized to the state at energy epsilon_hint (default K^2 (l + 3/2)), as
+        ``_auto_grids`` sizes each mesh of a batch."""
+        eps = sys.k**0.5 * (sys.l + 1.5) if epsilon_hint is None else epsilon_hint
+        return _auto_grids([sys], [eps])[0]
 
-        r_edge covers 1.5x the outer turning point and the radius where
-        f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2
-        (n + l + 1 on the manifold), falls 1e-12 below its peak. N = 40 + 3n + l,
-        up to _LARGEST_MESH, for n = ceil(p - l - 1) >= 0, the degree of H:
-        f's r^(l+1) factor needs the + l (at 40 + 3n, l = 20 shows false nodes)."""
+
+def _auto_grids(systems: list[PhysicalSystem], epsilons: list[float]) -> list[RadialGrid]:
+    """One mesh per (system, epsilon) state, sized to it, from one stacked
+    ``quartic_roots`` solve and a scalar tail search per state.
+
+    r_edge covers 1.5x the outer turning point (the largest real root r = z/K, classified
+    as ``turning_points`` classifies it) and the radius where
+    f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2 (n + l + 1 on the
+    manifold), falls 1e-12 below its peak. N = 40 + 3n + l, up to _LARGEST_MESH, for
+    n = ceil(p - l - 1) >= 0, the degree of H: f's r^(l+1) factor needs the + l (at
+    40 + 3n, l = 20 shows false nodes). OverflowError when a root overflows in r."""
+    grids = []
+    for sys, eps, zs in zip(systems, epsilons, quartic_roots(systems, epsilons).tolist()):
+        K, r_outer = sys.K, 0.0  # a negative outer turning point never sets the edge
+        for z in zs:
+            root = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
+            if not cmath.isfinite(root):
+                raise OverflowError(f"turning point out of range: {z} / K = {root}")
+            if abs(root.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(root.real)):
+                r_outer = max(r_outer, root.real)
         K2 = sys.k**0.5
-        eps = K2 * (sys.l + 1.5) if epsilon_hint is None else epsilon_hint
         # b^2/8 as (beta/K^3)^2/8, not beta^2/(8 K2^3): K2^3 underflows to 0 for k < ~1e-216
-        p = max(eps / K2 + (sys.beta / sys.K**3) ** 2 / 8.0 - 0.5, 1.0)
+        p = max(eps / K2 + (sys.beta / K**3) ** 2 / 8.0 - 0.5, 1.0)
         s = sys.beta / (2.0 * K2)
         q = np.sqrt(s * s + 4.0 * K2 * p)  # the peak without cancellation in q - s
         r_peak = 2.0 * p / (q + s) if s > 0 else (q - s) / (2.0 * K2)
@@ -126,11 +150,11 @@ class RadialGrid:
                 if not r - step > r_peak:
                     break
                 r -= step
-        r_outer = max(turning_points(sys, eps).real_roots, default=0.0)
         r_edge = max(1.5 * r_outer, float(r))
         # 1e-6 absorbs the rounding of p, so that n is the same for K-scaled systems
         n = max(0.0, np.ceil(p - sys.l - 1 - 1e-6))
-        return cls(r_edge, int(min(40 + 3 * n + sys.l, _LARGEST_MESH)))
+        grids.append(RadialGrid(r_edge, int(min(40 + 3 * n + sys.l, _LARGEST_MESH))))
+    return grids
 
 
 @dataclass(frozen=True)
@@ -164,30 +188,48 @@ def fd_eigensolve(
     """Eigenvalues at ``levels`` (consecutive, ascending) of the radial problem
     on the mesh ``grid``, plus their eigenvectors when ``vectors`` is true.
 
-    H is the kinetic matrix of ``_kinetic(grid.points)``, cached per size, divided by
-    h^2 with the rounding of its direct assembly, plus the potential at the nodes; a
-    cache hit and a miss give the same H, and so the same energies and vectors.
+    H is ``_hamiltonians``' matrix, the one assembly that ``confirm_all``'s stacks
+    also read, so a state gets the same H and energies through either.
 
     The name is from the finite-difference grid the mesh replaced; it stays
     because ``perfbench/tracer.py`` wraps this function by name to attribute
-    the oracle's time and mesh size."""
-    if levels.step != 1 or len(levels) < 1 or levels.start < 0:
-        raise ValueError(f"levels must be a non-empty range from >= 0 (got {levels})")
-    if levels.stop > grid.points - 2:
-        raise ValueError(f"levels {levels} exceed points-2={grid.points - 2}")
-    x, _ = _mesh(grid.points)
-    h = grid.r_edge / x[-1]
-    r = h * x
-    num, den, t_num, t_den = _kinetic(grid.points)
-    H = num / (den * (h * h))
-    v = -sys.alpha / r + sys.beta * r + sys.k * r * r + sys.l * (sys.l + 1) / (r * r)
-    np.fill_diagonal(H, t_num / (t_den * h * h) + v)
+    the oracle's time and mesh size. ``confirm_all`` calls it only for vectors,
+    so the tracer no longer sees a confirmation without one."""
+    _check_levels(levels, grid.points)
+    H = _hamiltonians([sys], [grid.r_edge], grid.points)[0]
     lam = np.linalg.eigvalsh(H)[levels.start:levels.stop]
     if not vectors:
         return EigenSolveResult(energies=lam / 2.0, vectors=None, grid=grid)
     c = np.array([_inverse_iteration(H, shift) for shift in lam])
     # f(r_i) = c_i / sqrt(h lambda_i): sum w f^2 = sum c^2 = 1
     return EigenSolveResult(energies=lam / 2.0, vectors=c / np.sqrt(grid.weights()), grid=grid)
+
+
+def _check_levels(levels: range, points: int) -> None:
+    """ValueError unless ``levels`` is a non-empty range of consecutive levels from 0
+    to at most points - 3."""
+    if levels.step != 1 or len(levels) < 1 or levels.start < 0:
+        raise ValueError(f"levels must be a non-empty range from >= 0 (got {levels})")
+    if levels.stop > points - 2:
+        raise ValueError(f"levels {levels} exceed points-2={points - 2}")
+
+
+def _hamiltonians(systems: list[PhysicalSystem], r_edges: list[float], points: int) -> np.ndarray:
+    """The stack of H, shape (len(systems), N, N) with N = points, of ``systems[i]`` on
+    the mesh of edge ``r_edges[i]``: the kinetic matrix of ``_kinetic(points)``, cached
+    per size, divided by h^2 with the rounding of its direct assembly, plus the
+    potential at the nodes; a cache hit and a miss give the same H."""
+    x, _ = _mesh(points)
+    h = np.array(r_edges, dtype=float)[:, None] / x[-1]
+    r = h * x
+    num, den, t_num, t_den = _kinetic(points)
+    H = den * (h * h)[:, :, None]
+    np.divide(num, H, out=H)
+    alpha, beta, k, ll = np.array(
+        [(s.alpha, s.beta, s.k, s.l * (s.l + 1)) for s in systems], dtype=float).T[:, :, None]
+    v = -alpha / r + beta * r + k * r * r + ll / (r * r)
+    H.reshape(len(H), -1)[:, ::points + 1] = t_num / (t_den * h * h) + v
+    return H
 
 
 def _inverse_iteration(H: np.ndarray, shift: float) -> np.ndarray:
@@ -217,19 +259,64 @@ def _inverse_iteration(H: np.ndarray, shift: float) -> np.ndarray:
 def confirm(
     sys: PhysicalSystem, epsilon: float, level: int, vector: bool = False
 ) -> Confirmation:
-    """Check epsilon against the oracle eigenvalue at index ``level``.
+    """Check epsilon against the oracle eigenvalue at index ``level``: ``confirm_all``
+    of the one state."""
+    return confirm_all([sys], [epsilon], [level], vector)[0]
+
+
+def confirm_all(
+    systems: list[PhysicalSystem], epsilons: list[float], levels: list[int],
+    vector: bool = False,
+) -> list[Confirmation]:
+    """Check each epsilon against the oracle eigenvalue at index ``levels[i]`` of its
+    system, in order.
 
     By Sturm oscillation a bound state with m nodes is level m of its potential,
     so the caller passes the node count of its own solution and the oracle computes
-    that one eigenvalue on ``RadialGrid.auto(sys, epsilon)``. Passes when the gap
-    is within RTOL and a requested ``vector`` has ``level`` nodes."""
-    grid = RadialGrid.auto(sys, epsilon)
-    res = fd_eigensolve(sys, grid, range(level, level + 1), vectors=vector)
-    energy = float(res.energies[0])
-    gap = abs(energy - epsilon) / max(1.0, abs(epsilon))
-    f = res.vectors[0] if vector else None
-    passed = gap <= RTOL and (f is None or node_count(f) == level)
-    return Confirmation(grid, level, energy, gap, passed, f)
+    that one eigenvalue on the mesh ``_auto_grids`` sizes to the state (what
+    ``RadialGrid.auto(sys, epsilon)`` gives). Without vectors the states are grouped
+    by mesh size, and each group's H are solved as (g, N, N) stacks, one
+    ``np.linalg.eigvalsh`` each, of at most one _LARGEST_MESH-point matrix's bytes; a
+    requested ``vector`` comes from ``fd_eigensolve``'s inverse iteration per state.
+    A state passes when its gap is within RTOL and a requested vector has
+    ``levels[i]`` nodes."""
+    grids = _auto_grids(systems, epsilons)
+    if vector:
+        solved = [fd_eigensolve(sys, grid, range(level, level + 1), vectors=True)
+                  for sys, grid, level in zip(systems, grids, levels)]
+        energies = [float(res.energies[0]) for res in solved]
+        vectors = [res.vectors[0] for res in solved]
+    else:
+        energies = _level_energies(systems, grids, levels)
+        vectors = [None] * len(grids)
+    confirmations = []
+    for grid, level, epsilon, energy, f in zip(grids, levels, epsilons, energies, vectors):
+        gap = abs(energy - epsilon) / max(1.0, abs(epsilon))
+        passed = gap <= RTOL and (f is None or node_count(f) == level)
+        confirmations.append(Confirmation(grid, level, energy, gap, passed, f))
+    return confirmations
+
+
+def _level_energies(
+    systems: list[PhysicalSystem], grids: list[RadialGrid], levels: list[int]
+) -> list[float]:
+    """Energy of level ``levels[i]`` of each system on ``grids[i]``: one eigvalsh per
+    stack of H of one size, each stack capped at _LARGEST_MESH^2 doubles (2.9 MB)."""
+    by_size: dict[int, list[int]] = {}
+    for i, (grid, level) in enumerate(zip(grids, levels)):
+        _check_levels(range(level, level + 1), grid.points)
+        by_size.setdefault(grid.points, []).append(i)
+    energies = [0.0] * len(grids)
+    for points, members in by_size.items():
+        per_stack = _LARGEST_MESH**2 // points**2
+        for start in range(0, len(members), per_stack):
+            stack = members[start:start + per_stack]
+            # the stack is not kept: it is freed before the next one is built
+            lams = np.linalg.eigvalsh(_hamiltonians(
+                [systems[i] for i in stack], [grids[i].r_edge for i in stack], points))
+            for i, lam in zip(stack, lams):
+                energies[i] = float(lam[levels[i]] / 2.0)
+    return energies
 
 
 def node_count(vector: np.ndarray) -> int:

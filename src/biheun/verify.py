@@ -19,7 +19,7 @@ import numpy as np
 
 from .heun import HeunParameters, coefficient_sequence, recurrence_rows, to_heun_params
 from .model import PhysicalSystem, turning_points
-from .oracle import RTOL, RadialGrid, confirm, fd_eigensolve
+from .oracle import RTOL, Confirmation, RadialGrid, confirm_all, fd_eigensolve
 from .quantize import ODE_RTOL, QuasiExactSolution, _assemble_solution, certify, solve_family
 
 # Largest termination_residual a solution on the manifold may show.
@@ -116,6 +116,13 @@ def termination_residual(sol: QuasiExactSolution) -> float:
     return float(np.max(np.abs(defect)) / np.max(size))
 
 
+def _confirm(sols: list[QuasiExactSolution]) -> list[Confirmation]:
+    """The oracle's verdict on each solution at its Sturm level, from one
+    ``confirm_all`` call."""
+    return confirm_all([sol.system() for sol in sols], [sol.epsilon for sol in sols],
+                       [sol.level for sol in sols])
+
+
 def _worst(figures: list[float] | np.ndarray) -> float:
     """The largest figure, NaN if any is NaN (Python's max drops a NaN that
     is not first), so a ``worst <= bound`` verdict fails on it."""
@@ -126,7 +133,7 @@ def criterion_1() -> CriterionResult:
     """n=0 closed form energies appear in the oracle spectrum."""
     t0 = time.perf_counter()
     sols = [closed_form_n0(l, alpha, 1.0) for l in (0, 1, 2, 3) for alpha in (0.5, 1.0, 2.0)]
-    worst = _worst([confirm(sol.system(), sol.epsilon, sol.level).gap for sol in sols])
+    worst = _worst([c.gap for c in _confirm(sols)])
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         1,
@@ -138,18 +145,18 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """n=1 closed form vs the solve_family roots and the oracle."""
-    mismatches, gaps = [], []
+    mismatches, closed = [], []
     for l in (0, 1, 2):
         for alpha in (0.0, 1.0):
             sols = closed_form_n1(l, alpha, 1.0)
             roots = [s.b_root for s in solve_family(1, l, alpha, 1.0)]
-            gaps += [confirm(sol.system(), sol.epsilon, sol.level).gap for sol in sols]
+            closed += sols
             if len(roots) != len(sols):  # a missing root is an infinite mismatch
                 mismatches.append(np.inf)
                 continue
             mismatches += [abs(sol.b_root - root) / max(1.0, abs(root))
                            for sol, root in zip(sols, roots)]
-    worst_root, worst_gap = _worst(mismatches), _worst(gaps)
+    worst_root, worst_gap = _worst(mismatches), _worst([c.gap for c in _confirm(closed)])
     return CriterionResult(
         2,
         f"n=1 closed form vs solve_family roots (1e-12) and oracle ({RTOL:g})",
@@ -165,7 +172,7 @@ def criterion_3() -> CriterionResult:
     sols = [sol for family in families for sol in family]
     worst_term = _worst([termination_residual(sol) for sol in sols])
     worst_ode = _worst([r for family in families for r in certify(family)])
-    worst_gap = _worst([confirm(sol.system(), sol.epsilon, sol.level).gap for sol in sols])
+    worst_gap = _worst([c.gap for c in _confirm(sols)])
     return CriterionResult(
         3,
         f"general n<=8: termination {TERMINATION_RTOL:g}, ODE residual 1e-9, oracle {RTOL:g}",
@@ -199,9 +206,9 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Oscillator limit: eps = 2 n_r + l + 3/2 within 1e-5."""
     # an absolute bound: confirm's gap is relative to max(1, |eps|)
-    levels = [(PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=l), 2.0 * nr + l + 1.5, nr)
-              for l in (0, 1, 2) for nr in range(3)]
-    worst = _worst([abs(confirm(sys, eps, nr).energy - eps) for sys, eps, nr in levels])
+    systems, eps, levels = zip(*[(PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=l),
+                                  2.0 * nr + l + 1.5, nr) for l in (0, 1, 2) for nr in range(3)])
+    worst = _worst([abs(c.energy - e) for c, e in zip(confirm_all(systems, eps, levels), eps)])
     return CriterionResult(
         5, "oscillator limit levels within 1e-5", worst <= 1e-5, f"worst abs error={worst:.2e}"
     )

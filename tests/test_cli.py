@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biheun
+import biheun.oracle
 import biheun.quantize
 import biheun.verify
 from biheun.cli import build_parser, main
@@ -138,6 +139,33 @@ class TestSpectrum:
         assert code == 0
         assert ode_residual_calls[0] == 50 * len(column(out, "ode_residual")) == 50 * 10
         assert turning_point_solves == [1, 2, 3, 4]  # one stacked solve per family
+
+    @pytest.mark.parametrize("n, l", [(0, 0), (6, 2)])
+    def test_verify_makes_one_oracle_pass_per_family(self, capsys, monkeypatch, n, l):
+        # one stacked quartic solve sizes every branch's mesh, and no row makes its
+        # own fd_eigensolve call
+        rows, solves, quartic_roots = [], [], biheun.oracle.quartic_roots
+
+        def counted(systems, eps):
+            rows.append(len(systems))
+            return quartic_roots(systems, eps)
+
+        monkeypatch.setattr(biheun.oracle, "quartic_roots", counted)
+        monkeypatch.setattr(biheun.oracle, "fd_eigensolve", lambda *args: solves.append(args))
+        code, out, _ = run_cli(["spectrum", "--n", str(n), "--l", str(l), "--alpha", "1.3",
+                                "--k", "0.7", "--verify"], capsys)
+        assert code == 0 and len(column(out, "oracle_gap")) == n + 1
+        assert rows == [n + 1] and solves == []
+
+    def test_first_refused_branch_is_named(self, capsys, monkeypatch):
+        # every branch of the family is refuted; the error names the lowest one
+        monkeypatch.setattr(biheun.oracle, "RTOL", 1e-300)
+        code, out, err = run_cli(
+            ["spectrum", "--n", "2", "--alpha", "1", "--k", "1", "--verify"], capsys)
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"solver error: oracle did not confirm epsilon=\S+ for "
+                            r"\(n=2, l=0, branch=0\): level 2 reads \S+ on the mesh, "
+                            r"relative gap \S+\n", err)
 
     def test_certificate_above_bound_is_solver_error(self, capsys):
         # branch 250's ode_residual read 0.22 (56 rows above 1e-12) with exit 0

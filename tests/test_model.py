@@ -13,6 +13,7 @@ from biheun.model import (
     PhysicalSystem,
     _quartic_coeffs,
     largest_root_moduli,
+    quartic_roots,
     turning_points,
     vieta_residuals,
 )
@@ -249,6 +250,29 @@ class TestLargestRootModuli:
         for z4, sys, e in zip(got.tolist(), systems, eps):
             want = max(np.abs(np.roots(_quartic_coeffs(sys, e))), default=0.0)
             assert z4 == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestQuarticRoots:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cases=st.lists(CASES, min_size=1, max_size=6))
+    def test_rows_are_np_roots(self, cases):
+        # the same companion matrix: np.roots' roots to the bit where it deflates
+        # nothing (l > 0); at l = 0 each trailing zero coefficient is an exact 0 root,
+        # and the other roots sit within rounding of np.roots' deflated solve
+        systems = [PhysicalSystem(*case[:4]) for case in cases]
+        eps = [case[4] for case in cases]
+        for zs, sys, e in zip(quartic_roots(systems, eps), systems, eps):
+            want = np.roots(_quartic_coeffs(sys, e))
+            if sys.l > 0:
+                assert zs.tolist() == want.tolist()
+                continue
+            zeros = 2 if sys.alpha == 0 else 1
+            assert np.sum(zs == 0) >= zeros
+            got = sorted(zs.tolist(), key=abs)[zeros:]
+            want = sorted(want.tolist(), key=abs)[-len(got):] if got else []
+            scale = max(map(abs, want), default=0.0)
+            for z in got:
+                assert min(abs(z - w) for w in want) <= 1e-12 * scale
 
 
 class TestVietaResiduals:

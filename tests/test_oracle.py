@@ -13,6 +13,7 @@ from biheun.oracle import (
     RadialGrid,
     _mesh,
     confirm,
+    confirm_all,
     fd_eigensolve,
     node_count,
 )
@@ -94,6 +95,15 @@ class TestRadialGrid:
         sys = sol.system()
         c = confirm(sys, sol.epsilon, sol.level)
         assert c.passed and c.gap <= 1e-9
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_auto_edge_reads_the_outer_turning_point(self, l):
+        # the mesh and turning_points read one quartic_roots solve: where the wall is
+        # the edge, it is 1.5x turning_points' outer root to the bit, at l = 0 too
+        sol = solve_family(32, l, 0.0, 3.0)[0]
+        sys = sol.system()
+        outer = max(turning_points(sys, sol.epsilon).real_roots)
+        assert RadialGrid.auto(sys, sol.epsilon).r_edge == 1.5 * outer
 
     @pytest.mark.parametrize("n, l, alpha, k", [(4, 1, 1.0, 3.0), (12, 0, 20.0, 0.3)])
     def test_auto_is_K_covariant(self, n, l, alpha, k):
@@ -430,6 +440,57 @@ class TestConfirm:
                                          sol.heun_coefficients, sol.level)
                 refuted += not confirm(bad.system(), bad.epsilon, bad.level).passed
         assert refuted == 34
+
+
+def _states(sols):
+    return [s.system() for s in sols], [s.epsilon for s in sols], [s.level for s in sols]
+
+
+class TestConfirmAll:
+    @pytest.mark.parametrize("n, l, alpha, k", [(8, 0, 1.3, 0.8), (12, 3, 0.0, 1.0),
+                                                (25, 0, 1e4, 1.0), (3, 1, 0.0, 1e-300),
+                                                (1, 5, 1e6, 1e-300)])
+    def test_family_equals_one_by_one(self, n, l, alpha, k):
+        # grid, level, energy, gap and passed, in order, bit for bit; at (1, 5, 1e6,
+        # 1e-300) every branch is refuted
+        states = _states(solve_family(n, l, alpha, k))
+        batch = confirm_all(*states)
+        assert batch == [confirm(*state) for state in zip(*states)]
+        assert all(c.vector is None for c in batch)
+
+    def test_stacks_split_by_size_and_cap(self, monkeypatch):
+        # 600^2 // 300^2 = 4 states per 300-point stack: eight of them take two
+        # stacks, and the four 49-point states of (3, 0) a third
+        big = solve_family(86, 2, 1.0, 1.0)
+        sols = big[::15] + solve_family(3, 0, 1.0, 1.0) + big[1:3]
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(H):
+            if H.ndim == 3:  # not the Golub-Welsch solve of a new mesh size
+                stacks.append(H.shape)
+            return eigvalsh(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        batch = confirm_all(*_states(sols))
+        assert sorted(stacks) == [(4, 49, 49), (4, 300, 300), (4, 300, 300)]
+        monkeypatch.undo()
+        assert [c.grid.points for c in batch] == [300] * 6 + [49] * 4 + [300] * 2
+        assert batch == [confirm(*state) for state in zip(*_states(sols))]
+        assert all(c.passed for c in batch)
+
+    def test_vectors_equal_one_by_one(self):
+        states = _states(solve_family(4, 1, 1.0, 1.0))
+        batch = confirm_all(*states, vector=True)
+        for c, one in zip(batch, [confirm(*state, vector=True) for state in zip(*states)]):
+            assert (c.grid, c.level, c.energy, c.gap, c.passed) == (
+                one.grid, one.level, one.energy, one.gap, one.passed)
+            assert np.array_equal(c.vector, one.vector)
+            assert c.passed and node_count(c.vector) == c.level
+
+    def test_level_beyond_the_mesh_is_refused(self):
+        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
+        with pytest.raises(ValueError, match=r"levels range\(100, 101\) exceed points-2"):
+            confirm_all([sys, sys], [1.5, 3.5], [0, 100])
 
 
 def _positive_zeros(coeffs):
