@@ -98,10 +98,22 @@ def quartic_roots(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray
     return np.linalg.eigvals(companion.reshape(-1, 4, 4))
 
 
-def largest_root_moduli(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray:
-    """The largest |z| of the turning-point quartic in z = K r of each (system, epsilon)
-    pair, from one ``quartic_roots`` solve."""
-    return np.abs(quartic_roots(systems, eps)).max(axis=1)
+def roots_in_r(zs: list[complex], K: float) -> tuple[list[float], list[complex]]:
+    """The roots r = z/K of the quartic in z = K r, split into the real ones, ascending,
+    and the complex ones, by ascending real then imaginary part: a root is real when
+    |Im| <= QUARTIC_IMAG_TOL (1 + |Re|). OverflowError at the first root, in the order
+    given, that overflows a double in r."""
+    real: list[float] = []
+    cplx: list[complex] = []
+    for z in zs:
+        r = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
+        if not cmath.isfinite(r):
+            raise OverflowError(f"turning point out of range: {z} / K = {r}")
+        if abs(r.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(r.real)):
+            real.append(r.real)
+        else:
+            cplx.append(r)
+    return sorted(real), sorted(cplx, key=lambda r: (r.real, r.imag))
 
 
 def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
@@ -111,11 +123,10 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     z = K r (``quartic_roots``); when the two smallest |z| lie below 1e-4 of the
     third, their product and sum are recomputed as e4/(z3 z4) and
     (e3 - z1 z2 (z3 + z4))/(z3 z4) and the quadratic is solved in its stable
-    form. Then r = z/K; a root is classified real when
-    |Im| <= 1e-9 * (1 + |Re|). OverflowError when the quartic's coefficients
-    in z or its roots in r overflow a double.
+    form. Then ``roots_in_r`` takes r = z/K and classifies each root.
+    OverflowError when the quartic's coefficients in z or its roots in r
+    overflow a double.
     """
-    K = sys.K
     coeffs = _quartic_coeffs(sys, epsilon)
     zs = sorted(quartic_roots([sys], [epsilon])[0].tolist(), key=abs)
     big = zs[2] * zs[3]
@@ -127,19 +138,8 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
         d = cmath.sqrt(s * s - 4.0 * p)
         t = (s + d if abs(s + d) >= abs(s - d) else s - d) / 2.0  # no cancellation
         zs[:2] = t, (p / t if t else 0j)
-    real: list[complex] = []
-    cplx: list[complex] = []
-    for z in zs:
-        r = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
-        if not cmath.isfinite(r):
-            raise OverflowError(f"turning point out of range: {z} / K = {r}")
-        if abs(r.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(r.real)):
-            real.append(complex(r.real, 0.0))
-        else:
-            cplx.append(r)
-    real.sort(key=lambda z: z.real)
-    cplx.sort(key=lambda z: (z.real, z.imag))
-    ordered = tuple(real + cplx)
+    real, cplx = roots_in_r(zs, sys.K)
+    ordered = tuple([complex(r) for r in real] + cplx)
 
     residuals = vieta_residuals(ordered, sys, epsilon)
     return TurningPointSet(roots=ordered, real_count=len(real), vieta_residuals=residuals)

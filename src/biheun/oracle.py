@@ -6,11 +6,13 @@ nodes r_i = h x_i at the zeros x_i of L_N, the basis's exact kinetic matrix,
 the potential diagonal at the nodes, and eps = lambda/2 for each eigenvalue
 lambda of one dense symmetric eigensolve at the requested levels.
 
-``confirm_all`` checks a batch of states, such as the branches of one (n, l)
-family: one stacked ``quartic_roots`` solve and a scalar tail search per state
-size every mesh, and the states' H, grouped by mesh size, are solved as
-(g, N, N) stacks of at most one 600-point matrix's bytes, one ``eigvalsh``
-each. ``confirm`` and ``RadialGrid.auto`` are its batch of one.
+``_solve`` is the one mesh solve: the states' H, grouped by mesh size, are
+solved as (g, N, N) stacks of at most one 600-point matrix's bytes, one
+``eigvalsh`` each, and a requested vector comes from its state's H in the
+stack. ``confirm_all`` checks a batch of states, such as the branches of one
+(n, l) family, on meshes sized by one stacked ``quartic_roots`` solve and a
+scalar tail search per state. ``fd_eigensolve`` is ``_solve``'s batch of one,
+and ``confirm`` and ``RadialGrid.auto`` are ``confirm_all``'s.
 
 This module never touches the Heun machinery; it exists to confirm (or
 refute) quasi-exact energies and wavefunctions independently.
@@ -18,13 +20,12 @@ refute) quasi-exact energies and wavefunctions independently.
 
 from __future__ import annotations
 
-import cmath
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QUARTIC_IMAG_TOL, PhysicalSystem, quartic_roots
+from .model import PhysicalSystem, quartic_roots, roots_in_r
 
 RTOL = 1e-9  # confirm's bound on the energy gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
@@ -56,10 +57,9 @@ def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
     return x, lam
 
 
-@functools.lru_cache(maxsize=4)  # one (n, l) family shares a size; 5.8 MB per entry at 600
 def _kinetic(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The h-free parts of the mesh's kinetic matrix, read-only: T_ij = num_ij / (den_ij h^2)
-    off the diagonal and T_ii = t_num_i / (t_den_i h h), returned as (num, den, t_num, t_den),
+    """The h-free parts of the mesh's kinetic matrix: T_ij = num_ij / (den_ij h^2) off the
+    diagonal and T_ii = t_num_i / (t_den_i h h), returned as (num, den, t_num, t_den),
 
         num_ij = (-1)^(i-j) (x_i + x_j),   den_ij = sqrt(x_i x_j) (x_i - x_j)^2,
         t_num_i = 4 + (4N + 2) x_i - x_i^2,   t_den_i = 12 x_i^2,
@@ -74,8 +74,6 @@ def _kinetic(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     den = np.sqrt(np.outer(x, x)) * dx * dx
     t_num = 4.0 + (4.0 * points + 2.0) * x - x * x
     t_den = 12.0 * x * x
-    for a in (num, den, t_num, t_den):
-        a.setflags(write=False)  # shared by every caller through the cache
     return num, den, t_num, t_den
 
 
@@ -117,21 +115,16 @@ def _auto_grids(systems: list[PhysicalSystem], epsilons: list[float]) -> list[Ra
     """One mesh per (system, epsilon) state, sized to it, from one stacked
     ``quartic_roots`` solve and a scalar tail search per state.
 
-    r_edge covers 1.5x the outer turning point (the largest real root r = z/K, classified
-    as ``turning_points`` classifies it) and the radius where
+    r_edge covers 1.5x the outer turning point (the largest real root of ``roots_in_r``,
+    which ``turning_points`` reads too) and the radius where
     f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2 (n + l + 1 on the
     manifold), falls 1e-12 below its peak. N = 40 + 3n + l, up to _LARGEST_MESH, for
     n = ceil(p - l - 1) >= 0, the degree of H: f's r^(l+1) factor needs the + l (at
     40 + 3n, l = 20 shows false nodes). OverflowError when a root overflows in r."""
     grids = []
     for sys, eps, zs in zip(systems, epsilons, quartic_roots(systems, epsilons).tolist()):
-        K, r_outer = sys.K, 0.0  # a negative outer turning point never sets the edge
-        for z in zs:
-            root = complex(z) / K  # Python arithmetic: an overflow is inf, not a warning
-            if not cmath.isfinite(root):
-                raise OverflowError(f"turning point out of range: {z} / K = {root}")
-            if abs(root.imag) <= QUARTIC_IMAG_TOL * (1.0 + abs(root.real)):
-                r_outer = max(r_outer, root.real)
+        K = sys.K
+        r_outer = max([0.0, *roots_in_r(zs, K)[0]])  # a negative one never sets the edge
         K2 = sys.k**0.5
         # b^2/8 as (beta/K^3)^2/8, not beta^2/(8 K2^3): K2^3 underflows to 0 for k < ~1e-216
         p = max(eps / K2 + (sys.beta / K**3) ** 2 / 8.0 - 0.5, 1.0)
@@ -186,23 +179,15 @@ def fd_eigensolve(
     sys: PhysicalSystem, grid: RadialGrid, levels: range, vectors: bool = False
 ) -> EigenSolveResult:
     """Eigenvalues at ``levels`` (consecutive, ascending) of the radial problem
-    on the mesh ``grid``, plus their eigenvectors when ``vectors`` is true.
-
-    H is ``_hamiltonians``' matrix, the one assembly that ``confirm_all``'s stacks
-    also read, so a state gets the same H and energies through either.
+    on the mesh ``grid``, plus their eigenvectors when ``vectors`` is true:
+    ``_solve`` of the one state.
 
     The name is from the finite-difference grid the mesh replaced; it stays
     because ``perfbench/tracer.py`` wraps this function by name to attribute
-    the oracle's time and mesh size. ``confirm_all`` calls it only for vectors,
-    so the tracer no longer sees a confirmation without one."""
-    _check_levels(levels, grid.points)
-    H = _hamiltonians([sys], [grid.r_edge], grid.points)[0]
-    lam = np.linalg.eigvalsh(H)[levels.start:levels.stop]
-    if not vectors:
-        return EigenSolveResult(energies=lam / 2.0, vectors=None, grid=grid)
-    c = np.array([_inverse_iteration(H, shift) for shift in lam])
-    # f(r_i) = c_i / sqrt(h lambda_i): sum w f^2 = sum c^2 = 1
-    return EigenSolveResult(energies=lam / 2.0, vectors=c / np.sqrt(grid.weights()), grid=grid)
+    the oracle's time and mesh size. ``confirm_all`` does not call it, so the
+    tracer sees only direct calls."""
+    energies, f = _solve([sys], [grid], [levels], vectors)[0]
+    return EigenSolveResult(energies=energies, vectors=f, grid=grid)
 
 
 def _check_levels(levels: range, points: int) -> None:
@@ -214,15 +199,51 @@ def _check_levels(levels: range, points: int) -> None:
         raise ValueError(f"levels {levels} exceed points-2={points - 2}")
 
 
-def _hamiltonians(systems: list[PhysicalSystem], r_edges: list[float], points: int) -> np.ndarray:
-    """The stack of H, shape (len(systems), N, N) with N = points, of ``systems[i]`` on
-    the mesh of edge ``r_edges[i]``: the kinetic matrix of ``_kinetic(points)``, cached
-    per size, divided by h^2 with the rounding of its direct assembly, plus the
-    potential at the nodes; a cache hit and a miss give the same H."""
+def _solve(
+    systems: list[PhysicalSystem], grids: list[RadialGrid], levels: list[range], vectors: bool
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(energies, vectors) at ``levels[i]`` of each system on ``grids[i]``, in order,
+    as ``EigenSolveResult`` holds them; vectors None unless asked for.
+
+    Every level range is checked before any solve. The states are grouped by mesh
+    size; each size's kinetic parts are built once, and its H are solved as (g, N, N)
+    stacks of at most _LARGEST_MESH^2 doubles (2.9 MB), one ``np.linalg.eigvalsh``
+    each. A requested vector comes from ``_inverse_iteration`` on its state's H in
+    the stack."""
+    by_size: dict[int, list[int]] = {}
+    for i, (grid, window) in enumerate(zip(grids, levels)):
+        _check_levels(window, grid.points)
+        by_size.setdefault(grid.points, []).append(i)
+    solved = [None] * len(grids)
+    for points, members in by_size.items():
+        kinetic, per_stack = _kinetic(points), _LARGEST_MESH**2 // points**2
+        for start in range(0, len(members), per_stack):
+            stack = members[start:start + per_stack]
+            H = _hamiltonians([systems[i] for i in stack], [grids[i].r_edge for i in stack],
+                              kinetic)
+            lams = np.linalg.eigvalsh(H)
+            for j, i in enumerate(stack):
+                lam, f = lams[j, levels[i].start:levels[i].stop], None
+                if vectors:
+                    c = np.array([_inverse_iteration(H[j], shift) for shift in lam])
+                    f = c / np.sqrt(grids[i].weights())  # sum w f^2 = sum c^2 = 1
+                solved[i] = (lam / 2.0, f)
+            del H  # freed before the next stack is built
+    return solved
+
+
+def _hamiltonians(
+    systems: list[PhysicalSystem], r_edges: list[float],
+    kinetic: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The stack of H, shape (len(systems), N, N), of ``systems[i]`` on the N-point mesh
+    of edge ``r_edges[i]``: the ``kinetic`` parts of ``_kinetic(N)`` divided by h^2 as
+    num / (den * (h * h)) and t_num / (t_den * h * h), plus the potential at the nodes."""
+    num, den, t_num, t_den = kinetic
+    points = len(t_num)
     x, _ = _mesh(points)
     h = np.array(r_edges, dtype=float)[:, None] / x[-1]
     r = h * x
-    num, den, t_num, t_den = _kinetic(points)
     H = den * (h * h)[:, :, None]
     np.divide(num, H, out=H)
     alpha, beta, k, ll = np.array(
@@ -274,49 +295,18 @@ def confirm_all(
     By Sturm oscillation a bound state with m nodes is level m of its potential,
     so the caller passes the node count of its own solution and the oracle computes
     that one eigenvalue on the mesh ``_auto_grids`` sizes to the state (what
-    ``RadialGrid.auto(sys, epsilon)`` gives). Without vectors the states are grouped
-    by mesh size, and each group's H are solved as (g, N, N) stacks, one
-    ``np.linalg.eigvalsh`` each, of at most one _LARGEST_MESH-point matrix's bytes; a
-    requested ``vector`` comes from ``fd_eigensolve``'s inverse iteration per state.
-    A state passes when its gap is within RTOL and a requested vector has
+    ``RadialGrid.auto(sys, epsilon)`` gives). One ``_solve`` call takes every state,
+    with or without its ``vector``. A state passes when its gap is within RTOL and a requested vector has
     ``levels[i]`` nodes."""
     grids = _auto_grids(systems, epsilons)
-    if vector:
-        solved = [fd_eigensolve(sys, grid, range(level, level + 1), vectors=True)
-                  for sys, grid, level in zip(systems, grids, levels)]
-        energies = [float(res.energies[0]) for res in solved]
-        vectors = [res.vectors[0] for res in solved]
-    else:
-        energies = _level_energies(systems, grids, levels)
-        vectors = [None] * len(grids)
+    solved = _solve(systems, grids, [range(level, level + 1) for level in levels], vector)
     confirmations = []
-    for grid, level, epsilon, energy, f in zip(grids, levels, epsilons, energies, vectors):
+    for grid, level, epsilon, (energies, f) in zip(grids, levels, epsilons, solved):
+        energy, f = float(energies[0]), None if f is None else f[0]
         gap = abs(energy - epsilon) / max(1.0, abs(epsilon))
         passed = gap <= RTOL and (f is None or node_count(f) == level)
         confirmations.append(Confirmation(grid, level, energy, gap, passed, f))
     return confirmations
-
-
-def _level_energies(
-    systems: list[PhysicalSystem], grids: list[RadialGrid], levels: list[int]
-) -> list[float]:
-    """Energy of level ``levels[i]`` of each system on ``grids[i]``: one eigvalsh per
-    stack of H of one size, each stack capped at _LARGEST_MESH^2 doubles (2.9 MB)."""
-    by_size: dict[int, list[int]] = {}
-    for i, (grid, level) in enumerate(zip(grids, levels)):
-        _check_levels(range(level, level + 1), grid.points)
-        by_size.setdefault(grid.points, []).append(i)
-    energies = [0.0] * len(grids)
-    for points, members in by_size.items():
-        per_stack = _LARGEST_MESH**2 // points**2
-        for start in range(0, len(members), per_stack):
-            stack = members[start:start + per_stack]
-            # the stack is not kept: it is freed before the next one is built
-            lams = np.linalg.eigvalsh(_hamiltonians(
-                [systems[i] for i in stack], [grids[i].r_edge for i in stack], points))
-            for i, lam in zip(stack, lams):
-                energies[i] = float(lam[levels[i]] / 2.0)
-    return energies
 
 
 def node_count(vector: np.ndarray) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heun import HeunParameters, ode_residual, recurrence_rows
-from .model import PhysicalSystem, largest_root_moduli
+from .model import PhysicalSystem, quartic_roots
 
 ODE_RTOL = 1e-9  # bound on ode_residual: criterion 3, and each row spectrum and wavefunction print
 _SAMPLES = np.linspace(1 / 50, 1.0, 50)  # the certificate's z / z_hi
@@ -66,7 +66,7 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     sup of the relative Heun ODE residual of H at 50 z in (0, z_hi], z_hi = 2 max(K r4, 1),
     r4 the largest |turning point| of the branch.
 
-    One stacked ``model.largest_root_moduli`` solve gives every z_hi and one
+    One stacked ``model.quartic_roots`` solve gives every z_hi (its largest |z|) and one
     ``heun.recurrence_rows`` call every branch's rows. Their Heun parameters take c =
     2(n+l+1)+1 exactly, not 2 eps/K^2 + b^2/4 from the rounded energy, whose cancellation
     against b^2/4 loses c's digits at large b. Row j is scaled once, in logs, by z_hi^j over
@@ -76,8 +76,8 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     within range while n log 50 < 1400 (n < 360). RuntimeError naming the first branch with
     rows not finite."""
     n, l, alpha, K = sols[0].n, sols[0].l, sols[0].alpha, sols[0].K  # the family's
-    z_hi = 2.0 * np.maximum(largest_root_moduli([s.system() for s in sols],
-                                                [s.epsilon for s in sols]), 1.0)
+    zs = quartic_roots([s.system() for s in sols], [s.epsilon for s in sols])
+    z_hi = 2.0 * np.maximum(np.abs(zs).max(axis=1), 1.0)
     hp = HeunParameters(2.0 * l + 1.0, np.array([[s.b_root] for s in sols]),
                         2.0 * (n + l + 1) + 1.0, -2.0 * (alpha / K))
     with np.errstate(all="ignore"):  # a row that is not finite is refused below

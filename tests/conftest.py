@@ -2,7 +2,7 @@ import pytest
 
 import biheun.quantize
 from biheun.heun import ode_residual
-from biheun.model import largest_root_moduli
+from biheun.model import quartic_roots
 
 
 @pytest.fixture
@@ -21,12 +21,12 @@ def ode_residual_calls(monkeypatch) -> list[int]:
 @pytest.fixture
 def turning_point_solves(monkeypatch) -> list[int]:
     """The number of rows of each stacked turning-point solve the certificate makes,
-    through its ``largest_root_moduli`` binding: one item per solve."""
+    through its ``quartic_roots`` binding: one item per solve."""
     rows: list[int] = []
 
     def counted(systems, eps):
         rows.append(len(systems))
-        return largest_root_moduli(systems, eps)
+        return quartic_roots(systems, eps)
 
-    monkeypatch.setattr(biheun.quantize, "largest_root_moduli", counted)
+    monkeypatch.setattr(biheun.quantize, "quartic_roots", counted)
     return rows

@@ -142,20 +142,25 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n, l", [(0, 0), (6, 2)])
     def test_verify_makes_one_oracle_pass_per_family(self, capsys, monkeypatch, n, l):
-        # one stacked quartic solve sizes every branch's mesh, and no row makes its
-        # own fd_eigensolve call
-        rows, solves, quartic_roots = [], [], biheun.oracle.quartic_roots
+        # one stacked quartic solve sizes every branch's mesh, and one mesh solve
+        # takes every branch
+        rows, solves = [], []
+        quartic_roots, solve = biheun.oracle.quartic_roots, biheun.oracle._solve
 
-        def counted(systems, eps):
+        def counted_roots(systems, eps):
             rows.append(len(systems))
             return quartic_roots(systems, eps)
 
-        monkeypatch.setattr(biheun.oracle, "quartic_roots", counted)
-        monkeypatch.setattr(biheun.oracle, "fd_eigensolve", lambda *args: solves.append(args))
+        def counted_solve(systems, *args):
+            solves.append(len(systems))
+            return solve(systems, *args)
+
+        monkeypatch.setattr(biheun.oracle, "quartic_roots", counted_roots)
+        monkeypatch.setattr(biheun.oracle, "_solve", counted_solve)
         code, out, _ = run_cli(["spectrum", "--n", str(n), "--l", str(l), "--alpha", "1.3",
                                 "--k", "0.7", "--verify"], capsys)
         assert code == 0 and len(column(out, "oracle_gap")) == n + 1
-        assert rows == [n + 1] and solves == []
+        assert rows == [n + 1] and solves == [n + 1]
 
     def test_first_refused_branch_is_named(self, capsys, monkeypatch):
         # every branch of the family is refuted; the error names the lowest one

@@ -323,7 +323,7 @@ class TestFdEigensolve:
 
 
 def _direct_eigensolve(sys, grid, levels):
-    """Energies and vectors of H assembled entry by entry, with no cached part."""
+    """Energies and vectors of one H assembled entry by entry."""
     x, _ = _mesh(grid.points)
     h = grid.r_edge / x[-1]
     r = h * x
@@ -340,7 +340,7 @@ def _direct_eigensolve(sys, grid, levels):
     return lam / 2.0, c / np.sqrt(grid.weights())
 
 
-class TestCachedKinetic:
+class TestHamiltonianAssembly:
     def _assert_bit_identical(self, sys, grid, levels):
         res = fd_eigensolve(sys, grid, levels, vectors=True)
         energies, vectors = _direct_eigensolve(sys, grid, levels)
@@ -349,14 +349,11 @@ class TestCachedKinetic:
 
     @pytest.mark.parametrize("n, l, alpha, k", [(0, 0, 1.0, 1.0), (7, 2, 1.7, 0.6),
                                                 (12, 3, 2.1, 0.4), (30, 0, 1e4, 1.0)])
-    def test_miss_and_hit_equal_direct_assembly(self, n, l, alpha, k):
+    def test_equals_direct_assembly(self, n, l, alpha, k):
         sol = solve_family(n, l, alpha, k)[n // 2]
         sys = sol.system()
         grid = RadialGrid.auto(sys, sol.epsilon)
-        oracle._kinetic.cache_clear()
-        for _ in range(2):  # a miss, then a hit
-            self._assert_bit_identical(sys, grid, range(sol.level, sol.level + 1))
-        assert oracle._kinetic.cache_info().hits >= 1
+        self._assert_bit_identical(sys, grid, range(sol.level, sol.level + 1))
 
     def test_grids_of_one_size_in_alternation(self):
         # criterion 6's pair: one size, two edges, called in turn
@@ -460,7 +457,8 @@ class TestConfirmAll:
 
     def test_stacks_split_by_size_and_cap(self, monkeypatch):
         # 600^2 // 300^2 = 4 states per 300-point stack: eight of them take two
-        # stacks, and the four 49-point states of (3, 0) a third
+        # stacks, and the four 49-point states of (3, 0) a third, with or without
+        # vectors; each vector is the one-state solve's to the bit
         big = solve_family(86, 2, 1.0, 1.0)
         sols = big[::15] + solve_family(3, 0, 1.0, 1.0) + big[1:3]
         stacks, eigvalsh = [], np.linalg.eigvalsh
@@ -470,13 +468,22 @@ class TestConfirmAll:
                 stacks.append(H.shape)
             return eigvalsh(H)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        batch = confirm_all(*_states(sols))
-        assert sorted(stacks) == [(4, 49, 49), (4, 300, 300), (4, 300, 300)]
-        monkeypatch.undo()
-        assert [c.grid.points for c in batch] == [300] * 6 + [49] * 4 + [300] * 2
-        assert batch == [confirm(*state) for state in zip(*_states(sols))]
-        assert all(c.passed for c in batch)
+        for vector in (False, True):
+            stacks.clear()
+            monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            batch = confirm_all(*_states(sols), vector=vector)
+            assert sorted(stacks) == [(4, 49, 49), (4, 300, 300), (4, 300, 300)]
+            monkeypatch.undo()
+            assert [c.grid.points for c in batch] == [300] * 6 + [49] * 4 + [300] * 2
+            assert all(c.passed for c in batch)
+            if not vector:
+                assert batch == [confirm(*state) for state in zip(*_states(sols))]
+                continue
+            for c, sol in zip(batch, sols):
+                levels = range(c.level, c.level + 1)
+                one = fd_eigensolve(sol.system(), c.grid, levels, vectors=True)
+                assert c.energy == one.energies[0]
+                assert np.array_equal(c.vector, one.vectors[0])
 
     def test_vectors_equal_one_by_one(self):
         states = _states(solve_family(4, 1, 1.0, 1.0))

@@ -16,7 +16,7 @@ from biheun.verify import (
 )
 
 
-class TestEnergyFromTermination:
+class TestAssembledEnergy:
     # eps = K^2 (n + l + 3/2) - K^2 b^2 / 8, read on the assembled solution
     def test_pure_oscillator_ground(self):
         assert _assemble_solution(0, 0, 0.0, 1.0, 0.0, np.array([1.0]), 0).epsilon == 1.5
@@ -35,7 +35,7 @@ def _n1_quadratic(l, aK, b):
     return (l + 1) * (l + 2) * b * b - aK * (2 * l + 3) * b + aK * aK - 2.0 * (2 * l + 2)
 
 
-class TestConstraintPolynomial:
+class TestTerminationConstraint:
     """The termination constraint, solved by solve_family."""
 
     def test_n0_linear(self):

@@ -81,9 +81,20 @@ def test_no_unreferenced_private_definitions():
     assert defined - referenced == set()
 
 
+@pytest.mark.parametrize("name", ["_hamiltonians", "_inverse_iteration"])
+def test_one_call_site(name):
+    # H is built in one function and solved in one: a second caller of either is a
+    # second mesh solve
+    calls = [node for path in Path(biheun.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(calls) == 1
+
+
 # every array cache in the package, with a sample call; the parser caches of the
 # front end hold one argparse object or key set per command, not arrays
-ARRAY_CACHES = {"oracle._mesh": (40,), "oracle._kinetic": (40,)}
+ARRAY_CACHES = {"oracle._mesh": (40,)}
 OTHER_CACHES = {"cli.build_parser", "cli._config_keys"}
 
 
