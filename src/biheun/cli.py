@@ -134,28 +134,25 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _confirm(sols: list[QuasiExactSolution], first_branch: int = 0,
-             vector: bool = False) -> list[Confirmation]:
-    """Oracle check of each solution at its Sturm level, ``sols[i]`` being branch
-    ``first_branch + i``; RuntimeError naming the first one refuted."""
+def _confirm(sols: list[QuasiExactSolution], vector: bool = False) -> list[Confirmation]:
+    """Oracle check of each solution at its Sturm level; RuntimeError naming the
+    first one refuted."""
     checks = confirm_all([sol.system() for sol in sols], [sol.epsilon for sol in sols],
                          [sol.level for sol in sols], vector=vector)
-    for branch, (sol, c) in enumerate(zip(sols, checks), start=first_branch):
+    for sol, c in zip(sols, checks):
         if not c.passed:
             nodes = "" if c.vector is None else f", {node_count(c.vector)} nodes"
             raise RuntimeError(
-                f"oracle did not confirm epsilon={sol.epsilon} for (n={sol.n}, "
-                f"l={sol.l}, branch={branch}): level {c.level} reads "
-                f"{c.energy} on the mesh, relative gap {c.gap:.3e}{nodes}"
+                f"oracle did not confirm epsilon={sol.epsilon} for {sol.label}: level "
+                f"{c.level} reads {c.energy} on the mesh, relative gap {c.gap:.3e}{nodes}"
             )
     return checks
 
 
-def _check_certificate(n: int, l: int, branch: int, ode_residual: float) -> None:
-    """RuntimeError naming the row when its printed ode_residual exceeds ODE_RTOL."""
+def _check_certificate(sol: QuasiExactSolution, ode_residual: float) -> None:
+    """RuntimeError naming the solution when its printed ode_residual exceeds ODE_RTOL."""
     if not ode_residual <= ODE_RTOL:
-        raise RuntimeError(f"(n={n}, l={l}, branch={branch}): ode_residual "
-                           f"{ode_residual:.3e} exceeds {ODE_RTOL:g}")
+        raise RuntimeError(f"{sol.label}: ode_residual {ode_residual:.3e} exceeds {ODE_RTOL:g}")
 
 
 @contextlib.contextmanager
@@ -173,6 +170,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     if config.verify:
         header.append("oracle_gap")
     rows: list[list] = []
+    solutions: list[QuasiExactSolution] = []  # beside rows, to name the worst
     timings: dict = {}
     diagnostics: dict = {"families": 0, "solutions": 0, "timings_s": timings}
     for n in config.n_values():
@@ -191,9 +189,10 @@ def cmd_spectrum(config: RunConfig) -> int:
                 for row, c in zip(family, checks):
                     row.append(c.gap)
             rows += family
-    worst = rows[int(np.argmax([row[6] for row in rows]))]  # a NaN is the worst
-    _check_certificate(*worst[:3], worst[6])
-    diagnostics["max_ode_residual"] = worst[6]
+            solutions += sols
+    worst = int(np.argmax([row[6] for row in rows]))  # a NaN is the worst
+    _check_certificate(solutions[worst], rows[worst][6])
+    diagnostics["max_ode_residual"] = rows[worst][6]
     if config.verify:
         diagnostics["max_oracle_gap"] = max(row[7] for row in rows)
     _emit(config, header, rows, diagnostics)
@@ -201,18 +200,15 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_wavefunction(config: RunConfig) -> int:
-    n = config.n_values()[0]
-    l = config.l_values()[0]
     timings: dict = {}
     with _stage(timings, "solve"):
-        sols = solve_family(n, l, config.alpha, config.k)
+        sols = solve_family(config.n_values()[0], config.l_values()[0], config.alpha, config.k)
     if not (0 <= config.branch < len(sols)):
         raise ConfigError(f"branch {config.branch} out of range: {len(sols)} branches")
     sol = sols[config.branch]
-    where = f"(n={n}, l={l}, branch={config.branch})"
 
     with _stage(timings, "oracle"):
-        c = _confirm([sol], config.branch, vector=True)[0]
+        c = _confirm([sol], vector=True)[0]
     # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
     # the oracle vector already is
     with _stage(timings, "curves"):
@@ -228,10 +224,10 @@ def cmd_wavefunction(config: RunConfig) -> int:
         max_rel_difference = float(np.max(np.abs(difference)) / np.max(np.abs(r_poly)))
     if not max_rel_difference <= WAVEFUNCTION_RTOL:
         raise RuntimeError(f"R_polynomial and R_oracle differ by {max_rel_difference:.3e} "
-                           f"of R_polynomial's peak for {where}")
+                           f"of R_polynomial's peak for {sol.label}")
     with _stage(timings, "certify"):
         ode_residual = certify([sol])[0]
-    _check_certificate(n, l, config.branch, ode_residual)
+    _check_certificate(sol, ode_residual)
 
     header = ["r", "R_polynomial", "R_oracle", "difference"]
     rows = np.column_stack([r, r_poly, r_oracle, difference]).tolist()

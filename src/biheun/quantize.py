@@ -57,6 +57,11 @@ class QuasiExactSolution:
     def K(self) -> float:
         return self.k ** 0.25
 
+    @property
+    def label(self) -> str:
+        """The state's name in every refusal; branch n - level is b's index, ascending."""
+        return f"(n={self.n}, l={self.l}, branch={self.n - self.level})"
+
     def system(self) -> PhysicalSystem:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
 
@@ -73,9 +78,11 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     the geometric mean of the largest T_j z^j at the top and the bottom sample, so each
     branch's 50 ``heun.ode_residual`` calls take the powers of t = z / z_hi <= 1 from one
     (50, n + 2) table the family shares, no power can overflow, and every sample's sums stay
-    within range while n log 50 < 1400 (n < 360). RuntimeError naming the first branch with
-    rows not finite."""
+    within range while n log 50 < 1400 (n < 360). ValueError when the solutions are not one
+    family; RuntimeError naming the first branch with rows not finite."""
     n, l, alpha, K = sols[0].n, sols[0].l, sols[0].alpha, sols[0].K  # the family's
+    if any((s.n, s.l, s.alpha, s.k) != (n, l, alpha, sols[0].k) for s in sols):
+        raise ValueError(f"certify takes one (n, l, alpha, k) family, not all {sols[0].label}'s")
     zs = quartic_roots([s.system() for s in sols], [s.epsilon for s in sols])
     z_hi = 2.0 * np.maximum(np.abs(zs).max(axis=1), 1.0)
     hp = HeunParameters(2.0 * l + 1.0, np.array([[s.b_root] for s in sols]),
@@ -89,8 +96,7 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
         rows = np.sign(rows) * np.exp(logs - ((top + bottom) / 2)[:, None, None])
     bad = [s for s, finite in zip(sols, np.isfinite(rows).all(axis=(1, 2))) if not finite]
     if bad:
-        raise RuntimeError(f"(n={bad[0].n}, l={bad[0].l}, branch={bad[0].n - bad[0].level}): "
-                           "recurrence rows of the ODE residual are not finite")
+        raise RuntimeError(f"{bad[0].label}: recurrence rows of the ODE residual are not finite")
     powers = list(_SAMPLES[:, None] ** np.arange(float(rows.shape[-1])))  # row i: t_i^j
     return [max([ode_residual(branch, p) for p in powers]) for branch in rows]
 
@@ -199,6 +205,5 @@ def wavefunction(sol: QuasiExactSolution, radii: np.ndarray) -> np.ndarray:
         R = np.exp(log_envelope - np.max(log_envelope)) * h
         peak = np.max(np.abs(R * r))
     if not 0 < peak < np.inf:
-        raise RuntimeError(f"R has max |R r| {peak} for (n={sol.n}, l={sol.l}, "
-                           f"branch={sol.n - sol.level})")
+        raise RuntimeError(f"R has max |R r| {peak} for {sol.label}")
     return R / peak

@@ -232,37 +232,22 @@ class TestSmallRoots:
         assert tp.vieta_residuals[2] <= 1e-15 * 1e85
 
 
-class TestLargestRootModuli:
-    """One stacked ``quartic_roots`` solve gives each row the largest |z| np.roots gives
-    it alone: the figure the certificate reads."""
-
+class TestQuarticRoots:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(cases=st.lists(CASES, min_size=1, max_size=6))
     @example(cases=[(1.0, 1.0, 1.0, 0, 2.0), (0.0, 1.0, 1.0, 0, 2.0), (0.0, 0.0, 1.0, 0, 0.0),
                     (1.0, 0.5, 2.0, 2, 3.0)])
-    def test_equals_max_abs_np_roots_per_row(self, cases):
-        # l = 0 and alpha = 0 give trailing zero coefficients, which np.roots deflates and
-        # the stacked solve keeps; (0, 0, 1, 0, 0) has every root at 0
-        systems = [PhysicalSystem(*case[:4]) for case in cases]
-        eps = [case[4] for case in cases]
-        got = np.abs(quartic_roots(systems, eps)).max(axis=1)
-        assert got.shape == (len(cases),)
-        for z4, sys, e in zip(got.tolist(), systems, eps):
-            want = max(np.abs(np.roots(_quartic_coeffs(sys, e))), default=0.0)
-            assert z4 == pytest.approx(want, rel=1e-12, abs=0.0)
-
-
-class TestQuarticRoots:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(cases=st.lists(CASES, min_size=1, max_size=6))
     def test_rows_are_np_roots(self, cases):
         # the same companion matrix: np.roots' roots to the bit where it deflates
         # nothing (l > 0); at l = 0 each trailing zero coefficient is an exact 0 root,
-        # and the other roots sit within rounding of np.roots' deflated solve
+        # and the other roots sit within rounding of np.roots' deflated solve.
+        # (0, 0, 1, 0, 0) has every root at 0
         systems = [PhysicalSystem(*case[:4]) for case in cases]
         eps = [case[4] for case in cases]
         for zs, sys, e in zip(quartic_roots(systems, eps), systems, eps):
             want = np.roots(_quartic_coeffs(sys, e))
+            # the largest |z|, the figure the certificate reads
+            assert np.abs(zs).max() == pytest.approx(np.abs(want).max(), rel=1e-12, abs=0.0)
             if sys.l > 0:
                 assert zs.tolist() == want.tolist()
                 continue

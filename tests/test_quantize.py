@@ -145,6 +145,13 @@ class TestClosedForms:
 
 
 class TestSolveFamily:
+    def test_label_names_each_branch(self):
+        # branch i is the i-th b in ascending order, at level n - i
+        for i, sol in enumerate(solve_family(3, 1, 1.0, 1.0)):
+            assert sol.label == f"(n=3, l=1, branch={i})"
+        for i, sol in enumerate(closed_form_n1(0, 1.0, 1.0)):
+            assert sol.label == f"(n=1, l=0, branch={i})"
+
     @pytest.mark.parametrize("l", range(6))
     @pytest.mark.parametrize("aK", [0.0, 0.5, 1.0, 2.0])
     def test_agrees_with_closed_forms(self, l, aK):
@@ -327,6 +334,16 @@ class TestFamilyCertificate:
         # its siblings, alone or as a family, do not read the bad branch
         assert max(certify([sol])[0] for sol in sols[:6] + sols[7:]) <= 1e-12
         assert max(certify(sols[:6] + sols[7:])) <= 1e-12
+
+    def test_refuses_a_list_that_is_not_one_family(self):
+        # the rows take n, l, alpha and K from the first solution: another l would be held
+        # to the wrong equation, another n gives rows of another length
+        first = solve_family(3, 0, 1.0, 1.0)[1]
+        message = r"one \(n, l, alpha, k\) family, not all \(n=3, l=0, branch=1\)'s"
+        for n, l, alpha, k in ((3, 2, 1.0, 1.0), (4, 0, 1.0, 1.0), (3, 0, 2.0, 1.0),
+                               (3, 0, 1.0, 2.0)):
+            with pytest.raises(ValueError, match=message):
+                certify([first, solve_family(n, l, alpha, k)[1]])
 
     def test_power_table_rows_are_the_fresh_powers(self, monkeypatch):
         # each sample t reads t^j from one broadcast over the family's table: it must give

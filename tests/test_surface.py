@@ -92,6 +92,21 @@ def test_one_call_site(name):
     assert len(calls) == 1
 
 
+def test_one_label():
+    # a solution names itself (n, l, branch) in QuasiExactSolution.label; solve_family
+    # raises before its solutions exist
+    owners = []
+    for path in Path(biheun.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            units = ([(f"{top.name}.{getattr(m, 'name', '')}", m) for m in top.body]
+                     if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)])
+            owners += [name for name, unit in units for node in ast.walk(unit)
+                       if isinstance(node, ast.JoinedStr)
+                       and any(isinstance(v, ast.Constant) and "branch=" in v.value
+                               for v in node.values)]
+    assert sorted(owners) == ["QuasiExactSolution.label", "solve_family"]
+
+
 # every array cache in the package, with a sample call; the parser caches of the
 # front end hold one argparse object or key set per command, not arrays
 ARRAY_CACHES = {"oracle._mesh": (40,)}
