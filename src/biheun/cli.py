@@ -8,7 +8,7 @@ For ``spectrum`` the linear coefficient beta is an *output*: polynomial
 solutions exist only where beta = b K^3 for a root b of the termination
 constraint, and each root defines a different potential.
 
-``spectrum --verify`` checks each (n, l) family with one ``oracle.confirm_all``
+``spectrum --verify`` checks each (n, l) family with one ``verify.confirm_solutions``
 call, timed as one ``oracle`` stage, and ``wavefunction`` its one row; the
 oracle sizes the Lagrange-Laguerre mesh to each state, and its gap relative to
 max(1, |eps|), held to ``oracle.RTOL`` (1e-9), is ``oracle_gap``.
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PhysicalSystem, turning_points
-from .oracle import Confirmation, confirm_all, node_count
+from .oracle import Confirmation
 from .quantize import ODE_RTOL, QuasiExactSolution, certify, solve_family, wavefunction
-from .verify import run_acceptance
+from .verify import confirm_solutions, run_acceptance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,10 +63,10 @@ class RunConfig:
     format: str = "csv"
     out: str | None = None
 
-    def n_values(self) -> list[int]:
+    def n_values(self) -> range:
         return _parse_range(self.n, "n")
 
-    def l_values(self) -> list[int]:
+    def l_values(self) -> range:
         return _parse_range(self.l, "l")
 
     def validate(self) -> None:
@@ -86,22 +86,23 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
-        single = len(self.n_values()) == len(self.l_values()) == 1
-        if self.command in ("wavefunction", "turning-points") and not single:
+        # [1:], not len: len raises OverflowError past 2^63 values
+        several = self.n_values()[1:] or self.l_values()[1:]
+        if self.command in ("wavefunction", "turning-points") and several:
             raise ConfigError(f"{self.command} takes a single n and l, not a range")
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)  # 0.2 ms a call: evaluated once
 
 
-def _parse_range(spec: str, name: str) -> list[int]:
+def _parse_range(spec: str, name: str) -> range:
     spec = str(spec)
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            vals = list(range(int(lo), int(hi) + 1))
+            vals = range(int(lo), int(hi) + 1)
         else:
-            vals = [int(spec)]
+            vals = range(int(spec), int(spec) + 1)
     except ValueError as exc:
         raise ConfigError(f"bad {name} range {spec!r}: expected INT or A..B") from exc
     if not vals or vals[0] < 0:
@@ -135,17 +136,14 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
 
 
 def _confirm(sols: list[QuasiExactSolution], vector: bool = False) -> list[Confirmation]:
-    """Oracle check of each solution at its Sturm level; RuntimeError naming the
-    first one refuted."""
-    checks = confirm_all([sol.system() for sol in sols], [sol.epsilon for sol in sols],
-                         [sol.level for sol in sols], vector=vector)
+    """``confirm_solutions``; RuntimeError naming the first solution refuted."""
+    checks = confirm_solutions(sols, vector)
     for sol, c in zip(sols, checks):
         if not c.passed:
-            nodes = "" if c.vector is None else f", {node_count(c.vector)} nodes"
             raise RuntimeError(
                 f"oracle did not confirm epsilon={sol.epsilon} for {sol.label}: level "
-                f"{c.level} reads {c.energy} on the mesh, relative gap {c.gap:.3e}{nodes}"
-            )
+                f"{c.level} reads {c.energy} on the mesh, relative gap {c.gap:.3e}"
+                + ("" if c.nodes is None else f", {c.nodes} nodes"))
     return checks
 
 
@@ -233,7 +231,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
     rows = np.column_stack([r, r_poly, r_oracle, difference]).tolist()
     diagnostics = {
         "epsilon": sol.epsilon, "beta": sol.beta, "b": sol.b_root,
-        "oracle_index": c.level, "oracle_gap": c.gap, "node_count": node_count(c.vector),
+        "oracle_index": c.level, "oracle_gap": c.gap, "node_count": c.nodes,
         "ode_residual": ode_residual, "max_rel_difference": max_rel_difference,
         "timings_s": timings,
     }

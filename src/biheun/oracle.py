@@ -165,7 +165,7 @@ class EigenSolveResult:
 class Confirmation:
     """Outcome of checking one energy against the oracle level at ``level``: ``energy`` on
     the mesh ``grid`` sized by ``RadialGrid.auto``, ``gap`` = |energy - eps| / max(1, |eps|),
-    and ``vector`` the level's f on ``grid`` (as in EigenSolveResult) or None if not asked for."""
+    ``vector`` the level's f on ``grid`` and ``nodes`` its node_count, None if not asked for."""
 
     grid: RadialGrid
     level: int
@@ -173,6 +173,7 @@ class Confirmation:
     gap: float
     passed: bool
     vector: np.ndarray | None
+    nodes: int | None
 
 
 def fd_eigensolve(
@@ -297,15 +298,16 @@ def confirm_all(
     that one eigenvalue on the mesh ``_auto_grids`` sizes to the state (what
     ``RadialGrid.auto(sys, epsilon)`` gives). One ``_solve`` call takes every state,
     with or without its ``vector``. A state passes when its gap is within RTOL and a requested vector has
-    ``levels[i]`` nodes."""
+    ``levels[i]`` nodes, the count its verdict carries as ``nodes``."""
     grids = _auto_grids(systems, epsilons)
     solved = _solve(systems, grids, [range(level, level + 1) for level in levels], vector)
     confirmations = []
     for grid, level, epsilon, (energies, f) in zip(grids, levels, epsilons, solved):
         energy, f = float(energies[0]), None if f is None else f[0]
+        nodes = None if f is None else node_count(f)
         gap = abs(energy - epsilon) / max(1.0, abs(epsilon))
-        passed = gap <= RTOL and (f is None or node_count(f) == level)
-        confirmations.append(Confirmation(grid, level, energy, gap, passed, f))
+        passed = gap <= RTOL and nodes in (None, level)
+        confirmations.append(Confirmation(grid, level, energy, gap, passed, f, nodes))
     return confirmations
 
 

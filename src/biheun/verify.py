@@ -103,24 +103,28 @@ def power_matching_coefficients(
     return cs
 
 
-def termination_residual(sol: QuasiExactSolution) -> float:
-    """Normwise defect of the solution's own H in the recurrence rows j = 0..n+1
-    (``heun.recurrence_rows``; rows n and n+1 hold the constraint on b and the
-    energy): the largest |R_j| over the largest T_j, at the Heun parameters of the
-    solution's system and energy. c = 2 eps/K^2 + b^2/4 counts as |2 eps/K^2| +
-    b^2/4: at large b the two cancel, and the rounding of eps shows at the scale
-    of b^2."""
-    hp = to_heun_params(sol.system(), sol.epsilon)
-    c_size = 2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0
-    defect, size = recurrence_rows(hp, sol.heun_coefficients, c_size)
-    return float(np.max(np.abs(defect)) / np.max(size))
+def termination_residual(sols: list[QuasiExactSolution]) -> list[float]:
+    """Normwise defect of each solution's own H, for one (n, l) family, in the
+    recurrence rows j = 0..n+1 (``heun.recurrence_rows``; rows n and n+1 hold the
+    constraint on b and the energy): the largest |R_j| over the largest T_j, at the
+    Heun parameters of the solution's system and energy. c = 2 eps/K^2 + b^2/4 counts
+    as |2 eps/K^2| + b^2/4: at large b the two cancel, and the rounding of eps shows at
+    the scale of b^2. One ``recurrence_rows`` call takes every branch, with each
+    branch's ``to_heun_params`` as columns."""
+    hps = [to_heun_params(sol.system(), sol.epsilon) for sol in sols]
+    # Python's b**2, as for one branch: numpy's can differ by an ulp
+    c_size = [[2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0] for sol, hp in zip(sols, hps)]
+    columns = np.array([list(vars(hp).values()) for hp in hps]).T[:, :, None]  # a, b, c, d
+    rows = recurrence_rows(HeunParameters(*columns),
+                           np.array([sol.heun_coefficients for sol in sols]), np.array(c_size))
+    return (np.max(np.abs(rows[:, 0]), axis=-1) / np.max(rows[:, 1], axis=-1)).tolist()
 
 
-def _confirm(sols: list[QuasiExactSolution]) -> list[Confirmation]:
-    """The oracle's verdict on each solution at its Sturm level, from one
-    ``confirm_all`` call."""
+def confirm_solutions(sols: list[QuasiExactSolution], vector: bool = False) -> list[Confirmation]:
+    """The oracle's verdict on each solution at its Sturm level, from one ``confirm_all``
+    call: the one place that turns solutions into the oracle's states."""
     return confirm_all([sol.system() for sol in sols], [sol.epsilon for sol in sols],
-                       [sol.level for sol in sols])
+                       [sol.level for sol in sols], vector)
 
 
 def _worst(figures: list[float] | np.ndarray) -> float:
@@ -133,7 +137,7 @@ def criterion_1() -> CriterionResult:
     """n=0 closed form energies appear in the oracle spectrum."""
     t0 = time.perf_counter()
     sols = [closed_form_n0(l, alpha, 1.0) for l in (0, 1, 2, 3) for alpha in (0.5, 1.0, 2.0)]
-    worst = _worst([c.gap for c in _confirm(sols)])
+    worst = _worst([c.gap for c in confirm_solutions(sols)])
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         1,
@@ -153,7 +157,7 @@ def criterion_2() -> CriterionResult:
             closed += sols
             mismatches += [abs(sol.b_root - root) / max(1.0, abs(root))
                            for sol, root in zip(sols, roots)]
-    worst_root, worst_gap = _worst(mismatches), _worst([c.gap for c in _confirm(closed)])
+    worst_root, worst_gap = _worst(mismatches), _worst([c.gap for c in confirm_solutions(closed)])
     return CriterionResult(
         2,
         f"n=1 closed form vs solve_family roots (1e-12) and oracle ({RTOL:g})",
@@ -167,9 +171,9 @@ def criterion_3() -> CriterionResult:
     families = [solve_family(n, l, alpha, 1.0)
                 for n in range(0, 9) for l in range(0, 4) for alpha in (0.0, 1.0)]
     sols = [sol for family in families for sol in family]
-    worst_term = _worst([termination_residual(sol) for sol in sols])
+    worst_term = _worst([r for family in families for r in termination_residual(family)])
     worst_ode = _worst([r for family in families for r in certify(family)])
-    worst_gap = _worst([c.gap for c in _confirm(sols)])
+    worst_gap = _worst([c.gap for c in confirm_solutions(sols)])
     return CriterionResult(
         3,
         f"general n<=8: termination {TERMINATION_RTOL:g}, ODE residual {ODE_RTOL:g}, "
@@ -263,8 +267,9 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Perturbing beta off-manifold breaks termination by >= 10x tolerance."""
-    ratios = [termination_residual(replace(sol, beta=sol.beta + 1e-3)) / TERMINATION_RTOL
-              for n in (1, 2, 3, 5) for l in (0, 1) for sol in solve_family(n, l, 1.0, 1.0)]
+    ratios = [r / TERMINATION_RTOL for n in (1, 2, 3, 5) for l in (0, 1)
+              for r in termination_residual([replace(sol, beta=sol.beta + 1e-3)
+                                             for sol in solve_family(n, l, 1.0, 1.0)])]
     smallest = float(np.min(ratios))  # NaN if any ratio is NaN, as in _worst
     return CriterionResult(
         8,

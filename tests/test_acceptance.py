@@ -64,6 +64,10 @@ def _nan(*args, **kwargs):
     return np.nan
 
 
+def _nan_per_branch(sols):
+    return [np.nan] * len(sols)
+
+
 def test_nan_coefficients_fail_criterion_4(monkeypatch, capsys):
     # the verdict must see the NaN: max(0.0, nan) is 0.0 and nan > bound is False
     monkeypatch.setattr(verify, "coefficient_sequence", _nan)
@@ -75,11 +79,11 @@ def test_nan_coefficients_fail_criterion_4(monkeypatch, capsys):
 
 @pytest.mark.slow
 def test_nan_termination_fails_criterion_3(monkeypatch):
-    monkeypatch.setattr(verify, "termination_residual", _nan)
+    monkeypatch.setattr(verify, "termination_residual", _nan_per_branch)
     assert not verify.criterion_3().passed
 
 
 def test_nan_termination_fails_criterion_8(monkeypatch):
-    monkeypatch.setattr(verify, "termination_residual", _nan)
+    monkeypatch.setattr(verify, "termination_residual", _nan_per_branch)
     res = verify.criterion_8()
     assert not res.passed and "nan" in res.detail

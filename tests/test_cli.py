@@ -574,11 +574,11 @@ class TestWavefunction:
         assert diag["max_rel_difference"] <= 1e-5
 
     def test_wrong_node_count_is_solver_error(self, capsys, monkeypatch):
-        # confirm judges the node count with the gap, and the error names both
-        from biheun import cli, oracle
+        # confirm judges the node count with the gap, and the error names both from
+        # the verdict
+        from biheun import oracle
 
-        for module in (cli, oracle):
-            monkeypatch.setattr(module, "node_count", lambda vector: 3)
+        monkeypatch.setattr(oracle, "node_count", lambda vector: 3)
         code, out, err = run_cli(
             ["wavefunction", "--n", "3", "--l", "1", "--alpha", "1", "--branch", "1"], capsys
         )
@@ -645,6 +645,29 @@ class TestConfigHandling:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == "" and err.startswith("config error: ")
+
+    def test_wide_range_is_checked_without_listing_it(self):
+        # 10^12 values as a list ask for ~40 TB before any check
+        from biheun.cli import ConfigError, RunConfig
+
+        start = time.perf_counter()
+        RunConfig(command="spectrum", n="0..1000000000000").validate()
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(ConfigError, match="takes a single n"):
+            RunConfig(command="turning-points", n="0..1000000000000", epsilon=1.0).validate()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["wavefunction", "--n", "0..1000000000000"],
+         ["wavefunction", "--n", "0..100000000000000000000000"],
+         ["turning-points", "--l", "0..1000000000000", "--epsilon", "1"]],
+        ids=["wavefunction-1e12", "wavefunction-1e23", "turning-points-1e12"],
+    )
+    def test_wide_range_is_a_config_error(self, capsys, argv):
+        # past 2^63 values len() of the range overflows; validate does not take it
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and "takes a single n" in err
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(["spectrum", "--config", "/nonexistent.json"], capsys)

@@ -494,6 +494,14 @@ class TestConfirmAll:
             assert np.array_equal(c.vector, one.vector)
             assert c.passed and node_count(c.vector) == c.level
 
+    def test_nodes_are_the_vectors_node_count(self):
+        # the verdict carries the count it judged; at k = 1e-300 level 1 reads 0 nodes
+        states = _states(solve_family(4, 1, 1.0, 1.0) + solve_family(2, 0, 1.0, 1e-300))
+        batch = confirm_all(*states, vector=True)
+        assert [c.nodes for c in batch] == [node_count(c.vector) for c in batch]
+        assert [c.nodes == c.level for c in batch][-2:] == [False, True]
+        assert all(c.nodes is None for c in confirm_all(*states))
+
     def test_level_beyond_the_mesh_is_refused(self):
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
         with pytest.raises(ValueError, match=r"levels range\(100, 101\) exceed points-2"):

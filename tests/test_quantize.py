@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheun.heun import recurrence_rows
+from biheun.heun import recurrence_rows, to_heun_params
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import _SAMPLES, _assemble_solution, certify, solve_family, wavefunction
 from biheun.verify import (
@@ -81,8 +81,7 @@ class TestTerminationConstraint:
         for l, alpha, k in ((0, 1.0, 1.0), (1, 2.5, 0.3)):
             sols = solve_family(2, l, alpha, k)
             assert len(sols) == 3
-            for sol in sols:
-                assert termination_residual(sol) <= TERMINATION_RTOL
+            assert all(r <= TERMINATION_RTOL for r in termination_residual(sols))
 
 
 class TestBRoots:
@@ -177,14 +176,14 @@ class TestSolveFamily:
 
     def test_termination_of_every_root(self):
         for n in (2, 4, 6, 12, 13, 20):
-            for sol in solve_family(n, 0, 1.0, 1.0):
-                assert termination_residual(sol) <= TERMINATION_RTOL
+            residuals = termination_residual(solve_family(n, 0, 1.0, 1.0))
+            assert all(r <= TERMINATION_RTOL for r in residuals)
 
     def test_termination_at_large_b(self):
         # b ~ 1.6e7: c = 2 eps/K^2 + b^2/4 carries the rounding of eps at the
         # scale of b^2, which a scale of max|c_j| read as 3.6e-4 and 2.3e3
-        for sol in solve_family(1, 0, 1e6, 1e-6):
-            assert termination_residual(sol) <= TERMINATION_RTOL
+        residuals = termination_residual(solve_family(1, 0, 1e6, 1e-6))
+        assert all(r <= TERMINATION_RTOL for r in residuals)
 
     @pytest.mark.parametrize(
         "n, l, alpha, k",
@@ -193,8 +192,8 @@ class TestSolveFamily:
     def test_termination_at_large_b_and_n(self, n, l, alpha, k):
         # the exact b and H terminate; rebuilding H by the forward recurrence
         # from (beta, eps) grew rounding to 3.6e-4 and 0.37-0.40 on these
-        for sol in solve_family(n, l, alpha, k):
-            assert termination_residual(sol) <= TERMINATION_RTOL
+        residuals = termination_residual(solve_family(n, l, alpha, k))
+        assert all(r <= TERMINATION_RTOL for r in residuals)
 
     @pytest.mark.parametrize(
         "n, l, alpha, k", [(3, 0, 1.0, 1.0), (8, 2, 1.0, 1.0), (12, 1, 2.0, 0.5), (1, 0, 1e6, 1e-6)]
@@ -202,9 +201,9 @@ class TestSolveFamily:
     def test_termination_refutes_epsilon_off_by_1e_6(self, n, l, alpha, k):
         # smallest residuals 2.7e-7, 2.1e-7, 1.4e-7 and 5.0e-7; a forward
         # rebuild of H read 2.1e-11 on a branch of (12, 1, 2, 0.5)
-        for sol in solve_family(n, l, alpha, k):
-            off = dataclasses.replace(sol, epsilon=sol.epsilon * (1 + 1e-6))
-            assert termination_residual(off) > TERMINATION_RTOL
+        off = [dataclasses.replace(sol, epsilon=sol.epsilon * (1 + 1e-6))
+               for sol in solve_family(n, l, alpha, k)]
+        assert all(r > TERMINATION_RTOL for r in termination_residual(off))
 
     def test_manifold_parameters_at_large_b(self, monkeypatch):
         # c = 2 eps/K^2 + b^2/4 from the rounded energy reads 4.992 here, not 5
@@ -273,6 +272,30 @@ class TestSolveFamily:
             signs = np.sign(c[c != 0])
             assert np.sum(signs[1:] != signs[:-1]) == sol.level
         assert max(certify(sols)) <= 1e-12
+
+
+def _termination_of_one(sol):
+    """termination_residual's figure from the branch's own recurrence_rows call."""
+    hp = to_heun_params(sol.system(), sol.epsilon)
+    c_size = 2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0
+    defect, size = recurrence_rows(hp, sol.heun_coefficients, c_size)
+    return float(np.max(np.abs(defect)) / np.max(size))
+
+
+class TestFamilyTermination:
+    @pytest.mark.parametrize("shift", ["none", "epsilon", "beta"])
+    def test_equals_one_branch_at_a_time(self, shift):
+        # bit for bit, on criterion 3's families and at b ~ 1e7, where numpy's b ** 2
+        # for c's size differs from Python's by an ulp on branch 21 with beta shifted
+        families = [solve_family(n, l, alpha, 1.0)
+                    for n in range(9) for l in range(4) for alpha in (0.0, 1.0)]
+        families.append(solve_family(21, 1, 1e6, 1e-6))
+        for sols in families:
+            if shift == "epsilon":
+                sols = [dataclasses.replace(s, epsilon=s.epsilon * (1 + 1e-6)) for s in sols]
+            elif shift == "beta":
+                sols = [dataclasses.replace(s, beta=s.beta + 1e-3) for s in sols]
+            assert termination_residual(sols) == [_termination_of_one(s) for s in sols]
 
 
 class TestCertificateCost:

@@ -85,11 +85,32 @@ def test_no_unreferenced_private_definitions():
 def test_one_call_site(name):
     # H is built in one function and solved in one: a second caller of either is a
     # second mesh solve
-    calls = [node for path in Path(biheun.__file__).parent.glob("*.py")
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)
-             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    calls = [call for path in Path(biheun.__file__).parent.glob("*.py")
+             for call in _calls(path, name)]
     assert len(calls) == 1
+
+
+def _calls(path, name):
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_cli_reads_the_node_count_from_the_verdict():
+    # the refusal and the diagnostic print Confirmation.nodes, the count that was judged
+    assert _calls(Path(biheun.__file__).parent / "cli.py", "node_count") == []
+
+
+def test_solutions_reach_the_oracle_through_confirm_solutions():
+    # verify.confirm_solutions builds confirm_all's states from solutions; confirm is the
+    # batch of one, and criterion 5 passes bare systems
+    callers = sorted(f"{path.stem}.{top.name}"
+                     for path in Path(biheun.__file__).parent.glob("*.py")
+                     for top in ast.parse(path.read_text()).body
+                     if isinstance(top, ast.FunctionDef)
+                     for node in ast.walk(top) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "confirm_all")
+    assert callers == ["oracle.confirm", "verify.confirm_solutions", "verify.criterion_5"]
 
 
 def test_one_label():
