@@ -16,8 +16,9 @@ max(1, |eps|), held to ``oracle.RTOL`` (1e-9), is ``oracle_gap``.
 ``quantize.ODE_RTOL`` (1e-9).
 
 Exit codes, all mapped in ``main``: 0 success, 2 config error (ConfigError, an
-OverflowError for input a double cannot hold, an OSError for an unwritable --out),
-3 solver failure (any other ValueError or RuntimeError), 4 verification failure.
+OverflowError for input a double cannot hold, an OSError for an unwritable --out, a
+MemoryError for a size no memory can hold), 3 solver failure (any other ValueError or
+RuntimeError), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         return COMMANDS[config.command](config)
-    except (ConfigError, OverflowError, OSError) as exc:  # input out of range, unwritable --out
+    except (ConfigError, OverflowError, OSError, MemoryError) as exc:
+        # input out of range, an unwritable --out, or an --n no memory can hold
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError) as exc:

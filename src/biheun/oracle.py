@@ -29,9 +29,10 @@ from .model import PhysicalSystem, quartic_roots, roots_in_r
 
 RTOL = 1e-9  # confirm's bound on the energy gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
-# the most points a mesh takes (eigenvalues in 40 ms, 50 ms with one vector, on a
-# 2-core VM; the weights stay finite to 640): level 180 at l = 0 needs 580, and an
-# epsilon far from every bound state or a large l would ask auto for gigabytes
+_MESH_BASE = 30  # N = 30 + 3n + l: the gaps leave rounding level from a base of 26 down
+# the most points a mesh takes (eigenvalues in 40 ms, 50 ms with one vector, on a 2-core
+# VM; the weights stay finite to 640): level 190 at l = 0 needs all 600, and an epsilon
+# far from every bound state or a large l would ask auto for gigabytes
 _LARGEST_MESH = 600
 
 
@@ -105,8 +106,7 @@ class RadialGrid:
 
     @classmethod
     def auto(cls, sys: PhysicalSystem, epsilon_hint: float | None = None) -> "RadialGrid":
-        """Mesh sized to the state at energy epsilon_hint (default K^2 (l + 3/2)), as
-        ``_auto_grids`` sizes each mesh of a batch."""
+        """``_auto_grids``' mesh for the state at energy epsilon_hint (default K^2 (l + 3/2))."""
         eps = sys.k**0.5 * (sys.l + 1.5) if epsilon_hint is None else epsilon_hint
         return _auto_grids([sys], [eps])[0]
 
@@ -118,9 +118,9 @@ def _auto_grids(systems: list[PhysicalSystem], epsilons: list[float]) -> list[Ra
     r_edge covers 1.5x the outer turning point (the largest real root of ``roots_in_r``,
     which ``turning_points`` reads too) and the radius where
     f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2 (n + l + 1 on the
-    manifold), falls 1e-12 below its peak. N = 40 + 3n + l, up to _LARGEST_MESH, for
-    n = ceil(p - l - 1) >= 0, the degree of H: f's r^(l+1) factor needs the + l (at
-    40 + 3n, l = 20 shows false nodes). OverflowError when a root overflows in r."""
+    manifold), falls 1e-12 below its peak. N = _MESH_BASE + 3n + l, up to _LARGEST_MESH,
+    for n = ceil(p - l - 1) >= 0, the degree of H: f's r^(l+1) factor needs the + l (at
+    _MESH_BASE + 3n, l = 20 shows false nodes). OverflowError when a root overflows in r."""
     grids = []
     for sys, eps, zs in zip(systems, epsilons, quartic_roots(systems, epsilons).tolist()):
         K = sys.K
@@ -146,7 +146,7 @@ def _auto_grids(systems: list[PhysicalSystem], epsilons: list[float]) -> list[Ra
         r_edge = max(1.5 * r_outer, float(r))
         # 1e-6 absorbs the rounding of p, so that n is the same for K-scaled systems
         n = max(0.0, np.ceil(p - sys.l - 1 - 1e-6))
-        grids.append(RadialGrid(r_edge, int(min(40 + 3 * n + sys.l, _LARGEST_MESH))))
+        grids.append(RadialGrid(r_edge, int(min(_MESH_BASE + 3 * n + sys.l, _LARGEST_MESH))))
     return grids
 
 

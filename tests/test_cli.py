@@ -432,7 +432,7 @@ class TestWavefunction:
         assert [row["R_polynomial"] for row in json.loads(out)["results"]] == want.tolist()
 
     def test_rows_follow_the_sized_grid(self, capsys):
-        # the state sets the point count: one row per node of its mesh, 40 + 3n + l
+        # the state sets the point count: one row per node of its mesh, 30 + 3n + l
         sol = solve_family(2, 0, 1.0, 1.0)[0]
         grid = RadialGrid.auto(sol.system(), sol.epsilon)
         code, out, _ = run_cli(
@@ -440,13 +440,13 @@ class TestWavefunction:
         )
         assert code == 0
         rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
-        assert len(rows) == grid.points == 46
+        assert len(rows) == grid.points == 36
         assert [row[0] for row in rows] == grid.nodes().tolist()
 
     @pytest.mark.parametrize("n, l, branch", [(0, 0, 0), (4, 2, 1), (12, 1, 7)])
     def test_rows_normalised_in_mesh_quadrature(self, capsys, n, l, branch):
         # sum w R^2 r^2 = 1 for both curves; the trapezoid rule over the
-        # 40-79 uneven nodes is off by up to 6e-4
+        # 30-69 uneven nodes is off by up to 8e-4
         sol = solve_family(n, l, 1.3, 0.7)[branch]
         w = RadialGrid.auto(sol.system(), sol.epsilon).weights()
         code, out, _ = run_cli(
@@ -463,7 +463,8 @@ class TestWavefunction:
 
     @pytest.mark.parametrize("n, l", [(0, 20), (5, 60)])
     def test_oracle_level_is_node_count_at_large_l(self, capsys, n, l):
-        # 40 + 3n points leave sign changes in the level-0 vector from l = 16
+        # 30 + 3n points, without the + l, leave sign changes in the vectors from
+        # l = 7 (n <= 12, alpha = k = 1)
         code, out, _ = run_cli(
             ["wavefunction", "--n", str(n), "--l", str(l), "--alpha", "1", "--k", "1",
              "--format", "json"],
@@ -668,6 +669,14 @@ class TestConfigHandling:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == "" and "takes a single n" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+    def test_n_beyond_any_memory_is_a_config_error(self, capsys, command):
+        # solve_family's arange(n + 1.0) asks for 7.11 PiB, more than any address
+        # space holds, so numpy raises MemoryError at once instead of filling memory
+        code, out, err = run_cli([command, "--n", "1000000000000000"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("config error: ") and "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(["spectrum", "--config", "/nonexistent.json"], capsys)

@@ -9,6 +9,7 @@ from biheun import oracle
 from biheun.model import PhysicalSystem, turning_points
 from biheun.oracle import (
     _LARGEST_MESH,
+    _MESH_BASE,
     RTOL,
     RadialGrid,
     _mesh,
@@ -116,13 +117,15 @@ class TestRadialGrid:
             assert grid.points == grid_s.points
 
     def test_auto_points(self):
-        # N = 40 + 3n + l for the degree n of H, on every branch of the
+        # N = _MESH_BASE + 3n + l for the degree n of H, on every branch of the
         # family, whatever alpha/K
         for n, l, alpha in ((12, 2, 1.0), (20, 0, 100.0), (0, 3, 1e4), (5, 60, 1.0)):
             for sol in solve_family(n, l, alpha, 1.0):
-                assert RadialGrid.auto(sol.system(), sol.epsilon).points == 40 + 3 * n + l
+                points = RadialGrid.auto(sol.system(), sol.epsilon).points
+                assert points == _MESH_BASE + 3 * n + l
         # the default energy K^2 (l + 3/2) is the n = 0 oscillator level
-        assert RadialGrid.auto(PhysicalSystem(alpha=0.0, beta=0.0, k=2.0, l=1)).points == 41
+        sys = PhysicalSystem(alpha=0.0, beta=0.0, k=2.0, l=1)
+        assert RadialGrid.auto(sys).points == _MESH_BASE + 1
 
     def test_auto_caps_the_mesh(self):
         # an energy far above any state of the family asks for n ~ 1e6, and
@@ -396,7 +399,7 @@ class TestConfirm:
         sys = sol.system()
         c = confirm(sys, sol.epsilon, sol.level)
         assert c.grid == RadialGrid.auto(sys, sol.epsilon)
-        assert c.grid.points == 40 + 3 * 4 + 1
+        assert c.grid.points == _MESH_BASE + 3 * 4 + 1
 
     def test_passes_only_at_its_level(self):
         """Negative control: an n=4 state confirms at its level, not at level +- 1."""
@@ -418,11 +421,11 @@ class TestConfirm:
 
     @pytest.mark.parametrize("n, l", [(140, 0), (140, 1), (140, 2), (140, 3), (180, 0)])
     def test_top_level_beyond_400_points(self, n, l):
-        # 40 + 3n + l points: level 140 read a gap of 2.6e-7 on 400, and level
-        # 180 one of 0.71
+        # _MESH_BASE + 3n + l points (450 to 570): level 140 read a gap of 2.6e-7
+        # on 400, and level 180 one of 0.71
         sol = solve_family(n, l, 1.0, 1.0)[0]
         c = confirm(sol.system(), sol.epsilon, sol.level)
-        assert c.grid.points == 40 + 3 * n + l
+        assert c.grid.points == _MESH_BASE + 3 * n + l
         assert c.passed and c.level == n
 
     def test_refutes_b_off_by_1e_6(self):
@@ -457,9 +460,9 @@ class TestConfirmAll:
 
     def test_stacks_split_by_size_and_cap(self, monkeypatch):
         # 600^2 // 300^2 = 4 states per 300-point stack: eight of them take two
-        # stacks, and the four 49-point states of (3, 0) a third, with or without
+        # stacks, and the four 39-point states of (3, 0) a third, with or without
         # vectors; each vector is the one-state solve's to the bit
-        big = solve_family(86, 2, 1.0, 1.0)
+        big = solve_family(89, 3, 1.0, 1.0)
         sols = big[::15] + solve_family(3, 0, 1.0, 1.0) + big[1:3]
         stacks, eigvalsh = [], np.linalg.eigvalsh
 
@@ -472,9 +475,9 @@ class TestConfirmAll:
             stacks.clear()
             monkeypatch.setattr(np.linalg, "eigvalsh", counted)
             batch = confirm_all(*_states(sols), vector=vector)
-            assert sorted(stacks) == [(4, 49, 49), (4, 300, 300), (4, 300, 300)]
+            assert sorted(stacks) == [(4, 39, 39), (4, 300, 300), (4, 300, 300)]
             monkeypatch.undo()
-            assert [c.grid.points for c in batch] == [300] * 6 + [49] * 4 + [300] * 2
+            assert [c.grid.points for c in batch] == [300] * 6 + [39] * 4 + [300] * 2
             assert all(c.passed for c in batch)
             if not vector:
                 assert batch == [confirm(*state) for state in zip(*_states(sols))]
@@ -508,6 +511,23 @@ class TestConfirmAll:
             confirm_all([sys, sys], [1.5, 3.5], [0, 100])
 
 
+@pytest.mark.parametrize("n", [0, 4, 8, 12, 40])
+def test_auto_mesh_is_converged(n):
+    """The mesh is held by its accuracy, not its size: on every branch, ten more points
+    move the energy by at most 1e-11 max(1, |E|), and for n <= 12 the level's vector
+    has as many nodes as its level."""
+    sols = [sol for l, (alpha, k) in itertools.product(
+                (0, 3, 20), [(0.0, 1.0), (1.7, 0.6), (100.0, 1.0)])
+            for sol in solve_family(n, l, alpha, k)]
+    systems, epsilons, levels = _states(sols)
+    auto = confirm_all(systems, epsilons, levels, vector=n <= 12)
+    finer = oracle._solve(systems, [RadialGrid(c.grid.r_edge, c.grid.points + 10) for c in auto],
+                          [range(level, level + 1) for level in levels], False)
+    for c, (energies, _) in zip(auto, finer):
+        assert abs(energies[0] - c.energy) <= 1e-11 * max(1.0, abs(c.energy))
+        assert c.nodes == (c.level if n <= 12 else None)
+
+
 def _positive_zeros(coeffs):
     """Positive real zeros of the polynomial with ascending coefficients."""
     z = np.roots(coeffs[::-1])
@@ -516,7 +536,7 @@ def _positive_zeros(coeffs):
 
 def test_level_is_sturm_index():
     """For n <= 12 the zeros of H number n - branch, and the oracle eigenvector
-    at that level, sampled at the 40 + 3n + l nodes of its mesh, has as many nodes."""
+    at that level, sampled at the 30 + 3n + l nodes of its mesh, has as many nodes."""
     for n, l, (alpha, k) in itertools.product(
         range(13), range(4), [(1.5, 1.0), (0.0, 0.3), (2.9, 3.1), (30.0, 1.0)]
     ):

@@ -1,12 +1,14 @@
 import ast
 import functools
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biheun
+from biheun.oracle import _MESH_BASE
 
 PUBLIC = {
     "PhysicalSystem", "QuasiExactSolution", "RadialGrid", "TurningPointSet", "confirm",
@@ -111,6 +113,17 @@ def test_solutions_reach_the_oracle_through_confirm_solutions():
                      for node in ast.walk(top) if isinstance(node, ast.Call)
                      and getattr(node.func, "id", None) == "confirm_all")
     assert callers == ["oracle.confirm", "verify.confirm_solutions", "verify.criterion_5"]
+
+
+def test_readme_quotes_the_mesh_rule():
+    # the README states the oracle's N = base + 3n + l with the code's base and no
+    # other: the two drifted apart before, so a changed base must change both
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bases = re.findall(r"\b(\d+) \+ 3n\b", readme)
+    assert bases and set(bases) == {str(_MESH_BASE)}
+    # the row and node counts it quotes for n <= 12, l <= 3 follow from the base
+    spans = re.findall(r"\b(\d+) to (\d+) (?:rows|uneven nodes)", readme)
+    assert spans and set(spans) == {(str(_MESH_BASE), str(_MESH_BASE + 39))}
 
 
 def test_one_label():
