@@ -1,12 +1,12 @@
 """Acceptance checks: every claim the library makes, tested against independent routes.
 
-Each criterion function returns a CriterionResult whose verdict is the worst
-figure it prints held to the bound its name states; a NaN figure fails.
-run_acceptance prints one pass/fail line per criterion. The Lagrange-Laguerre
+Each criterion function returns a CriterionResult of the Figures it prints, each
+held to the bound its name states; the record derives the verdict (a NaN figure
+fails) and the pass/fail line that run_acceptance prints. The Lagrange-Laguerre
 mesh oracle (module ``oracle``), the n = 0 and n = 1 closed forms and the
 power-matching series oracle (below) are deliberately separate from the
 production code paths they check; the closed forms share only the assembly of
-a solution from its b and H (energy, beta and ODE residual) with
+a solution from its b and H (energy and beta) with
 ``solve_family``. Termination is read on each solution's own H, not on a
 series rebuilt from its energy."""
 
@@ -27,12 +27,46 @@ TERMINATION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
+class Figure:
+    """One printed figure: the worst of its values, held to its bound."""
+    label: str
+    values: object  # array-like
+    bound: float
+    fmt: str = "{:.2e}"
+    at_least: bool = False  # the bound is a floor, not a ceiling
+
+    @property
+    def value(self) -> float:
+        """The worst value, NaN if any is NaN (Python's max and min drop a NaN that is
+        not first), so the verdict fails on it."""
+        return float(np.min(self.values) if self.at_least else np.max(self.values))
+
+    @property
+    def passed(self) -> bool:
+        return self.value >= self.bound if self.at_least else self.value <= self.bound
+
+
+@dataclass(frozen=True)
 class CriterionResult:
     number: int
     name: str
-    passed: bool
-    detail: str
+    figures: tuple[Figure, ...]
+    note: str = ""  # printed before the figures
     elapsed_s: float | None = None  # wall time, filled in by run_acceptance
+
+    @property
+    def passed(self) -> bool:
+        return all(f.passed for f in self.figures)
+
+    @property
+    def detail(self) -> str:
+        pairs = ", ".join(f"{f.label}={f.fmt.format(f.value)}" for f in self.figures)
+        return f"{self.note}; {pairs}" if self.note else pairs
+
+    @property
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{status}] criterion {self.number}: {self.name} -- {self.detail}"
 
 
 def closed_form_n0(l: int, alpha: float, K: float) -> QuasiExactSolution:
@@ -127,24 +161,14 @@ def confirm_solutions(sols: list[QuasiExactSolution], vector: bool = False) -> l
                        [sol.level for sol in sols], vector)
 
 
-def _worst(figures: list[float] | np.ndarray) -> float:
-    """The largest figure, NaN if any is NaN (Python's max drops a NaN that
-    is not first), so a ``worst <= bound`` verdict fails on it."""
-    return float(np.max(figures))
-
-
 def criterion_1() -> CriterionResult:
     """n=0 closed form energies appear in the oracle spectrum."""
     t0 = time.perf_counter()
     sols = [closed_form_n0(l, alpha, 1.0) for l in (0, 1, 2, 3) for alpha in (0.5, 1.0, 2.0)]
-    worst = _worst([c.gap for c in confirm_solutions(sols)])
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        1,
-        f"n=0 closed form vs oracle ({RTOL:g}, <10 s)",
-        worst <= RTOL and elapsed <= 10.0,
-        f"worst rel gap={worst:.2e}, elapsed={elapsed:.1f}s",
-    )
+    gaps = [c.gap for c in confirm_solutions(sols)]
+    return CriterionResult(1, f"n=0 closed form vs oracle ({RTOL:g}, <10 s)", (
+        Figure("worst rel gap", gaps, RTOL),
+        Figure("elapsed", [time.perf_counter() - t0], 10.0, "{:.1f}s")))
 
 
 def criterion_2() -> CriterionResult:
@@ -157,13 +181,10 @@ def criterion_2() -> CriterionResult:
             closed += sols
             mismatches += [abs(sol.b_root - root) / max(1.0, abs(root))
                            for sol, root in zip(sols, roots)]
-    worst_root, worst_gap = _worst(mismatches), _worst([c.gap for c in confirm_solutions(closed)])
     return CriterionResult(
-        2,
-        f"n=1 closed form vs solve_family roots (1e-12) and oracle ({RTOL:g})",
-        worst_root <= 1e-12 and worst_gap <= RTOL,
-        f"worst root mismatch={worst_root:.2e}, worst oracle gap={worst_gap:.2e}",
-    )
+        2, f"n=1 closed form vs solve_family roots (1e-12) and oracle ({RTOL:g})",
+        (Figure("worst root mismatch", mismatches, 1e-12),
+         Figure("worst oracle gap", [c.gap for c in confirm_solutions(closed)], RTOL)))
 
 
 def criterion_3() -> CriterionResult:
@@ -171,17 +192,14 @@ def criterion_3() -> CriterionResult:
     families = [solve_family(n, l, alpha, 1.0)
                 for n in range(0, 9) for l in range(0, 4) for alpha in (0.0, 1.0)]
     sols = [sol for family in families for sol in family]
-    worst_term = _worst([r for family in families for r in termination_residual(family)])
-    worst_ode = _worst([r for family in families for r in certify(family)])
-    worst_gap = _worst([c.gap for c in confirm_solutions(sols)])
     return CriterionResult(
-        3,
-        f"general n<=8: termination {TERMINATION_RTOL:g}, ODE residual {ODE_RTOL:g}, "
+        3, f"general n<=8: termination {TERMINATION_RTOL:g}, ODE residual {ODE_RTOL:g}, "
         f"oracle {RTOL:g}",
-        worst_term <= TERMINATION_RTOL and worst_ode <= ODE_RTOL and worst_gap <= RTOL,
-        f"{len(sols)} solutions; worst termination={worst_term:.2e}, "
-        f"ode={worst_ode:.2e}, oracle gap={worst_gap:.2e}",
-    )
+        (Figure("worst termination", [r for fam in families for r in termination_residual(fam)],
+                TERMINATION_RTOL),
+         Figure("ode", [r for fam in families for r in certify(fam)], ODE_RTOL),
+         Figure("oracle gap", [c.gap for c in confirm_solutions(sols)], RTOL)),
+        f"{len(sols)} solutions")
 
 
 def criterion_4() -> CriterionResult:
@@ -195,14 +213,9 @@ def criterion_4() -> CriterionResult:
         rec = coefficient_sequence(HeunParameters(a=a, b=b, c=c, d=d), 14)
         ora = power_matching_coefficients(a, b, c, d, 14)
         denom = np.maximum(np.abs(ora), 1e-12 * max(np.max(np.abs(ora)), 1.0))
-        mismatches.append(_worst(np.abs(rec - ora) / denom))
-    worst = _worst(mismatches)
-    return CriterionResult(
-        4,
-        "recurrence matches power-matching oracle (100 random sets, 1e-12)",
-        worst <= 1e-12,
-        f"worst relative mismatch={worst:.2e}",
-    )
+        mismatches.append(np.abs(rec - ora) / denom)
+    return CriterionResult(4, "recurrence matches power-matching oracle (100 random sets, 1e-12)",
+                           (Figure("worst relative mismatch", mismatches, 1e-12),))
 
 
 def criterion_5() -> CriterionResult:
@@ -210,10 +223,9 @@ def criterion_5() -> CriterionResult:
     # an absolute bound: confirm's gap is relative to max(1, |eps|)
     systems, eps, levels = zip(*[(PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=l),
                                   2.0 * nr + l + 1.5, nr) for l in (0, 1, 2) for nr in range(3)])
-    worst = _worst([abs(c.energy - e) for c, e in zip(confirm_all(systems, eps, levels), eps)])
-    return CriterionResult(
-        5, "oscillator limit levels within 1e-5", worst <= 1e-5, f"worst abs error={worst:.2e}"
-    )
+    errors = [abs(c.energy - e) for c, e in zip(confirm_all(systems, eps, levels), eps)]
+    return CriterionResult(5, "oscillator limit levels within 1e-5",
+                           (Figure("worst abs error", errors, 1e-5),))
 
 
 def criterion_6() -> CriterionResult:
@@ -232,18 +244,15 @@ def criterion_6() -> CriterionResult:
                     for s, ss in zip(sols, sols_scaled)]
         # oracle side, on correspondingly scaled meshes
         beta = float(rng.uniform(-1.5, 1.5))
-        sys = PhysicalSystem(alpha=alpha, beta=abs(beta), k=k, l=l)
-        sys_s = PhysicalSystem(alpha=alpha / K, beta=abs(beta) / K**3, k=1.0, l=l)
+        sys = PhysicalSystem(alpha=alpha, beta=beta, k=k, l=l)
+        sys_s = PhysicalSystem(alpha=alpha / K, beta=beta / K**3, k=1.0, l=l)
         grid = RadialGrid.auto(sys)
         grid_s = RadialGrid(grid.r_edge * K, grid.points)
         e1 = fd_eigensolve(sys, grid, range(3)).energies
         e2 = fd_eigensolve(sys_s, grid_s, range(3)).energies
-        defects.append(_worst(np.abs(e1 - K * K * e2) / np.maximum(1.0, np.abs(e1))))
-    worst = _worst(defects)
-    return CriterionResult(
-        6, "K-scaling invariance within 1e-8 (10 random sets)", worst <= 1e-8,
-        f"worst relative defect={worst:.2e}",
-    )
+        defects += (np.abs(e1 - K * K * e2) / np.maximum(1.0, np.abs(e1))).tolist()
+    return CriterionResult(6, "K-scaling invariance within 1e-8 (10 random sets)",
+                           (Figure("worst relative defect", defects, 1e-8),))
 
 
 def criterion_7() -> CriterionResult:
@@ -259,10 +268,8 @@ def criterion_7() -> CriterionResult:
         )
         eps = float(rng.uniform(-5.0, 10.0))
         residuals += turning_points(sys, eps).vieta_residuals
-    worst = _worst(residuals)
-    return CriterionResult(
-        7, "Vieta residuals < 1e-9 (20 random pairs)", worst <= 1e-9, f"worst residual={worst:.2e}"
-    )
+    return CriterionResult(7, "Vieta residuals < 1e-9 (20 random pairs)",
+                           (Figure("worst residual", residuals, 1e-9),))
 
 
 def criterion_8() -> CriterionResult:
@@ -270,12 +277,10 @@ def criterion_8() -> CriterionResult:
     ratios = [r / TERMINATION_RTOL for n in (1, 2, 3, 5) for l in (0, 1)
               for r in termination_residual([replace(sol, beta=sol.beta + 1e-3)
                                              for sol in solve_family(n, l, 1.0, 1.0)])]
-    smallest = float(np.min(ratios))  # NaN if any ratio is NaN, as in _worst
     return CriterionResult(
-        8,
-        "off-manifold beta perturbation breaks termination by >= 10x",
-        smallest >= 10.0,
-        f"{len(ratios)} solutions; smallest residual/tolerance ratio={smallest:.1e}",
+        8, "off-manifold beta perturbation breaks termination by >= 10x",
+        (Figure("smallest residual/tolerance ratio", ratios, 10.0, "{:.1e}", at_least=True),),
+        f"{len(ratios)} solutions",
     )
 
 
@@ -296,12 +301,7 @@ def run_acceptance() -> list[CriterionResult]:
     results = []
     for fn in ALL_CRITERIA:
         t0 = time.perf_counter()
-        res = fn()
-        res = replace(res, elapsed_s=time.perf_counter() - t0)
+        res = replace(fn(), elapsed_s=time.perf_counter() - t0)
         results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        print(
-            f"[{status}] criterion {res.number}: {res.name} -- {res.detail} "
-            f"[{res.elapsed_s:.2f} s]"
-        )
+        print(f"{res.line} [{res.elapsed_s:.2f} s]")
     return results

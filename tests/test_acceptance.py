@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the same checks back the CLI `verify` subcommand.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,7 @@ from biheun.cli import main
 
 def _run(fn):
     res = fn()
-    status = "PASS" if res.passed else "FAIL"
-    print(f"\n[{status}] criterion {res.number}: {res.name} -- {res.detail}")
+    print(f"\n{res.line}")
     assert res.passed, f"criterion {res.number} failed: {res.detail}"
 
 
@@ -52,12 +53,42 @@ def test_criterion_8_off_manifold_negative_control():
 
 
 def test_run_acceptance_reports_elapsed(monkeypatch, capsys):
-    stub = lambda: verify.CriterionResult(9, "stub", True, "ok")  # noqa: E731
-    monkeypatch.setattr(verify, "ALL_CRITERIA", (stub,))
+    stub = verify.CriterionResult(9, "stub", (verify.Figure("gap", [0.5], 1.0),))
+    monkeypatch.setattr(verify, "ALL_CRITERIA", (lambda: stub,))
     (res,) = verify.run_acceptance()
     assert res.elapsed_s is not None and res.elapsed_s >= 0.0
-    line = f"[PASS] criterion 9: stub -- ok [{res.elapsed_s:.2f} s]"
+    line = f"[PASS] criterion 9: stub -- gap=5.00e-01 [{res.elapsed_s:.2f} s]"
     assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("at_least", [False, True], ids=["ceiling", "floor"])
+def test_a_nan_figure_fails(at_least):
+    # the same values without the NaN pass: Python's max and min would drop it
+    fig = verify.Figure("gap", [1.0, np.nan, 1.0], 1.0, at_least=at_least)
+    res = verify.CriterionResult(9, "stub", (verify.Figure("ok", [1.0], 1.0), fig), "2 states")
+    assert not fig.passed and not res.passed
+    assert res.detail == "2 states; ok=1.00e+00, gap=nan"
+
+
+@pytest.mark.parametrize("at_least", [False, True], ids=["ceiling", "floor"])
+def test_a_figure_at_its_bound_passes(at_least):
+    assert verify.Figure("gap", [1.0, 1.0], 1.0, at_least=at_least).passed
+    past = np.nextafter(1.0, 0.0 if at_least else 2.0)
+    assert not verify.Figure("gap", [1.0, past], 1.0, at_least=at_least).passed
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [pytest.param(fn, marks=pytest.mark.slow) if fn is verify.criterion_3 else fn
+     for fn in verify.ALL_CRITERIA],
+    ids=lambda fn: fn.__name__,
+)
+def test_name_states_every_bound(criterion):
+    # the name is the printed statement of the bounds, so a bound changed
+    # without its name fails here
+    res = criterion()
+    stated = {float(x) for x in re.findall(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?", res.name)}
+    assert {f.bound for f in res.figures} <= stated, res.name
 
 
 def _nan(*args, **kwargs):

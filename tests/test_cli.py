@@ -700,28 +700,28 @@ class TestConfigHandling:
 
     def test_verify_exit_codes(self, capsys, monkeypatch):
         from biheun import cli
-        from biheun.verify import CriterionResult
+        from biheun.verify import CriterionResult, Figure
 
-        ok = CriterionResult(1, "stub", True, "")
+        ok = CriterionResult(1, "stub", (Figure("gap", [0.5], 1.0),))
         monkeypatch.setattr(cli, "run_acceptance", lambda: [ok])
         assert main(["verify"]) == 0
 
-        bad = CriterionResult(1, "stub", False, "")
+        bad = CriterionResult(1, "stub", (Figure("gap", [2.0], 1.0),))
         monkeypatch.setattr(cli, "run_acceptance", lambda: [ok, bad])
         assert main(["verify"]) == 4
         capsys.readouterr()
 
     def test_verify_out_file(self, capsys, monkeypatch, tmp_path):
         from biheun import verify
-        from biheun.verify import CriterionResult
+        from biheun.verify import CriterionResult, Figure
 
-        stub = lambda: CriterionResult(1, "stub", True, "ok")  # noqa: E731
+        stub = lambda: CriterionResult(1, "stub", (Figure("gap", [0.0], 1.0),))  # noqa: E731
         monkeypatch.setattr(verify, "ALL_CRITERIA", (stub,))
         path = tmp_path / "verify.txt"
         code, out, _ = run_cli(["verify", "--out", str(path)], capsys)
         assert code == 0
         assert out == ""
-        assert path.read_text().startswith("[PASS] criterion 1: stub -- ok [")
+        assert path.read_text().startswith("[PASS] criterion 1: stub -- gap=0.00e+00 [")
 
     @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 import biheun
 from biheun.oracle import _MESH_BASE
+from biheun.verify import ALL_CRITERIA
 
 PUBLIC = {
     "PhysicalSystem", "QuasiExactSolution", "RadialGrid", "TurningPointSet", "confirm",
@@ -113,6 +114,20 @@ def test_solutions_reach_the_oracle_through_confirm_solutions():
                      for node in ast.walk(top) if isinstance(node, ast.Call)
                      and getattr(node.func, "id", None) == "confirm_all")
     assert callers == ["oracle.confirm", "verify.confirm_solutions", "verify.criterion_5"]
+
+
+def test_verdicts_come_from_the_record():
+    # a criterion returns its figures; verify.Figure holds the one verdict and NaN rule,
+    # so no criterion compares a figure with its bound itself
+    tree = ast.parse((Path(biheun.__file__).parent / "verify.py").read_text())
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    criteria = {name for name in functions if re.fullmatch(r"criterion_\d+", name)}
+    assert criteria == {fn.__name__ for fn in ALL_CRITERIA}
+    assert "_worst" not in functions
+    ordered = [name for name in sorted(criteria) for node in ast.walk(functions[name])
+               if isinstance(node, ast.Compare)
+               and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)]
+    assert ordered == []
 
 
 def test_readme_quotes_the_mesh_rule():
