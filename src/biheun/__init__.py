@@ -9,7 +9,7 @@ eigensolver.
 """
 
 from .model import PhysicalSystem, TurningPointSet, turning_points
-from .oracle import RadialGrid, confirm, fd_eigensolve, node_count
+from .oracle import RadialGrid, confirm, node_count
 from .quantize import QuasiExactSolution, solve_family, wavefunction
 from .verify import run_acceptance
 
@@ -19,7 +19,6 @@ __all__ = [
     "RadialGrid",
     "TurningPointSet",
     "confirm",
-    "fd_eigensolve",
     "node_count",
     "run_acceptance",
     "solve_family",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .heun import HeunParameters, coefficient_sequence, recurrence_rows, to_heun_params
 from .model import PhysicalSystem, turning_points
-from .oracle import RTOL, Confirmation, RadialGrid, confirm_all, fd_eigensolve
+from .oracle import RTOL, Confirmation, RadialGrid, _solve, confirm_all
 from .quantize import ODE_RTOL, QuasiExactSolution, _assemble_solution, certify, solve_family
 
 # Largest termination_residual a solution on the manifold may show.
@@ -248,8 +248,8 @@ def criterion_6() -> CriterionResult:
         sys_s = PhysicalSystem(alpha=alpha / K, beta=beta / K**3, k=1.0, l=l)
         grid = RadialGrid.auto(sys)
         grid_s = RadialGrid(grid.r_edge * K, grid.points)
-        e1 = fd_eigensolve(sys, grid, range(3)).energies
-        e2 = fd_eigensolve(sys_s, grid_s, range(3)).energies
+        (e1, _), (e2, _) = _solve([sys, sys_s], [grid, grid_s], [0, 0], False)
+        e1, e2 = e1[:3], e2[:3]
         defects += (np.abs(e1 - K * K * e2) / np.maximum(1.0, np.abs(e1))).tolist()
     return CriterionResult(6, "K-scaling invariance within 1e-8 (10 random sets)",
                            (Figure("worst relative defect", defects, 1e-8),))
