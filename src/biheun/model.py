@@ -90,12 +90,31 @@ def quartic_roots(systems: list[PhysicalSystem], eps: list[float]) -> np.ndarray
     shape (len(systems), 4), unordered: one stacked eigensolve of the companion matrices of
     ``_quartic_coeffs``, the matrix ``np.roots`` builds. Trailing zero coefficients (l = 0,
     and alpha = 0 with it) are not deflated: LAPACK's balancing isolates each such root as
-    an exact 0, and the others can sit a few ulps from ``np.roots``' deflated solve."""
+    an exact 0, and the others can sit a few ulps from ``np.roots``' deflated solve.
+
+    The eigensolve holds a small root only to about u max|coeff|. So in a row whose two
+    smallest |z| lie below 1e-4 of the third, their product and sum are recomputed as
+    e4/(z3 z4) and (e3 - z1 z2 (z3 + z4))/(z3 z4) from Vieta's e3 = alpha/K and
+    e4 = l(l+1), and the quadratic is solved in its stable form. Such a row lists the
+    retaken pair first; every other row is left as the eigensolve gives it."""
     c = np.array([_quartic_coeffs(*pair) for pair in zip(systems, eps)])
     companion = np.zeros((len(c), 16))  # flat: ones on the sub-diagonal, -c/c_0 = c on top
     companion[:, 4::5] = 1.0
     companion[:, :4] = c[:, 1:]
-    return np.linalg.eigvals(companion.reshape(-1, 4, 4))
+    eig = np.linalg.eigvals(companion.reshape(-1, 4, 4))  # float if every root is real
+    roots = eig.astype(complex)
+    moduli = np.sort(np.abs(eig), axis=1)
+    for i in np.flatnonzero(moduli[:, 1] < 1e-4 * moduli[:, 2]):
+        zs = sorted(eig[i].tolist(), key=abs)  # Python arithmetic, in eig's own type
+        big = zs[2] * zs[3]
+        if 0 < abs(big) < math.inf:
+            _, _, _, c3, c4 = c[i].tolist()
+            p = -c4 / big
+            s = (c3 - p * (zs[2] + zs[3])) / big
+            d = cmath.sqrt(s * s - 4.0 * p)
+            t = (s + d if abs(s + d) >= abs(s - d) else s - d) / 2.0  # no cancellation
+            roots[i] = t, (p / t if t else 0j), zs[2], zs[3]
+    return roots
 
 
 def roots_in_r(zs: list[complex], K: float) -> tuple[list[float], list[complex]]:
@@ -120,25 +139,12 @@ def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
     """All four roots of the turning-point quartic, classified and ordered.
 
     One backward-stable eigensolve of the companion matrix of the quartic in
-    z = K r (``quartic_roots``); when the two smallest |z| lie below 1e-4 of the
-    third, their product and sum are recomputed as e4/(z3 z4) and
-    (e3 - z1 z2 (z3 + z4))/(z3 z4) and the quadratic is solved in its stable
-    form. Then ``roots_in_r`` takes r = z/K and classifies each root.
-    OverflowError when the quartic's coefficients in z or its roots in r
+    z = K r, with a small pair retaken through Vieta's identities
+    (``quartic_roots``); then ``roots_in_r`` takes r = z/K and classifies each
+    root. OverflowError when the quartic's coefficients in z or its roots in r
     overflow a double.
     """
-    coeffs = _quartic_coeffs(sys, epsilon)
-    zs = sorted(quartic_roots([sys], [epsilon])[0].tolist(), key=abs)
-    big = zs[2] * zs[3]
-    if abs(zs[1]) < 1e-4 * abs(zs[2]) and 0 < abs(big) < math.inf:
-        # the eigensolve holds a small root only to about u max|coeff|: take the small
-        # pair from the large one through Vieta's e3 = alpha/K and e4 = l(l+1)
-        p = -coeffs[4] / big
-        s = (coeffs[3] - p * (zs[2] + zs[3])) / big
-        d = cmath.sqrt(s * s - 4.0 * p)
-        t = (s + d if abs(s + d) >= abs(s - d) else s - d) / 2.0  # no cancellation
-        zs[:2] = t, (p / t if t else 0j)
-    real, cplx = roots_in_r(zs, sys.K)
+    real, cplx = roots_in_r(quartic_roots([sys], [epsilon])[0].tolist(), sys.K)
     ordered = tuple([complex(r) for r in real] + cplx)
 
     residuals = vieta_residuals(ordered, sys, epsilon)

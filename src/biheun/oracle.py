@@ -58,24 +58,20 @@ def _mesh(points: int) -> tuple[np.ndarray, np.ndarray]:
     return x, lam
 
 
-def _kinetic(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The h-free parts of the mesh's kinetic matrix: T_ij = num_ij / (den_ij h^2) off the
-    diagonal and T_ii = t_num_i / (t_den_i h h), returned as (num, den, t_num, t_den),
+def _kinetic(points: int) -> np.ndarray:
+    """The h-free kinetic matrix T of the mesh, whose kinetic part at scale h is T / h^2:
 
-        num_ij = (-1)^(i-j) (x_i + x_j),   den_ij = sqrt(x_i x_j) (x_i - x_j)^2,
-        t_num_i = 4 + (4N + 2) x_i - x_i^2,   t_den_i = 12 x_i^2,
-
-    whose diagonals ``_hamiltonians`` overwrites with T_ii + V_ii."""
+        T_ij = (-1)^(i-j) (x_i + x_j) / (sqrt(x_i x_j) (x_i - x_j)^2),
+        T_ii = (4 + (4N + 2) x_i - x_i^2) / (12 x_i^2)."""
     x, _ = _mesh(points)
-    num = x[:, None] + x
-    num[1::2, ::2] *= -1.0  # (-1)^(i-j): every entry with i + j odd
-    num[::2, 1::2] *= -1.0
+    T = x[:, None] + x
+    T[1::2, ::2] *= -1.0  # (-1)^(i-j): every entry with i + j odd
+    T[::2, 1::2] *= -1.0
     dx = x[:, None] - x
     np.fill_diagonal(dx, 1.0)
-    den = np.sqrt(np.outer(x, x)) * dx * dx
-    t_num = 4.0 + (4.0 * points + 2.0) * x - x * x
-    t_den = 12.0 * x * x
-    return num, den, t_num, t_den
+    T /= np.sqrt(np.outer(x, x)) * dx * dx
+    np.fill_diagonal(T, (4.0 + (4.0 * points + 2.0) * x - x * x) / (12.0 * x * x))
+    return T
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ def _solve(
     normalized in the mesh's quadrature (sum w f^2 = 1, w = ``grid.weights()``).
 
     Every level is checked to lie in 0..points - 3 before any solve. The states are grouped
-    by mesh size; each size's kinetic parts are built once, and its H are solved as
+    by mesh size; each size's kinetic matrix is built once, and its H are solved as
     (g, N, N) stacks of at most _LARGEST_MESH^2 doubles (2.9 MB), one ``np.linalg.eigvalsh``
     each. A requested vector comes from ``_inverse_iteration`` on its state's H."""
     by_size: dict[int, list[int]] = {}
@@ -202,23 +198,20 @@ def _solve(
 
 
 def _hamiltonians(
-    systems: list[PhysicalSystem], r_edges: list[float],
-    kinetic: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    systems: list[PhysicalSystem], r_edges: list[float], kinetic: np.ndarray
 ) -> np.ndarray:
     """The stack of H, shape (len(systems), N, N), of ``systems[i]`` on the N-point mesh
-    of edge ``r_edges[i]``: the ``kinetic`` parts of ``_kinetic(N)`` divided by h^2 as
-    num / (den * (h * h)) and t_num / (t_den * h * h), plus the potential at the nodes."""
-    num, den, t_num, t_den = kinetic
-    points = len(t_num)
+    of edge ``r_edges[i]``: ``kinetic``, ``_kinetic(N)``, divided by h^2, plus the
+    potential at the nodes on the diagonal."""
+    points = len(kinetic)
     x, _ = _mesh(points)
     h = np.array(r_edges, dtype=float)[:, None] / x[-1]
     r = h * x
-    H = den * (h * h)[:, :, None]
-    np.divide(num, H, out=H)
+    H = kinetic / (h * h)[:, :, None]
     alpha, beta, k, ll = np.array(
         [(s.alpha, s.beta, s.k, s.l * (s.l + 1)) for s in systems], dtype=float).T[:, :, None]
     v = -alpha / r + beta * r + k * r * r + ll / (r * r)
-    H.reshape(len(H), -1)[:, ::points + 1] = t_num / (t_den * h * h) + v
+    H.reshape(len(H), -1)[:, ::points + 1] += v
     return H
 
 

@@ -222,9 +222,17 @@ class TestSmallRoots:
     )
     def test_against_80_digits(self, alpha, beta, k, l, eps):
         sys = PhysicalSystem(alpha, beta, k, l)
-        got = sorted(turning_points(sys, eps).roots, key=abs)[:2]
-        for z, want in zip(got, small_roots_reference(sys, eps)):
-            assert abs(z - want) <= 1e-11 * abs(want)
+        want = small_roots_reference(sys, eps)
+        # and the stacked solve that the mesh and the certificate read, which had read
+        # 0 and 0 too: both cases and an ordinary row in one batch
+        cases = [(1e10, 0.0, 1e-300, 0, 1.0), (1e-6, 2.5, 1e-300, 5, 1e10),
+                 (1.0, 0.5, 2.0, 2, 3.0)]
+        batch = quartic_roots([PhysicalSystem(*case[:4]) for case in cases],
+                              [case[4] for case in cases])
+        stacked = batch[cases.index((alpha, beta, k, l, eps))] / sys.K
+        for roots in (turning_points(sys, eps).roots, stacked.tolist()):
+            for z, w in zip(sorted(roots, key=abs)[:2], want):
+                assert abs(z - w) <= 1e-11 * abs(w)
 
     def test_vieta_identity_3(self):
         # e3 = alpha/K = 1e85, whose defect read 1e85 with both small roots at 0
@@ -239,8 +247,10 @@ class TestQuarticRoots:
                     (1.0, 0.5, 2.0, 2, 3.0)])
     def test_rows_are_np_roots(self, cases):
         # the same companion matrix: np.roots' roots to the bit where it deflates
-        # nothing (l > 0); at l = 0 each trailing zero coefficient is an exact 0 root,
-        # and the other roots sit within rounding of np.roots' deflated solve.
+        # nothing (l > 0) and no small pair is retaken; at l = 0 each trailing zero
+        # coefficient is an exact 0 root, and the other roots sit within rounding of
+        # np.roots' deflated solve. A retaken row keeps np.roots' large pair, and
+        # TestSmallRoots holds its small pair to 80 digits.
         # (0, 0, 1, 0, 0) has every root at 0
         systems = [PhysicalSystem(*case[:4]) for case in cases]
         eps = [case[4] for case in cases]
@@ -249,7 +259,12 @@ class TestQuarticRoots:
             # the largest |z|, the figure the certificate reads
             assert np.abs(zs).max() == pytest.approx(np.abs(want).max(), rel=1e-12, abs=0.0)
             if sys.l > 0:
-                assert zs.tolist() == want.tolist()
+                moduli = np.sort(np.abs(want))
+                if moduli[1] < 1e-4 * moduli[2]:
+                    large = sorted(zs.tolist(), key=abs)[2:]
+                    assert large == sorted(want.tolist(), key=abs)[2:]
+                else:
+                    assert zs.tolist() == want.tolist()
                 continue
             zeros = 2 if sys.alpha == 0 else 1
             assert np.sum(zs == 0) >= zeros

@@ -101,11 +101,16 @@ class TestRadialGrid:
         c = confirm(sys, sol.epsilon, sol.level)
         assert c.passed and c.gap <= 1e-9
 
-    @pytest.mark.parametrize("l", [0, 2])
-    def test_auto_edge_reads_the_outer_turning_point(self, l):
-        # the mesh and turning_points read one quartic_roots solve: where the wall is
-        # the edge, it is 1.5x turning_points' outer root to the bit, at l = 0 too
-        sol = solve_family(32, l, 0.0, 3.0)[0]
+    @pytest.mark.parametrize(
+        "n, l, alpha, k, branch",
+        [(32, 0, 0.0, 3.0, 0), (32, 2, 0.0, 3.0, 0), (7, 3, 1e12, 1.0, 0), (8, 3, 1e18, 1.0, 0)],
+    )
+    def test_auto_edge_reads_the_outer_turning_point(self, n, l, alpha, k, branch):
+        # the mesh and turning_points read one quartic_roots solve, small pair retaken:
+        # where the wall is the edge, it is 1.5x turning_points' outer root to the bit, at
+        # l = 0 too; at alpha/K = 1e18 the outer root is the larger of the small pair, and
+        # an edge read from the eigensolve's own pair fell 9% short
+        sol = solve_family(n, l, alpha, k)[branch]
         sys = sol.system()
         outer = max(turning_points(sys, sol.epsilon).real_roots)
         assert RadialGrid.auto(sys, sol.epsilon).r_edge == 1.5 * outer
@@ -342,7 +347,8 @@ class TestFdEigensolve:
 
 
 def _direct_eigensolve(sys, grid, level):
-    """The spectrum and the vector of ``level`` of one H assembled entry by entry."""
+    """The spectrum and the vector of ``level`` of one H assembled entry by entry: the
+    kinetic matrix at h = 1, divided by h^2, plus the potential on the diagonal."""
     x, _ = _mesh(grid.points)
     h = grid.r_edge / x[-1]
     r = h * x
@@ -350,10 +356,10 @@ def _direct_eigensolve(sys, grid, level):
     sign = 1 - 2 * ((i[:, None] + i) % 2)  # (-1)^(i-j)
     dx = x[:, None] - x
     np.fill_diagonal(dx, 1.0)
-    H = sign * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * dx * dx * (h * h))
-    t_ii = (4.0 + (4.0 * grid.points + 2.0) * x - x * x) / (12.0 * x * x * h * h)
+    T = sign * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * dx * dx)
+    np.fill_diagonal(T, (4.0 + (4.0 * grid.points + 2.0) * x - x * x) / (12.0 * x * x))
     v = -sys.alpha / r + sys.beta * r + sys.k * r * r + sys.l * (sys.l + 1) / (r * r)
-    np.fill_diagonal(H, t_ii + v)
+    H = T / (h * h) + np.diag(v)
     lam = np.linalg.eigvalsh(H)
     return lam / 2.0, oracle._inverse_iteration(H, lam[level]) / np.sqrt(grid.weights())
 

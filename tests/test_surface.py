@@ -105,6 +105,18 @@ def _calls(path, name):
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def test_one_quartic_solver():
+    # the turning points, the mesh sizing and the certificate read one stacked solve, at
+    # one accuracy: the companion eigensolve and its small-pair retake live only there
+    owners = sorted((f"{path.stem}.{getattr(top, 'name', '')}", ast.unparse(node.func))
+                    for path in Path(biheun.__file__).parent.glob("*.py")
+                    for top in ast.parse(path.read_text()).body
+                    for node in ast.walk(top) if isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("np.linalg.eigvals", "cmath.sqrt"))
+    assert owners == [("model.quartic_roots", "cmath.sqrt"),
+                      ("model.quartic_roots", "np.linalg.eigvals")]
+
+
 def test_cli_reads_the_node_count_from_the_verdict():
     # the refusal and the diagnostic print Confirmation.nodes, the count that was judged
     assert _calls(Path(biheun.__file__).parent / "cli.py", "node_count") == []
