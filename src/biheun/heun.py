@@ -1,4 +1,4 @@
-"""Bi-confluent Heun parameter map, 3-term recurrence rows, relative ODE residual.
+"""The bi-confluent Heun equation: its parameters, 3-term recurrence rows, relative ODE residual.
 
 The equation solved by H(z) is
 
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalSystem
-
 
 @dataclass(frozen=True)
 class HeunParameters:
@@ -40,23 +38,6 @@ class HeunParameters:
     @property
     def D(self) -> float:
         return -self.b * (self.a + 1.0) / 2.0 - self.d / 2.0
-
-
-def to_heun_params(sys: PhysicalSystem, epsilon: float) -> HeunParameters:
-    """Map a physical system plus energy to bi-confluent Heun parameters.
-
-    c is derived from epsilon, so it carries epsilon's rounding scaled by
-    2/K^2; on the termination manifold ``quantize.certify`` sets c = 2(n+l+1)+1
-    exactly instead.
-    """
-    K = sys.K
-    b = sys.beta / K**3
-    return HeunParameters(
-        a=2.0 * sys.l + 1.0,
-        b=b,
-        c=2.0 * epsilon / K**2 + b * b / 4.0,
-        d=-2.0 * sys.alpha / K,
-    )
 
 
 def _row_factors(hp: HeunParameters, j: np.ndarray) -> tuple[np.ndarray, ...]:

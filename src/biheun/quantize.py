@@ -66,6 +66,16 @@ class QuasiExactSolution:
         return PhysicalSystem(alpha=self.alpha, beta=self.beta, k=self.k, l=self.l)
 
 
+def _family(sols: list[QuasiExactSolution]) -> tuple[int, int, float, float]:
+    """(n, l, alpha, K) of solutions that share one (n, l, alpha, k), the family whose Heun
+    parameters ``certify`` and ``verify.termination_residual`` form once for every branch.
+    ValueError naming the first solution when any other differs from it."""
+    first = sols[0]
+    if any((s.n, s.l, s.alpha, s.k) != (first.n, first.l, first.alpha, first.k) for s in sols):
+        raise ValueError(f"expected one (n, l, alpha, k) family, not all {first.label}'s")
+    return first.n, first.l, first.alpha, first.K
+
+
 def certify(sols: list[QuasiExactSolution]) -> list[float]:
     """The ODE-residual certificate of each solution of one (n, l, alpha, k) family: the
     sup of the relative Heun ODE residual of H at 50 z in (0, z_hi], z_hi = 2 max(K r4, 1),
@@ -78,11 +88,9 @@ def certify(sols: list[QuasiExactSolution]) -> list[float]:
     the geometric mean of the largest T_j z^j at the top and the bottom sample, so each
     branch's 50 ``heun.ode_residual`` calls take the powers of t = z / z_hi <= 1 from one
     (50, n + 2) table the family shares, no power can overflow, and every sample's sums stay
-    within range while n log 50 < 1400 (n < 360). ValueError when the solutions are not one
-    family; RuntimeError naming the first branch with rows not finite."""
-    n, l, alpha, K = sols[0].n, sols[0].l, sols[0].alpha, sols[0].K  # the family's
-    if any((s.n, s.l, s.alpha, s.k) != (n, l, alpha, sols[0].k) for s in sols):
-        raise ValueError(f"certify takes one (n, l, alpha, k) family, not all {sols[0].label}'s")
+    within range while n log 50 < 1400 (n < 360). ValueError from ``_family`` when the
+    solutions are not one family; RuntimeError naming the first branch with rows not finite."""
+    n, l, alpha, K = _family(sols)
     zs = quartic_roots([s.system() for s in sols], [s.epsilon for s in sols])
     z_hi = 2.0 * np.maximum(np.abs(zs).max(axis=1), 1.0)
     hp = HeunParameters(2.0 * l + 1.0, np.array([[s.b_root] for s in sols]),

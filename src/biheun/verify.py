@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heun import HeunParameters, coefficient_sequence, recurrence_rows, to_heun_params
+from .heun import HeunParameters, coefficient_sequence, recurrence_rows
 from .model import PhysicalSystem, turning_points
 from .oracle import RTOL, Confirmation, RadialGrid, _solve, confirm_all
-from .quantize import ODE_RTOL, QuasiExactSolution, _assemble_solution, certify, solve_family
+from .quantize import (ODE_RTOL, QuasiExactSolution, _assemble_solution, _family, certify,
+                       solve_family)
 
 # Largest termination_residual a solution on the manifold may show.
 TERMINATION_RTOL = 1e-10
@@ -138,19 +139,20 @@ def power_matching_coefficients(
 
 
 def termination_residual(sols: list[QuasiExactSolution]) -> list[float]:
-    """Normwise defect of each solution's own H, for one (n, l) family, in the
+    """Normwise defect of each solution's own H, for one (n, l, alpha, k) family, in the
     recurrence rows j = 0..n+1 (``heun.recurrence_rows``; rows n and n+1 hold the
     constraint on b and the energy): the largest |R_j| over the largest T_j, at the
-    Heun parameters of the solution's system and energy. c = 2 eps/K^2 + b^2/4 counts
+    Heun parameters of the solution's beta and energy. c = 2 eps/K^2 + b^2/4 counts
     as |2 eps/K^2| + b^2/4: at large b the two cancel, and the rounding of eps shows at
-    the scale of b^2. One ``recurrence_rows`` call takes every branch, with each
-    branch's ``to_heun_params`` as columns."""
-    hps = [to_heun_params(sol.system(), sol.epsilon) for sol in sols]
-    # Python's b**2, as for one branch: numpy's can differ by an ulp
-    c_size = [[2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0] for sol, hp in zip(sols, hps)]
-    columns = np.array([list(vars(hp).values()) for hp in hps]).T[:, :, None]  # a, b, c, d
-    rows = recurrence_rows(HeunParameters(*columns),
-                           np.array([sol.heun_coefficients for sol in sols]), np.array(c_size))
+    the scale of b^2. One ``recurrence_rows`` call takes every branch, with a and d the
+    family's and b and 2 eps/K^2 as columns. ValueError from ``_family`` when the
+    solutions are not one family."""
+    _, l, alpha, K = _family(sols)
+    b = np.array([[sol.beta / K**3] for sol in sols])
+    e = np.array([[2.0 * sol.epsilon / K**2] for sol in sols])
+    rows = recurrence_rows(HeunParameters(2.0 * l + 1.0, b, e + b * b / 4.0, -2.0 * (alpha / K)),
+                           np.array([sol.heun_coefficients for sol in sols]),
+                           np.abs(e) + b * b / 4.0)
     return (np.max(np.abs(rows[:, 0]), axis=-1) / np.max(rows[:, 1], axis=-1)).tolist()
 
 

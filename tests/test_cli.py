@@ -348,12 +348,18 @@ class TestTurningPoints:
         assert np.all(np.isfinite(column(proc.stdout, "vieta_residual")))
 
     def test_out_of_range_is_config_error(self, capsys):
-        # alpha/K = 1e375 overflows a double even in z = K r
-        code, out, err = run_cli(
-            ["turning-points", "--epsilon", "1", "--k", "1e-300", "--alpha", "1e300"], capsys
-        )
-        assert code == 2
-        assert out == "" and err.startswith("config error: ")
+        # alpha/K = 1e375 overflows a double even in z = K r; at beta = 1e270, k = 1e-40
+        # the root z ~ -1e300 is a double, but r = z / K is not (model.roots_in_r)
+        cases = [
+            (["turning-points", "--epsilon", "1", "--k", "1e-300", "--alpha", "1e300"],
+             "turning-point quartic out of range"),
+            (["turning-points", "--epsilon", "1", "--alpha", "0", "--beta", "1e270",
+              "--k", "1e-40", "--l", "1"], "turning point out of range"),
+        ]
+        for argv, reason in cases:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == "" and err.startswith("config error: ") and reason in err
 
 
 class TestWavefunction:
@@ -806,6 +812,15 @@ def _python(code: str) -> subprocess.CompletedProcess:
         [sys.executable, "-W", "error", "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_runs_as_a_module():
+    # python -m biheun.cli reaches main through the module's __main__ guard
+    code = ("import runpy, sys; sys.argv = ['biheun', 'spectrum', '--n', '0']; "
+            "runpy.run_module('biheun.cli', run_name='__main__')")
+    proc = _python(code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith("n,l,branch,")
 
 
 def test_import_skips_scipy_special():

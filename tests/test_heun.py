@@ -11,11 +11,9 @@ from biheun.heun import (
     coefficient_sequence,
     ode_residual,
     recurrence_rows,
-    to_heun_params,
 )
-from biheun.model import PhysicalSystem
 from biheun.quantize import certify, solve_family
-from biheun.verify import power_matching_coefficients
+from biheun.verify import power_matching_coefficients, termination_residual
 
 
 def _tail(cs, n):
@@ -29,23 +27,33 @@ def _manifold_parameters(sol):
                           -2.0 * (sol.alpha / sol.K))
 
 
+def _h1_termination(a, b, c, d, c_size):
+    """``termination_residual`` of H = 1 at (a, b, c, d) in closed form: rows 0 and 1
+    read D and -(2 + a - c), sized ((a+1)/2)|b| + |d|/2 and 2 + a + c_size."""
+    D = HeunParameters(a, b, c, d).D
+    return max(abs(D), abs(2 + a - c)) / max((a + 1) / 2 * abs(b) + abs(d) / 2, 2 + a + c_size)
+
+
 class TestParameterMap:
+    # the termination figure of an n = 0 solution, H = 1, at the parameters
+    # a = 2l + 1, b = beta/K^3, c = 2 eps/K^2 + b^2/4, d = -2 alpha/K
+
     def test_oscillator(self):
-        hp = to_heun_params(PhysicalSystem(0.0, 0.0, 1.0, 0), epsilon=1.5)
-        assert (hp.a, hp.b, hp.c, hp.d) == (1.0, 0.0, 3.0, 0.0)
-        assert hp.D == 0.0
+        # (a, b, c, d) = (1, 0, 3, 0): D = 0 and 2 + a - c = 0
+        sol = solve_family(0, 0, 0.0, 1.0)[0]
+        assert (sol.beta, sol.epsilon) == (0.0, 1.5)
+        assert termination_residual([sol]) == [_h1_termination(1.0, 0.0, 3.0, 0.0, 3.0)] == [0.0]
 
     def test_k16(self):
-        hp = to_heun_params(PhysicalSystem(2.0, 0.0, 16.0, 0), epsilon=0.0)
-        assert hp.b == 0.0
-        assert hp.c == 0.0
-        assert hp.d == -2.0
+        # K = 2 at eps = 0, beta = 0: (a, b, c, d) = (1, 0, 0, -2), so D = 1
+        off = replace(solve_family(0, 0, 2.0, 16.0)[0], beta=0.0, epsilon=0.0)
+        assert termination_residual([off]) == [_h1_termination(1.0, 0.0, 0.0, -2.0, 0.0)] == [1.0]
 
     def test_n0_manifold_point(self):
-        # alpha=1, beta=1, k=1, l=0 at its quasi-exact energy: D must vanish
-        hp = to_heun_params(PhysicalSystem(1.0, 1.0, 1.0, 0), epsilon=1.375)
-        assert (hp.a, hp.b, hp.c, hp.d) == (1.0, 1.0, 3.0, -2.0)
-        assert hp.D == 0.0
+        # alpha=1, beta=1, k=1, l=0 at its quasi-exact energy: (1, 1, 3, -2), D vanishes
+        sol = solve_family(0, 0, 1.0, 1.0)[0]
+        assert (sol.beta, sol.epsilon) == (1.0, 1.375)
+        assert termination_residual([sol]) == [_h1_termination(1.0, 1.0, 3.0, -2.0, 3.0)] == [0.0]
 
     def test_d_identity_bit_for_bit(self):
         rng = np.random.default_rng(1)
@@ -56,10 +64,14 @@ class TestParameterMap:
             assert hp.D == -b * (a + 1.0) / 2.0 - d / 2.0
 
     def test_neg_d_identity_from_system(self):
-        sys = PhysicalSystem(alpha=1.3, beta=0.7, k=2.0, l=2)
-        hp = to_heun_params(sys, epsilon=0.4)
-        K = sys.K
-        assert -hp.D == pytest.approx(hp.b * (sys.l + 1) - sys.alpha / K, rel=1e-14)
+        # beta = 0.7 is off the manifold of (alpha, k, l) = (1.3, 2, 2); at the n = 0
+        # energy of its b, c = 2 + a = 7 and row 0 alone reads -D = b(l+1) - alpha/K
+        sol = solve_family(0, 2, 1.3, 2.0)[0]
+        K = sol.K
+        b = 0.7 / K**3
+        off = replace(sol, beta=0.7, epsilon=K * K * 3.5 - K * K * b * b / 8.0)
+        [figure] = termination_residual([off])
+        assert figure == pytest.approx(abs(b * 3 - 1.3 / K) / (2 + 5 + 7), rel=1e-14)
 
 
 class TestRecurrenceFactors:

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import roots_laguerre
 
 from biheun import oracle
+from biheun.cli import main
 from biheun.model import PhysicalSystem, turning_points
 from biheun.oracle import (
     _LARGEST_MESH,
@@ -344,6 +345,24 @@ class TestFdEigensolve:
         [(_, f)] = oracle._solve([sys], [grid], [1], True)
         assert len(calls) == 3
         assert np.allclose(f, expected, rtol=0, atol=1e-12)
+
+    def test_always_singular_is_a_solver_error(self, oscillator, monkeypatch, capsys):
+        # a pivot that stays singular at every shift: the eighth move gives up, and the
+        # front end reports a solver error
+        sys, grid = oscillator
+        calls = []
+
+        def singular(a, b):
+            calls.append(1)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(RuntimeError, match="stays singular or overflows after 8 shifts"):
+            oracle._solve([sys], [grid], [1], True)
+        assert len(calls) == 8
+        argv = ["wavefunction", "--n", "2", "--l", "0", "--alpha", "1", "--branch", "1"]
+        assert main(argv) == 3
+        assert "stays singular or overflows after 8 shifts" in capsys.readouterr().err
 
 
 def _direct_eigensolve(sys, grid, level):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheun.heun import recurrence_rows, to_heun_params
+from biheun.heun import HeunParameters, recurrence_rows
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import _SAMPLES, _assemble_solution, certify, solve_family, wavefunction
 from biheun.verify import (
@@ -276,17 +276,18 @@ class TestSolveFamily:
 
 def _termination_of_one(sol):
     """termination_residual's figure from the branch's own recurrence_rows call."""
-    hp = to_heun_params(sol.system(), sol.epsilon)
-    c_size = 2.0 * abs(sol.epsilon) / sol.K**2 + hp.b**2 / 4.0
-    defect, size = recurrence_rows(hp, sol.heun_coefficients, c_size)
+    K = sol.K
+    b = sol.beta / K**3
+    e = 2.0 * sol.epsilon / K**2
+    hp = HeunParameters(2.0 * sol.l + 1.0, b, e + b * b / 4.0, -2.0 * (sol.alpha / K))
+    defect, size = recurrence_rows(hp, sol.heun_coefficients, abs(e) + b * b / 4.0)
     return float(np.max(np.abs(defect)) / np.max(size))
 
 
 class TestFamilyTermination:
     @pytest.mark.parametrize("shift", ["none", "epsilon", "beta"])
     def test_equals_one_branch_at_a_time(self, shift):
-        # bit for bit, on criterion 3's families and at b ~ 1e7, where numpy's b ** 2
-        # for c's size differs from Python's by an ulp on branch 21 with beta shifted
+        # bit for bit, on criterion 3's families and at b ~ 1e7
         families = [solve_family(n, l, alpha, 1.0)
                     for n in range(9) for l in range(4) for alpha in (0.0, 1.0)]
         families.append(solve_family(21, 1, 1e6, 1e-6))
@@ -359,14 +360,15 @@ class TestFamilyCertificate:
         assert max(certify(sols[:6] + sols[7:])) <= 1e-12
 
     def test_refuses_a_list_that_is_not_one_family(self):
-        # the rows take n, l, alpha and K from the first solution: another l would be held
-        # to the wrong equation, another n gives rows of another length
+        # both family figures take n, l, alpha and K from the first solution: another l
+        # would be held to the wrong equation, another n gives rows of another length
         first = solve_family(3, 0, 1.0, 1.0)[1]
         message = r"one \(n, l, alpha, k\) family, not all \(n=3, l=0, branch=1\)'s"
-        for n, l, alpha, k in ((3, 2, 1.0, 1.0), (4, 0, 1.0, 1.0), (3, 0, 2.0, 1.0),
-                               (3, 0, 1.0, 2.0)):
-            with pytest.raises(ValueError, match=message):
-                certify([first, solve_family(n, l, alpha, k)[1]])
+        for figure in (certify, termination_residual):
+            for n, l, alpha, k in ((3, 2, 1.0, 1.0), (4, 0, 1.0, 1.0), (3, 0, 2.0, 1.0),
+                                   (3, 0, 1.0, 2.0)):
+                with pytest.raises(ValueError, match=message):
+                    figure([first, solve_family(n, l, alpha, k)[1]])
 
     def test_power_table_rows_are_the_fresh_powers(self, monkeypatch):
         # each sample t reads t^j from one broadcast over the family's table: it must give

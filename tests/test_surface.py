@@ -28,11 +28,22 @@ def test_all_is_the_public_surface():
 @pytest.mark.parametrize(
     "name",
     ["closed_form_n0", "closed_form_n1", "coefficient_sequence", "ode_residual",
-     "recurrence_rows", "to_heun_params", "HeunParameters", "vieta_residuals"],
+     "recurrence_rows", "HeunParameters", "vieta_residuals"],
 )
 def test_internal_names_stay_in_their_modules(name):
     with pytest.raises(ImportError):
         exec(f"from biheun import {name}", {})
+
+
+def test_heun_states_the_equation_alone():
+    # heun holds the equation and its rows; a family's Heun parameters are formed by
+    # the callers that know the family, so heun reads nothing of the package
+    tree = ast.parse((Path(biheun.__file__).parent / "heun.py").read_text())
+    modules = ["." * node.level + (node.module or "") for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert [m for m in modules if m.startswith((".", "biheun"))] == []
 
 
 @pytest.mark.parametrize(
