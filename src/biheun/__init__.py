@@ -8,7 +8,7 @@ cross-validates every energy against an independent Lagrange-Laguerre mesh
 eigensolver.
 """
 
-from .model import PhysicalSystem, TurningPointSet, turning_points
+from .model import PhysicalSystem
 from .oracle import RadialGrid, confirm, node_count
 from .quantize import QuasiExactSolution, solve_family, wavefunction
 from .verify import run_acceptance
@@ -17,12 +17,10 @@ __all__ = [
     "PhysicalSystem",
     "QuasiExactSolution",
     "RadialGrid",
-    "TurningPointSet",
     "confirm",
     "node_count",
     "run_acceptance",
     "solve_family",
-    "turning_points",
     "wavefunction",
 ]
 

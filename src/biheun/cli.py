@@ -1,4 +1,4 @@
-"""Command-line front end: spectra, wavefunctions, turning points, verification.
+"""Command-line front end: spectra, wavefunctions, verification.
 
 Works entirely in scaled units: the radial equation is
 f'' + [2 eps + alpha/r - l(l+1)/r^2 - beta*r - k*r^2] f = 0, i.e. the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalSystem, turning_points
+from .model import PhysicalSystem
 from .oracle import Confirmation
 from .quantize import ODE_RTOL, QuasiExactSolution, certify, solve_family, wavefunction
 from .verify import confirm_solutions, run_acceptance
@@ -57,8 +57,6 @@ class RunConfig:
     l: str | int = "0"
     alpha: float = 0.0
     k: float = 1.0
-    beta: float | None = None  # turning-points only
-    epsilon: float | None = None  # turning-points only
     branch: int = 0  # wavefunction only
     verify: bool = False
     format: str = "csv"
@@ -82,14 +80,14 @@ class RunConfig:
                     f"{name} must be {RunConfig.__annotations__[name]} (got {value!r})"
                 )
         try:
-            PhysicalSystem(self.alpha, self.beta or 0.0, self.k, 0)
+            PhysicalSystem(self.alpha, 0.0, self.k, 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json (got {self.format})")
         # [1:], not len: len raises OverflowError past 2^63 values
         several = self.n_values()[1:] or self.l_values()[1:]
-        if self.command in ("wavefunction", "turning-points") and several:
+        if self.command == "wavefunction" and several:
             raise ConfigError(f"{self.command} takes a single n and l, not a range")
 
 
@@ -240,24 +238,6 @@ def cmd_wavefunction(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_turning_points(config: RunConfig) -> int:
-    if config.epsilon is None:
-        raise ConfigError("turning-points requires --epsilon")
-    beta = config.beta if config.beta is not None else 0.0
-    l = config.l_values()[0]
-    sys = PhysicalSystem(alpha=config.alpha, beta=beta, k=config.k, l=l)
-    tp = turning_points(sys, config.epsilon)
-    header = ["root_index", "re", "im", "is_real", "vieta_residual"]
-    rows = [
-        [i, z.real, z.imag, int(i < tp.real_count), tp.vieta_residuals[i]]
-        for i, z in enumerate(tp.roots)
-    ]
-    diagnostics = {"real_count": tp.real_count,
-                   "max_vieta_residual": max(tp.vieta_residuals)}
-    _emit(config, header, rows, diagnostics)
-    return EXIT_OK
-
-
 def cmd_verify(config: RunConfig) -> int:
     if config.out:
         with open(config.out, "w", newline="\n") as fh, contextlib.redirect_stdout(fh):
@@ -283,16 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags take precedence")
         p.add_argument("--out", help="output path (default: stdout)")
 
-    def system(p):
+    def family(p):
+        """The flags of the commands that solve (n, l) families and call the oracle."""
         common(p)
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--l", help="orbital quantum number, INT or A..B")
         p.add_argument("--alpha", type=float, help="Coulomb strength (scaled)")
         p.add_argument("--k", type=float, help="harmonic coefficient, > 0")
-
-    def family(p):
-        """The flags of the commands that solve (n, l) families and call the oracle."""
-        system(p)
         p.add_argument("--n", help="polynomial degree, INT or A..B")
 
     p = sub.add_parser("spectrum", help="quasi-exact energies per (n, l) family")
@@ -303,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefunction", help="polynomial vs oracle wavefunction")
     family(p)
     p.add_argument("--branch", type=int, help="which b root (ascending order)")
-
-    p = sub.add_parser("turning-points", help="quartic roots and Vieta residuals")
-    system(p)
-    p.add_argument("--beta", type=float, help="explicit linear coefficient")
-    p.add_argument("--epsilon", type=float, help="energy at which to evaluate")
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
     common(p)
@@ -351,7 +323,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 COMMANDS = {
     "spectrum": cmd_spectrum,
     "wavefunction": cmd_wavefunction,
-    "turning-points": cmd_turning_points,
     "verify": cmd_verify,
 }
 

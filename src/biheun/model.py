@@ -1,4 +1,4 @@
-"""Physical system in scaled units and its classical turning points.
+"""Physical system in scaled units and the roots of its turning-point quartic.
 
 The radial problem is taken in the dimensionless form
 
@@ -7,10 +7,11 @@ The radial problem is taken in the dimensionless form
 with the 2M/hbar^2 factors already absorbed into (alpha, beta, k, eps).
 The quartic scale is K = k^(1/4); k > 0 is required throughout.
 
-The turning points are the roots of the quartic
+The classical turning points are the roots of the quartic
 -k r^4 - beta r^3 + 2 eps r^2 + alpha r - l(l+1), taken as the
 companion-matrix eigenvalues of the same quartic in z = K r; a small pair far
 below the large one is taken from the large pair through Vieta's identities.
+The oracle's mesh sizing and the ODE-residual certificate read them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class PhysicalSystem:
     l: int
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "k"):  # NaN or inf: OverflowError, as in turning_points
+        for name in ("alpha", "beta", "k"):  # NaN or inf: OverflowError, as in _quartic_coeffs
             if not math.isfinite(getattr(self, name)):
                 raise OverflowError(f"{name} must be finite (got {getattr(self, name)})")
         if self.k <= 0:
@@ -51,24 +52,6 @@ class PhysicalSystem:
     def K(self) -> float:
         """Quartic length/energy scale K = k^(1/4)."""
         return self.k ** 0.25
-
-
-@dataclass(frozen=True)
-class TurningPointSet:
-    """Roots of the turning-point quartic, with Vieta residual diagnostics.
-
-    Roots are ordered real-ascending first, then complex conjugate pairs by
-    ascending real part. ``vieta_residuals`` holds the absolute defects of
-    the four elementary-symmetric-function identities, in z = K r units.
-    """
-
-    roots: tuple[complex, complex, complex, complex]
-    real_count: int
-    vieta_residuals: tuple[float, float, float, float]
-
-    @property
-    def real_roots(self) -> list[float]:
-        return [r.real for r in self.roots[: self.real_count]]
 
 
 def _quartic_coeffs(sys: PhysicalSystem, epsilon: float) -> list[float]:
@@ -135,30 +118,14 @@ def roots_in_r(zs: list[complex], K: float) -> tuple[list[float], list[complex]]
     return sorted(real), sorted(cplx, key=lambda r: (r.real, r.imag))
 
 
-def turning_points(sys: PhysicalSystem, epsilon: float) -> TurningPointSet:
-    """All four roots of the turning-point quartic, classified and ordered.
-
-    One backward-stable eigensolve of the companion matrix of the quartic in
-    z = K r, with a small pair retaken through Vieta's identities
-    (``quartic_roots``); then ``roots_in_r`` takes r = z/K and classifies each
-    root. OverflowError when the quartic's coefficients in z or its roots in r
-    overflow a double.
-    """
-    real, cplx = roots_in_r(quartic_roots([sys], [epsilon])[0].tolist(), sys.K)
-    ordered = tuple([complex(r) for r in real] + cplx)
-
-    residuals = vieta_residuals(ordered, sys, epsilon)
-    return TurningPointSet(roots=ordered, real_count=len(real), vieta_residuals=residuals)
-
-
-def vieta_residuals(
-    roots: tuple[complex, ...], sys: PhysicalSystem, epsilon: float
+def _vieta_residuals(
+    zs: list[complex], sys: PhysicalSystem, epsilon: float
 ) -> tuple[float, float, float, float]:
-    """Absolute defects of the four Vieta identities at z = K r of the monic quartic
-    z^4 + b z^3 - (2 eps/K^2) z^2 - (alpha/K) z + l(l+1) that ``quartic_roots`` solves."""
+    """Absolute defects of the four Vieta identities of the roots z = K r, one row of
+    ``quartic_roots``, of the monic quartic z^4 + b z^3 - (2 eps/K^2) z^2 - (alpha/K) z
+    + l(l+1) that it solves."""
     _, c1, c2, c3, c4 = _quartic_coeffs(sys, epsilon)  # the negated monic quartic
-    K = sys.K
-    z1, z2, z3, z4 = [K * r for r in roots]
+    z1, z2, z3, z4 = zs
     e1 = z1 + z2 + z3 + z4
     e2 = z1 * z2 + z1 * z3 + z1 * z4 + z2 * z3 + z2 * z4 + z3 * z4
     e3 = z2 * z3 * z4 + z1 * z3 * z4 + z1 * z2 * z4 + z1 * z2 * z3

@@ -111,10 +111,9 @@ def _auto_grids(systems: list[PhysicalSystem], epsilons: list[float]) -> list[Ra
     """One mesh per (system, epsilon) state, sized to it, from one stacked
     ``quartic_roots`` solve and a scalar tail search per state.
 
-    r_edge covers 1.5x the outer turning point (the largest real root of ``roots_in_r``,
-    which ``turning_points`` reads too) and the radius where
-    f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2 (n + l + 1 on the
-    manifold), falls 1e-12 below its peak. N = _MESH_BASE + 3n + l, up to _LARGEST_MESH,
+    r_edge covers 1.5x the outer turning point (the largest real root of ``roots_in_r``)
+    and the radius where f ~ r^p exp(-K^2 r^2/2 - beta r/2K^2), p = eps/K^2 + b^2/8 - 1/2
+    (n + l + 1 on the manifold), falls 1e-12 below its peak. N = _MESH_BASE + 3n + l, up to _LARGEST_MESH,
     for n = ceil(p - l - 1) >= 0, the degree of H: f's r^(l+1) factor needs the + l (at
     _MESH_BASE + 3n, l = 20 shows false nodes). OverflowError when a root overflows in r."""
     grids = []

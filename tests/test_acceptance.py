@@ -114,6 +114,21 @@ def test_nan_termination_fails_criterion_3(monkeypatch):
     assert not verify.criterion_3().passed
 
 
+def test_bent_root_fails_criterion_7(monkeypatch):
+    # criterion 7 reads the rows of the stacked solve that the mesh and the certificate
+    # read: one root of one row off by 1e-6 relative must break an identity past 1e-9
+    solve = verify.quartic_roots
+
+    def bent(systems, eps):
+        roots = solve(systems, eps)
+        roots[0, np.argmax(np.abs(roots[0]))] *= 1.0 + 1e-6  # the largest: never an exact 0
+        return roots
+
+    monkeypatch.setattr(verify, "quartic_roots", bent)
+    res = verify.criterion_7()
+    assert not res.passed and res.figures[0].value > 1e-9
+
+
 def test_nan_termination_fails_criterion_8(monkeypatch):
     monkeypatch.setattr(verify, "termination_residual", _nan_per_branch)
     res = verify.criterion_8()

@@ -217,6 +217,10 @@ class TestSpectrum:
         )
         assert code == 0 and err == ""
         assert len(out.strip().split("\n")) == 1 + 3 * (1 + 2 + 3 + 4)
+        # the gap divides by max(1, |eps|), and |eps| >= 1.5e-150 here, so a mesh that
+        # read 2 eps would pass it: hold each row to RTOL relative to |eps| itself
+        for gap, eps in zip(column(out, "oracle_gap"), column(out, "epsilon")):
+            assert gap * max(1.0, abs(eps)) / abs(eps) <= biheun.oracle.RTOL
 
     def test_tiny_k_unconfirmed_is_solver_error(self, capsys):
         # the same division at alpha/K = 1e85, where the mesh refutes the row
@@ -299,67 +303,29 @@ class TestSpectrum:
 
 
 class TestTurningPoints:
-    def test_oscillator_roots(self, capsys):
-        code, out, _ = run_cli(
-            [
-                "turning-points", "--alpha", "0", "--beta", "0", "--k", "1",
-                "--l", "0", "--epsilon", "2",
-            ],
-            capsys,
-        )
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert len(rows) == 4
-        res = sorted(float(r[1]) for r in rows)
-        assert res == pytest.approx([-2.0, 0.0, 0.0, 2.0], abs=1e-10)
-        assert all(float(r[4]) < 1e-12 for r in rows)
-
-    def test_requires_epsilon(self, capsys):
-        code, _, err = run_cli(
-            ["turning-points", "--alpha", "0", "--k", "1", "--l", "0"], capsys
-        )
-        assert code == 2
-        assert "epsilon" in err
+    """The turning-point quartic, which sizes each mesh and bounds each certificate, as
+    the commands meet it."""
 
     def test_tiny_k(self, capsys):
         # in r the companion matrix of -k r^4 + ... held alpha/k = 1e310 and
-        # overflowed (exit 3); in z = K r its coefficients stay below 3e150
-        code, out, err = run_cli(
-            ["turning-points", "--epsilon", "1", "--k", "1e-300", "--alpha", "1e10"], capsys
-        )
+        # overflowed (exit 3); the certificate solves the quartic in z = K r, whose
+        # coefficients stay finite
+        code, out, err = run_cli(["spectrum", "--n", "0..1", "--alpha", "1e10", "--k", "1e-300"],
+                                 capsys)
         assert code == 0 and err == ""
-        roots = sorted(float(line.split(",")[1]) for line in out.strip().split("\n")[1:])
-        assert roots[0] == pytest.approx(-(2e300**0.5), rel=1e-12)
-        assert roots[-1] == pytest.approx(2e300**0.5, rel=1e-12)
-        # the identities in r held alpha/k = 1e310 (inf); in z = K r they stay finite
-        assert np.all(np.isfinite(column(out, "vieta_residual")))
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["--epsilon", "1", "--k", "1e-300", "--alpha", "1e10"],
-         ["--l", "5", "--alpha=1e-6", "--k=1e-300", "--beta=2.5", "--epsilon=1e10"]],
-    )
-    def test_tiny_k_vieta_residuals_are_finite(self, argv):
-        # in r the identities overflowed to inf, and the second one to inf - inf = nan
-        argv = ["turning-points", *argv]
-        proc = _python(f"import sys; from biheun.cli import main; sys.exit(main({argv!r}))")
-        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        assert "nan" not in proc.stdout and "inf" not in proc.stdout
-        assert np.all(np.isfinite(column(proc.stdout, "vieta_residual")))
+        residuals = column(out, "ode_residual")
+        assert len(residuals) == 3 and all(r <= 1e-9 for r in residuals)
 
     def test_out_of_range_is_config_error(self, capsys):
-        # alpha/K = 1e375 overflows a double even in z = K r; at beta = 1e270, k = 1e-40
-        # the root z ~ -1e300 is a double, but r = z / K is not (model.roots_in_r)
-        cases = [
-            (["turning-points", "--epsilon", "1", "--k", "1e-300", "--alpha", "1e300"],
-             "turning-point quartic out of range"),
-            (["turning-points", "--epsilon", "1", "--alpha", "0", "--beta", "1e270",
-              "--k", "1e-40", "--l", "1"], "turning point out of range"),
-        ]
-        for argv, reason in cases:
-            code, out, err = run_cli(argv, capsys)
+        # alpha/K = 1e307 and b^2/8 overflow: 2 eps/K^2 = -inf, so the quartic cannot be
+        # held in doubles even in z = K r (model.roots_in_r's overflow in r is
+        # test_oracle.py::TestRadialGrid::test_turning_point_out_of_range_overflows)
+        for command in ("spectrum", "wavefunction"):
+            code, out, err = run_cli(
+                [command, "--n", "0", "--l", "1", "--alpha", "1e297", "--k", "1e-40"], capsys)
             assert code == 2
-            assert out == "" and err.startswith("config error: ") and reason in err
+            assert out == "" and err.startswith("config error: ")
+            assert "turning-point quartic out of range" in err
 
 
 class TestWavefunction:
@@ -625,8 +591,8 @@ class TestConfigHandling:
             (["spectrum", "--n", "3..1"], None),
             (["spectrum", "--l", "-1"], None),
             (["spectrum", "--n", "0..2..4"], None),
-            (["turning-points", "--epsilon", "nan"], None),
-            (["turning-points", "--epsilon", "1", "--beta", "inf"], None),
+            (["wavefunction", "--alpha", "nan"], None),
+            (["wavefunction", "--k", "inf"], None),
             (["spectrum", "--alpha", "-1"], None),
             (["wavefunction", "--branch", "-1"], None),
             (["spectrum"], '{"alpha": "x"}'),
@@ -636,10 +602,10 @@ class TestConfigHandling:
             (["spectrum"], '{"out": 3}'),
             (["wavefunction", "--n", "0..1"], None),
             (["wavefunction", "--l", "0..2"], None),
-            (["turning-points", "--l", "0..2", "--epsilon", "1"], None),
+            (["wavefunction", "--n", "1..2", "--l", "0..1"], None),
             (["spectrum", "--k", "0"], None),
             (["spectrum", "--verify"], '{"r_min": 0.002, "r_max": 12}'),
-            (["turning-points", "--epsilon", "1"],
+            (["spectrum"],
              '{"tol": 1e-300, "r_max": 12, "grid_points": 100, "verify": true, "branch": 7}'),
             (["spectrum"], "[1, 2]"),
         ],
@@ -661,14 +627,14 @@ class TestConfigHandling:
         RunConfig(command="spectrum", n="0..1000000000000").validate()
         assert time.perf_counter() - start < 0.1
         with pytest.raises(ConfigError, match="takes a single n"):
-            RunConfig(command="turning-points", n="0..1000000000000", epsilon=1.0).validate()
+            RunConfig(command="wavefunction", l="0..1000000000000").validate()
 
     @pytest.mark.parametrize(
         "argv",
         [["wavefunction", "--n", "0..1000000000000"],
          ["wavefunction", "--n", "0..100000000000000000000000"],
-         ["turning-points", "--l", "0..1000000000000", "--epsilon", "1"]],
-        ids=["wavefunction-1e12", "wavefunction-1e23", "turning-points-1e12"],
+         ["wavefunction", "--l", "0..1000000000000"]],
+        ids=["wavefunction-1e12", "wavefunction-1e23", "wavefunction-l-1e12"],
     )
     def test_wide_range_is_a_config_error(self, capsys, argv):
         # past 2^63 values len() of the range overflows; validate does not take it
@@ -732,8 +698,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
     @pytest.mark.parametrize(
         "argv",
-        [["spectrum", "--n", "0"], ["wavefunction", "--n", "0"],
-         ["turning-points", "--epsilon", "1"], ["verify"]],
+        [["spectrum", "--n", "0"], ["wavefunction", "--n", "0"], ["verify"]],
         ids=lambda argv: argv[0],
     )
     def test_unwritable_out_is_config_error(self, capsys, tmp_path, argv, target):
@@ -766,12 +731,10 @@ class TestConfigHandling:
 
 
 COMMON = {"--config", "--out"}
-SYSTEM = COMMON | {"--format", "--l", "--alpha", "--k"}
-FAMILY = SYSTEM | {"--n"}
+FAMILY = COMMON | {"--format", "--l", "--alpha", "--k", "--n"}
 OPTIONS = {
     "spectrum": FAMILY | {"--verify"},
     "wavefunction": FAMILY | {"--branch"},
-    "turning-points": SYSTEM | {"--beta", "--epsilon"},
     "verify": COMMON,
 }
 
@@ -788,8 +751,8 @@ def test_each_command_takes_only_the_flags_it_reads(command, options):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["turning-points", "--epsilon", "1", "--tol", "1e-3"],
-        ["turning-points", "--epsilon", "1", "--n", "2"],
+        ["spectrum", "--epsilon", "1"],
+        ["wavefunction", "--beta", "0.1"],
         ["verify", "--grid-points", "100"],
         ["verify", "--r-max", "12"],
         ["spectrum", "--grid-points", "100"],
@@ -857,15 +820,10 @@ def _powers(lo: float, hi: float) -> st.SearchStrategy[float]:
 @st.composite
 def _argv(draw) -> list[str]:
     """argv for every command that reads the system, each number in --flag=value form."""
-    command = draw(st.sampled_from(["spectrum", "spectrum --verify", "wavefunction",
-                                    "turning-points"])).split()
+    command = draw(st.sampled_from(["spectrum", "spectrum --verify", "wavefunction"])).split()
     alpha = draw(st.one_of(st.just(0.0), _powers(-12.0, 6.0)))
     argv = [*command, f"--l={draw(st.integers(0, 40))}", f"--alpha={alpha!r}",
             f"--k={draw(_powers(-12.0, 12.0))!r}"]
-    if command[0] == "turning-points":
-        signed = st.tuples(st.sampled_from([-1.0, 1.0]), _powers(-6.0, 6.0))
-        beta, epsilon = (sign * size for sign, size in (draw(signed), draw(signed)))
-        return [*argv, f"--beta={beta!r}", f"--epsilon={epsilon!r}"]
     n = draw(st.integers(0, 8))
     argv.append(f"--n={n}")
     if command[0] == "wavefunction":
@@ -885,11 +843,6 @@ def test_every_argv_maps_to_an_exit_code(argv):
         assert "nan" not in out.getvalue()
 
 
-def _signed(lo: float, hi: float) -> st.SearchStrategy[float]:
-    """±10^U(lo, hi)."""
-    return st.tuples(st.sampled_from([-1.0, 1.0]), _powers(lo, hi)).map(lambda t: t[0] * t[1])
-
-
 def _range_spec(top: int) -> st.SearchStrategy:
     """An --n or --l value in 0..top: an int, its string, or a range of two values."""
     return st.one_of(st.integers(0, top), st.integers(0, top).map(str),
@@ -900,8 +853,7 @@ def _range_spec(top: int) -> st.SearchStrategy:
 # is a file name inside the example's temporary directory
 _RIGHT = {
     "n": _range_spec(8), "l": _range_spec(40), "alpha": st.one_of(st.just(0.0), _powers(-12.0, 6.0)),
-    "k": _powers(-12.0, 12.0), "beta": _signed(-6.0, 6.0), "epsilon": _signed(-6.0, 6.0),
-    "branch": st.integers(0, 8), "verify": st.booleans(),
+    "k": _powers(-12.0, 12.0), "branch": st.integers(0, 8), "verify": st.booleans(),
     "format": st.sampled_from(["csv", "json", "xml"]), "out": st.sampled_from([None, "", "out"]),
 }
 # any JSON value, which is of the wrong type for most keys; no digits in the

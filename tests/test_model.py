@@ -12,9 +12,9 @@ from biheun.model import (
     QUARTIC_IMAG_TOL,
     PhysicalSystem,
     _quartic_coeffs,
+    _vieta_residuals,
     quartic_roots,
-    turning_points,
-    vieta_residuals,
+    roots_in_r,
 )
 
 
@@ -31,6 +31,18 @@ CASES = st.tuples(_sized(0.0, 1e4), _sized(-1e3, 1e3), st.floats(1e-4, 1e4),
 def quartic_coeffs(sys, eps):
     # independent construction of the turning-point quartic (descending)
     return [-sys.k, -sys.beta, 2 * eps, sys.alpha, -sys.l * (sys.l + 1)]
+
+
+def row(sys, eps):
+    """The roots z = K r of one (system, epsilon) pair: a batch of one of ``quartic_roots``."""
+    return quartic_roots([sys], [eps])[0].tolist()
+
+
+def classified(sys, eps):
+    """The roots r of one pair as the mesh sizing reads them, through ``roots_in_r``: the
+    real ones ascending, then the complex ones, and the number of real ones."""
+    real, cplx = roots_in_r(row(sys, eps), sys.K)
+    return [complex(r) for r in real] + cplx, len(real)
 
 
 class TestPhysicalSystem:
@@ -77,35 +89,42 @@ class TestTurningPoints:
         # 2 eps / K^2 = -inf: the quartic cannot be represented in doubles
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
         with pytest.raises(OverflowError, match="out of range"):
-            turning_points(sys, epsilon=-1e308)
+            quartic_roots([sys], [-1e308])
 
     def test_oscillator_factorization(self):
         # -r^2 (r^2 - 4): roots {-2, 0, 0, 2}
         sys = PhysicalSystem(alpha=0.0, beta=0.0, k=1.0, l=0)
-        tp = turning_points(sys, epsilon=2.0)
-        assert tp.real_count == 4
-        assert np.allclose(tp.real_roots, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
+        roots, real_count = classified(sys, 2.0)
+        assert real_count == 4
+        assert np.allclose(roots, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
+        assert max(_vieta_residuals(row(sys, 2.0), sys, 2.0)) < 1e-12
 
     def test_two_negative_two_positive_pattern(self):
         sys = PhysicalSystem(alpha=1.0, beta=0.1, k=1.0, l=1)
-        tp = turning_points(sys, epsilon=3.0)
-        assert tp.real_count == 4
-        roots = tp.real_roots
+        roots, real_count = classified(sys, 3.0)
+        assert real_count == 4
+        roots = [r.real for r in roots]
         assert roots[0] < roots[1] < 0 < roots[2] < roots[3]
 
     def test_roots_satisfy_quartic(self):
         sys = PhysicalSystem(alpha=2.0, beta=-1.0, k=3.0, l=2)
         eps = 4.0
-        tp = turning_points(sys, eps)
         coeffs = quartic_coeffs(sys, eps)
         scale = max(abs(c) for c in coeffs)
-        for z in tp.roots:
-            assert abs(np.polyval(coeffs, z)) < 1e-10 * scale
+        for z in row(sys, eps):
+            assert abs(np.polyval(coeffs, z / sys.K)) < 1e-10 * scale
+
+    def test_tiny_k(self):
+        # in r the companion matrix of -k r^4 + ... held alpha/k = 1e310 and
+        # overflowed; in z = K r its coefficients stay below 3e150
+        roots, real_count = classified(PhysicalSystem(1e10, 0.0, 1e-300, 0), 1.0)
+        assert real_count == 4
+        assert roots[0].real == pytest.approx(-(2e300**0.5), rel=1e-12)
+        assert roots[-1].real == pytest.approx(2e300**0.5, rel=1e-12)
 
     def test_l0_has_exact_zero_root(self):
         sys = PhysicalSystem(alpha=1.5, beta=0.3, k=2.0, l=0)
-        tp = turning_points(sys, epsilon=1.0)
-        assert any(z == 0 for z in tp.roots)
+        assert any(z == 0 for z in row(sys, 1.0))
 
     def test_root_product_sign(self):
         rng = np.random.default_rng(3)
@@ -116,8 +135,7 @@ class TestTurningPoints:
                 k=float(rng.uniform(0.5, 3)),
                 l=int(rng.integers(1, 4)),
             )
-            tp = turning_points(sys, float(rng.uniform(-2, 5)))
-            prod = np.prod(tp.roots)
+            prod = np.prod(classified(sys, float(rng.uniform(-2, 5)))[0])
             assert prod.real > 0
             assert abs(prod.imag) < 1e-9 * abs(prod.real)
 
@@ -131,17 +149,17 @@ class TestTurningPoints:
             l = int(rng.integers(0, 3))
             eps = float(rng.uniform(-1, 5))
             K = k**0.25
-            tp = turning_points(PhysicalSystem(alpha, beta, k, l), eps)
-            tp_s = turning_points(
+            roots, _ = classified(PhysicalSystem(alpha, beta, k, l), eps)
+            roots_s, _ = classified(
                 PhysicalSystem(alpha / K, beta / K**3, 1.0, l), eps / K**2
             )
-            got = sorted(tp.roots, key=lambda z: (z.real, z.imag))
-            want = sorted((z / K for z in tp_s.roots), key=lambda z: (z.real, z.imag))
+            got = sorted(roots, key=lambda z: (z.real, z.imag))
+            want = sorted((z / K for z in roots_s), key=lambda z: (z.real, z.imag))
             assert np.allclose(got, want, atol=1e-8)
 
 
 def reference_roots(sys, eps):
-    """40-digit roots, ordered and counted by the same 1e-9 rule as turning_points."""
+    """40-digit roots, ordered and counted by the same 1e-9 rule as roots_in_r."""
     with mpmath.workdps(40):
         coeffs = [mpmath.mpf(c) for c in quartic_coeffs(sys, eps)]
         roots = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)]
@@ -166,10 +184,10 @@ class TestReferenceRoots:
     """Companion-matrix roots against 40-digit mpmath.polyroots."""
 
     def assert_matches_reference(self, sys, eps, rel_tol):
-        tp = turning_points(sys, eps)
+        roots, got_count = classified(sys, eps)
         want, real_count = reference_roots(sys, eps)
-        assert tp.real_count == real_count
-        for got, z in zip(tp.roots, want):
+        assert got_count == real_count
+        for got, z in zip(roots, want):
             assert abs(got - z) <= rel_tol * max(1.0, abs(z))
 
     def test_random_cases(self):
@@ -230,14 +248,14 @@ class TestSmallRoots:
         batch = quartic_roots([PhysicalSystem(*case[:4]) for case in cases],
                               [case[4] for case in cases])
         stacked = batch[cases.index((alpha, beta, k, l, eps))] / sys.K
-        for roots in (turning_points(sys, eps).roots, stacked.tolist()):
+        for roots in (classified(sys, eps)[0], stacked.tolist()):
             for z, w in zip(sorted(roots, key=abs)[:2], want):
                 assert abs(z - w) <= 1e-11 * abs(w)
 
     def test_vieta_identity_3(self):
         # e3 = alpha/K = 1e85, whose defect read 1e85 with both small roots at 0
-        tp = turning_points(PhysicalSystem(1e10, 0.0, 1e-300, 0), 1.0)
-        assert tp.vieta_residuals[2] <= 1e-15 * 1e85
+        sys = PhysicalSystem(1e10, 0.0, 1e-300, 0)
+        assert _vieta_residuals(row(sys, 1.0), sys, 1.0)[2] <= 1e-15 * 1e85
 
 
 class TestQuarticRoots:
@@ -283,10 +301,10 @@ class TestVietaResiduals:
         # u (S_k + max|z| S_{k-1}), S_k the elementary symmetric function of the |z_i|;
         # 20,000 random cases read at most 9.6 u
         sys = PhysicalSystem(*case[:4])
-        tp = turning_points(sys, case[4])
-        size = [sys.K * abs(r) for r in tp.roots]
+        zs = row(sys, case[4])
+        size = [abs(z) for z in zs]
         S = [sum(map(math.prod, itertools.combinations(size, k))) for k in range(5)]
-        for k, residual in enumerate(tp.vieta_residuals, start=1):
+        for k, residual in enumerate(_vieta_residuals(zs, sys, case[4]), start=1):
             assert residual <= 32 * np.finfo(float).eps * (S[k] + max(size) * S[k - 1])
 
     def test_exact_roots_give_tiny_residuals(self):
@@ -310,22 +328,24 @@ class TestVietaResiduals:
         lval = 0.5 * (-1 + (1 + 4 * k * prod) ** 0.5)
         assert abs(lval - round(lval)) < 1e-12  # roots chosen so l = 2
         sys = PhysicalSystem(alpha=alpha, beta=beta, k=k, l=round(lval))
-        tp = turning_points(sys, eps)
-        assert max(vieta_residuals(tp.roots, sys, eps)) < 1e-12
+        assert max(_vieta_residuals(row(sys, eps), sys, eps)) < 1e-12
 
     def test_perturbed_root_detected(self):
         sys = PhysicalSystem(alpha=1.0, beta=1.0, k=1.0, l=1)
         eps = 3.0
-        tp = turning_points(sys, eps)
-        bad = list(tp.roots)
-        bad[0] += 1e-3
-        assert max(vieta_residuals(tuple(bad), sys, eps)) > 1e-4
+        bad = row(sys, eps)
+        bad[0] += 1e-3  # K = 1: z = r
+        assert max(_vieta_residuals(bad, sys, eps)) > 1e-4
 
     def test_solver_roots_close_identities(self):
         sys = PhysicalSystem(alpha=1.0, beta=1.0, k=1.0, l=1)
-        tp = turning_points(sys, 3.0)
-        assert max(vieta_residuals(tp.roots, sys, 3.0)) < 1e-9
-        assert tp.vieta_residuals == vieta_residuals(tp.roots, sys, 3.0)
+        residuals = _vieta_residuals(row(sys, 3.0), sys, 3.0)
+        assert max(residuals) < 1e-9
+        # criterion 7 reads its rows from one stacked solve: a row's defects are those of
+        # its batch of one, to the bit
+        other = PhysicalSystem(alpha=2.0, beta=-1.0, k=3.0, l=0)
+        stacked = quartic_roots([other, sys], [4.0, 3.0])[1].tolist()
+        assert _vieta_residuals(stacked, sys, 3.0) == residuals
 
     @pytest.mark.parametrize(
         "sys, eps",
@@ -336,4 +356,4 @@ class TestVietaResiduals:
         # in r the identities held alpha/k = 1e310 and 2 eps/k = 2e310, which
         # overflowed to inf (and inf - inf = nan); in z = K r they are the
         # coefficients np.roots solves, at most 2.5e225 here
-        assert np.all(np.isfinite(vieta_residuals(turning_points(sys, eps).roots, sys, eps)))
+        assert np.all(np.isfinite(_vieta_residuals(row(sys, eps), sys, eps)))

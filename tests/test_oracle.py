@@ -7,7 +7,7 @@ from scipy.special import roots_laguerre
 
 from biheun import oracle
 from biheun.cli import main
-from biheun.model import PhysicalSystem, turning_points
+from biheun.model import PhysicalSystem, quartic_roots, roots_in_r
 from biheun.oracle import (
     _LARGEST_MESH,
     _MESH_BASE,
@@ -19,6 +19,12 @@ from biheun.oracle import (
     node_count,
 )
 from biheun.quantize import _assemble_solution, solve_family
+
+
+def _real_roots(sys, eps):
+    """The real turning points r of one (system, epsilon) pair, ascending: a batch of one
+    of ``quartic_roots`` through ``roots_in_r``."""
+    return roots_in_r(quartic_roots([sys], [eps])[0].tolist(), sys.K)[0]
 
 
 def _eigensolve(sys, grid, levels):
@@ -84,7 +90,7 @@ class TestRadialGrid:
         sol = solve_family(n, l, alpha, k)[branch]
         sys = sol.system()
         grid = RadialGrid.auto(sys, epsilon_hint=sol.epsilon)
-        assert grid.r_edge >= 1.5 * max(turning_points(sys, sol.epsilon).real_roots)
+        assert grid.r_edge >= 1.5 * max(_real_roots(sys, sol.epsilon))
         # f = r R ~ r^(n+l+1) exp(-K^2 r^2/2 - beta r/2K^2) has fallen 1e-12 below its peak
         K = sys.K
 
@@ -107,14 +113,19 @@ class TestRadialGrid:
         [(32, 0, 0.0, 3.0, 0), (32, 2, 0.0, 3.0, 0), (7, 3, 1e12, 1.0, 0), (8, 3, 1e18, 1.0, 0)],
     )
     def test_auto_edge_reads_the_outer_turning_point(self, n, l, alpha, k, branch):
-        # the mesh and turning_points read one quartic_roots solve, small pair retaken:
-        # where the wall is the edge, it is 1.5x turning_points' outer root to the bit, at
-        # l = 0 too; at alpha/K = 1e18 the outer root is the larger of the small pair, and
-        # an edge read from the eigensolve's own pair fell 9% short
+        # the mesh reads one quartic_roots solve, small pair retaken: where the wall is
+        # the edge, it is 1.5x the outer real root of roots_in_r to the bit, at l = 0
+        # too; at alpha/K = 1e18 the outer root is the larger of the small pair, and an
+        # edge read from the eigensolve's own pair fell 9% short
         sol = solve_family(n, l, alpha, k)[branch]
         sys = sol.system()
-        outer = max(turning_points(sys, sol.epsilon).real_roots)
+        outer = max(_real_roots(sys, sol.epsilon))
         assert RadialGrid.auto(sys, sol.epsilon).r_edge == 1.5 * outer
+
+    def test_turning_point_out_of_range_overflows(self):
+        # at beta = 1e270, k = 1e-40 the root z ~ -1e300 is a double, but r = z / K is not
+        with pytest.raises(OverflowError, match="^turning point out of range: "):
+            confirm(PhysicalSystem(0.0, 1e270, 1e-40, 1), 1.0, 0)
 
     @pytest.mark.parametrize("n, l, alpha, k", [(4, 1, 1.0, 3.0), (12, 0, 20.0, 0.3)])
     def test_auto_is_K_covariant(self, n, l, alpha, k):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import importlib
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 import biheun
+from biheun import cli
 from biheun.oracle import _MESH_BASE
 from biheun.verify import ALL_CRITERIA
 
 PUBLIC = {
-    "PhysicalSystem", "QuasiExactSolution", "RadialGrid", "TurningPointSet", "confirm",
-    "node_count", "run_acceptance", "solve_family", "turning_points", "wavefunction",
+    "PhysicalSystem", "QuasiExactSolution", "RadialGrid", "confirm", "node_count",
+    "run_acceptance", "solve_family", "wavefunction",
 }
 
 
@@ -117,8 +119,8 @@ def _calls(path, name):
 
 
 def test_one_quartic_solver():
-    # the turning points, the mesh sizing and the certificate read one stacked solve, at
-    # one accuracy: the companion eigensolve and its small-pair retake live only there
+    # the mesh sizing, the certificate and criterion 7 read one stacked solve, at one
+    # accuracy: the companion eigensolve and its small-pair retake live only there
     owners = sorted((f"{path.stem}.{getattr(top, 'name', '')}", ast.unparse(node.func))
                     for path in Path(biheun.__file__).parent.glob("*.py")
                     for top in ast.parse(path.read_text()).body
@@ -157,6 +159,17 @@ def test_verdicts_come_from_the_record():
                if isinstance(node, ast.Compare)
                and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)]
     assert ordered == []
+
+
+def test_one_list_of_commands():
+    # the parser's sub-commands, the dispatch table and the README's usage block name the
+    # same commands, so a command cannot be retired from one and linger in another
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    shown = set(re.findall(r"^biheun (\S+)", usage, re.MULTILINE))
+    assert set(sub.choices) == set(cli.COMMANDS) == shown
 
 
 def test_readme_quotes_the_mesh_rule():
