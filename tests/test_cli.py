@@ -23,6 +23,7 @@ import biheun.oracle
 import biheun.quantize
 import biheun.verify
 from biheun.cli import build_parser, main
+from biheun.model import PhysicalSystem, _vieta_residuals, quartic_roots
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import solve_family, wavefunction
 
@@ -306,6 +307,20 @@ class TestTurningPoints:
     """The turning-point quartic, which sizes each mesh and bounds each certificate, as
     the commands meet it."""
 
+    def test_oscillator_roots(self, capsys):
+        # alpha = 0, n = 0 gives beta = 0 and eps = 3/2: the quartic -r^2 (r^2 - 3) that
+        # sizes the state's mesh and bounds its certificate has roots {-sqrt 3, 0, 0, sqrt 3}
+        code, out, _ = run_cli(
+            ["spectrum", "--n", "0", "--l", "0", "--alpha", "0", "--k", "1"], capsys)
+        assert code == 0
+        (beta,), (eps,) = column(out, "beta"), column(out, "epsilon")
+        assert (beta, eps) == (0.0, 1.5)
+        system = PhysicalSystem(alpha=0.0, beta=beta, k=1.0, l=0)
+        zs = quartic_roots([system], [eps])[0].tolist()  # K = 1: z = r
+        assert sorted(zs, key=lambda z: z.real) == pytest.approx(
+            [-(3**0.5), 0.0, 0.0, 3**0.5], abs=1e-10)
+        assert max(_vieta_residuals(zs, system, eps)) < 1e-12
+
     def test_tiny_k(self, capsys):
         # in r the companion matrix of -k r^4 + ... held alpha/k = 1e310 and
         # overflowed (exit 3); the certificate solves the quartic in z = K r, whose
@@ -326,6 +341,26 @@ class TestTurningPoints:
             assert code == 2
             assert out == "" and err.startswith("config error: ")
             assert "turning-point quartic out of range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "0..1", "--alpha", "1e10", "--k", "1e-300"],
+         ["--n", "0..1", "--l", "5", "--alpha=1e-6", "--k=1e-300"]],
+    )
+    def test_tiny_k_vieta_residuals_are_finite(self, argv):
+        # in r the identities held alpha/k = 1e310 and overflowed to inf (and inf - inf =
+        # nan); on the quartic_roots rows of the states spectrum prints they stay finite
+        argv = ["spectrum", *argv]
+        proc = _python(f"import sys; from biheun.cli import main; sys.exit(main({argv!r}))")
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert "nan" not in proc.stdout and "inf" not in proc.stdout
+        args = build_parser().parse_args(argv)
+        systems = [PhysicalSystem(alpha=args.alpha, beta=beta, k=args.k, l=int(l))
+                   for l, beta in zip(column(proc.stdout, "l"), column(proc.stdout, "beta"))]
+        eps = column(proc.stdout, "epsilon")
+        assert len(systems) == 3
+        for zs, system, e in zip(quartic_roots(systems, eps).tolist(), systems, eps):
+            assert np.all(np.isfinite(_vieta_residuals(zs, system, e)))
 
 
 class TestWavefunction:
