@@ -11,9 +11,9 @@ constraint, and each root defines a different potential.
 ``spectrum --verify`` checks each (n, l) family with one ``verify.confirm_solutions``
 call, timed as one ``oracle`` stage, and ``wavefunction`` its one row; the
 oracle sizes the Lagrange-Laguerre mesh to each state, and its gap relative to
-max(1, |eps|), held to ``oracle.RTOL`` (1e-9), is ``oracle_gap``.
-``spectrum`` and ``wavefunction`` hold each printed ``ode_residual`` to
-``quantize.ODE_RTOL`` (1e-9).
+max(1, |eps|) is ``oracle_gap``. ``verify.judge_rows`` forms the figures of each
+family's printed rows, and ``verify.Figure`` judges them as it judges each acceptance
+criterion: the front end compares no figure with a bound itself.
 
 Exit codes, all mapped in ``main``: 0 success, 2 config error (ConfigError, an
 OverflowError for input a double cannot hold, an OSError for an unwritable --out, a
@@ -35,15 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PhysicalSystem
-from .oracle import Confirmation
-from .quantize import ODE_RTOL, QuasiExactSolution, certify, solve_family, wavefunction
-from .verify import confirm_solutions, run_acceptance
+from .quantize import QuasiExactSolution, certify, solve_family, wavefunction
+from .verify import WAVEFUNCTION_RTOL, Figure, confirm_solutions, judge_rows, run_acceptance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
-WAVEFUNCTION_RTOL = 1e-5  # wavefunction's bound on max |R_poly - R_oracle| / max |R_poly|
 
 
 class ConfigError(ValueError):
@@ -134,22 +132,13 @@ def _emit(config: RunConfig, header: list[str], rows: list[list],
         _sys.stdout.write(text)
 
 
-def _confirm(sols: list[QuasiExactSolution], vector: bool = False) -> list[Confirmation]:
-    """``confirm_solutions``; RuntimeError naming the first solution refuted."""
-    checks = confirm_solutions(sols, vector)
-    for sol, c in zip(sols, checks):
-        if not c.passed:
-            raise RuntimeError(
-                f"oracle did not confirm epsilon={sol.epsilon} for {sol.label}: level "
-                f"{c.level} reads {c.energy} on the mesh, relative gap {c.gap:.3e}"
-                + ("" if c.nodes is None else f", {c.nodes} nodes"))
-    return checks
-
-
-def _check_certificate(sol: QuasiExactSolution, ode_residual: float) -> None:
-    """RuntimeError naming the solution when its printed ode_residual exceeds ODE_RTOL."""
-    if not ode_residual <= ODE_RTOL:
-        raise RuntimeError(f"{sol.label}: ode_residual {ode_residual:.3e} exceeds {ODE_RTOL:g}")
+def _judge(sols: list[QuasiExactSolution], figures: list[Figure]) -> list[Figure]:
+    """``figures``, all passed; RuntimeError at the worst row of the first that fails."""
+    for fig in figures:
+        if not fig.passed:
+            raise RuntimeError(f"{sols[fig.worst].label}: {fig.label} "
+                               f"{fig.fmt.format(fig.value)} exceeds {fig.bound:g}")
+    return figures
 
 
 @contextlib.contextmanager
@@ -167,7 +156,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     if config.verify:
         header.append("oracle_gap")
     rows: list[list] = []
-    solutions: list[QuasiExactSolution] = []  # beside rows, to name the worst
+    largest: dict = {}  # each figure's worst value over the families, all judged
     timings: dict = {}
     diagnostics: dict = {"families": 0, "solutions": 0, "timings_s": timings}
     for n in config.n_values():
@@ -177,21 +166,21 @@ def cmd_spectrum(config: RunConfig) -> int:
             diagnostics["families"] += 1
             with _stage(timings, "certify"):
                 certificates = certify(sols)
+            checks = []
+            if config.verify:
+                with _stage(timings, "oracle"):
+                    checks = confirm_solutions(sols)
+            for fig in _judge(sols, judge_rows(checks, certificates)):
+                largest[fig.label] = max(largest.get(fig.label, -np.inf), fig.value)
             family = [[n, l, branch, sol.b_root, sol.beta, sol.epsilon, ode_residual]
                       for branch, (sol, ode_residual) in enumerate(zip(sols, certificates))]
             diagnostics["solutions"] += len(family)
-            if config.verify:
-                with _stage(timings, "oracle"):
-                    checks = _confirm(sols)
-                for row, c in zip(family, checks):
-                    row.append(c.gap)
+            for row, c in zip(family, checks):
+                row.append(c.gap)
             rows += family
-            solutions += sols
-    worst = int(np.argmax([row[6] for row in rows]))  # a NaN is the worst
-    _check_certificate(solutions[worst], rows[worst][6])
-    diagnostics["max_ode_residual"] = rows[worst][6]
+    diagnostics["max_ode_residual"] = largest["ode_residual"]
     if config.verify:
-        diagnostics["max_oracle_gap"] = max(row[7] for row in rows)
+        diagnostics["max_oracle_gap"] = largest["oracle_gap"]
     _emit(config, header, rows, diagnostics)
     return EXIT_OK
 
@@ -205,7 +194,10 @@ def cmd_wavefunction(config: RunConfig) -> int:
     sol = sols[config.branch]
 
     with _stage(timings, "oracle"):
-        c = _confirm([sol], vector=True)[0]
+        c = confirm_solutions([sol], vector=True)[0]
+    with _stage(timings, "certify"):
+        ode_residual = certify([sol])[0]
+    _judge([sol], judge_rows([c], [ode_residual]))
     # both curves normalised in the mesh's own quadrature, sum w (R r)^2 = 1;
     # the oracle vector already is
     with _stage(timings, "curves"):
@@ -219,12 +211,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
         difference = r_poly - r_oracle
         # forward error of H's ill-conditioned float coefficients, which ode_residual misses
         max_rel_difference = float(np.max(np.abs(difference)) / np.max(np.abs(r_poly)))
-    if not max_rel_difference <= WAVEFUNCTION_RTOL:
-        raise RuntimeError(f"R_polynomial and R_oracle differ by {max_rel_difference:.3e} "
-                           f"of R_polynomial's peak for {sol.label}")
-    with _stage(timings, "certify"):
-        ode_residual = certify([sol])[0]
-    _check_certificate(sol, ode_residual)
+    _judge([sol], [Figure("max_rel_difference", [max_rel_difference], WAVEFUNCTION_RTOL)])
 
     header = ["r", "R_polynomial", "R_oracle", "difference"]
     rows = np.column_stack([r, r_poly, r_oracle, difference]).tolist()

@@ -27,7 +27,6 @@ import numpy as np
 
 from .model import PhysicalSystem, quartic_roots, roots_in_r
 
-RTOL = 1e-9  # confirm's bound on the energy gap, relative to max(1, |eps|)
 _TAIL_DROP = np.log(1e12)  # the edge: where f has fallen 1e-12 below its peak
 _MESH_BASE = 30  # N = 30 + 3n + l: the gaps leave rounding level from a base of 26 down
 # the most points a mesh takes (eigenvalues in 40 ms, 50 ms with one vector, on a 2-core
@@ -149,13 +148,13 @@ def _auto_grids(systems: list[PhysicalSystem], epsilons: list[float]) -> list[Ra
 class Confirmation:
     """Outcome of checking one energy against the oracle level at ``level``: ``energy`` on
     the mesh ``grid`` sized by ``RadialGrid.auto``, ``gap`` = |energy - eps| / max(1, |eps|),
-    ``vector`` the level's f on ``grid`` and ``nodes`` its node_count, None if not asked for."""
+    ``vector`` the level's f on ``grid`` and ``nodes`` its node_count, None if not asked for.
+    ``verify.judge_rows`` holds ``gap`` and ``nodes`` to their bounds."""
 
     grid: RadialGrid
     level: int
     energy: float
     gap: float
-    passed: bool
     vector: np.ndarray | None
     nodes: int | None
 
@@ -257,8 +256,8 @@ def confirm_all(
     so the caller passes the node count of its own solution and the oracle computes
     that one eigenvalue on the mesh ``_auto_grids`` sizes to the state (what
     ``RadialGrid.auto(sys, epsilon)`` gives). One ``_solve`` call takes every state,
-    with or without its ``vector``. A state passes when its gap is within RTOL and a requested vector has
-    ``levels[i]`` nodes, the count its verdict carries as ``nodes``."""
+    with or without its ``vector``. Each state's gap, and the node count of a requested
+    vector as ``nodes``, are the figures ``verify.judge_rows`` judges; none is judged here."""
     grids = _auto_grids(systems, epsilons)
     solved = _solve(systems, grids, levels, vector)
     confirmations = []
@@ -266,8 +265,7 @@ def confirm_all(
         energy = float(energies[level])
         nodes = None if f is None else node_count(f)
         gap = abs(energy - epsilon) / max(1.0, abs(epsilon))
-        passed = gap <= RTOL and nodes in (None, level)
-        confirmations.append(Confirmation(grid, level, energy, gap, passed, f, nodes))
+        confirmations.append(Confirmation(grid, level, energy, gap, f, nodes))
     return confirmations
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .heun import HeunParameters, ode_residual, recurrence_rows
 from .model import PhysicalSystem, quartic_roots
 
-ODE_RTOL = 1e-9  # bound on ode_residual: criterion 3, and each row spectrum and wavefunction print
 _SAMPLES = np.linspace(1 / 50, 1.0, 50)  # the certificate's z / z_hi
 
 

@@ -19,12 +19,13 @@ import numpy as np
 
 from .heun import HeunParameters, coefficient_sequence, recurrence_rows
 from .model import PhysicalSystem, _vieta_residuals, quartic_roots
-from .oracle import RTOL, Confirmation, RadialGrid, _solve, confirm_all
-from .quantize import (ODE_RTOL, QuasiExactSolution, _assemble_solution, _family, certify,
-                       solve_family)
+from .oracle import Confirmation, RadialGrid, _solve, confirm_all
+from .quantize import QuasiExactSolution, _assemble_solution, _family, certify, solve_family
 
-# Largest termination_residual a solution on the manifold may show.
-TERMINATION_RTOL = 1e-10
+RTOL = 1e-9  # bound on oracle_gap, the oracle's energy gap relative to max(1, |eps|)
+ODE_RTOL = 1e-9  # bound on ode_residual, the certificate of each printed row
+WAVEFUNCTION_RTOL = 1e-5  # bound on max |R_poly - R_oracle| / max |R_poly| of wavefunction's curves
+TERMINATION_RTOL = 1e-10  # bound on termination_residual on the manifold
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,15 @@ class Figure:
     at_least: bool = False  # the bound is a floor, not a ceiling
 
     @property
+    def worst(self) -> int:
+        """The index of the worst value, flattened: the first NaN if any is NaN (numpy's
+        argmax and argmin stop there; Python's max and min drop a NaN that is not first)."""
+        return int(np.argmin(self.values) if self.at_least else np.argmax(self.values))
+
+    @property
     def value(self) -> float:
-        """The worst value, NaN if any is NaN (Python's max and min drop a NaN that is
-        not first), so the verdict fails on it."""
-        return float(np.min(self.values) if self.at_least else np.max(self.values))
+        """The worst value, NaN if any is NaN, so the verdict fails on it."""
+        return float(np.ravel(self.values)[self.worst])
 
     @property
     def passed(self) -> bool:
@@ -156,8 +162,19 @@ def termination_residual(sols: list[QuasiExactSolution]) -> list[float]:
     return (np.max(np.abs(rows[:, 0]), axis=-1) / np.max(rows[:, 1], axis=-1)).tolist()
 
 
+def judge_rows(checks: list[Confirmation], certificates: list[float]) -> list[Figure]:
+    """The figures of printed rows, one value per row, in the order a refusal reads them:
+    oracle_gap held to RTOL; a requested vector's node count's distance from its level (Sturm)
+    held to 0; ode_residual held to ODE_RTOL. A figure with no rows is left out."""
+    nodes = [abs(c.nodes - c.level) for c in checks if c.nodes is not None]
+    figures = (Figure("oracle_gap", np.array([c.gap for c in checks]), RTOL, "{:.3e}"),
+               Figure("nodes_off_level", np.array(nodes), 0, "{:.0f}"),
+               Figure("ode_residual", np.array(certificates), ODE_RTOL, "{:.3e}"))
+    return [fig for fig in figures if len(fig.values)]
+
+
 def confirm_solutions(sols: list[QuasiExactSolution], vector: bool = False) -> list[Confirmation]:
-    """The oracle's verdict on each solution at its Sturm level, from one ``confirm_all``
+    """The oracle's check of each solution at its Sturm level, from one ``confirm_all``
     call: the one place that turns solutions into the oracle's states."""
     return confirm_all([sol.system() for sol in sols], [sol.epsilon for sol in sols],
                        [sol.level for sol in sols], vector)
@@ -199,8 +216,7 @@ def criterion_3() -> CriterionResult:
         f"oracle {RTOL:g}",
         (Figure("worst termination", [r for fam in families for r in termination_residual(fam)],
                 TERMINATION_RTOL),
-         Figure("ode", [r for fam in families for r in certify(fam)], ODE_RTOL),
-         Figure("oracle gap", [c.gap for c in confirm_solutions(sols)], RTOL)),
+         *judge_rows(confirm_solutions(sols), [r for fam in families for r in certify(fam)])),
         f"{len(sols)} solutions")
 
 

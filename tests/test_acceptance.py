@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the same checks back the CLI `verify` subcommand.
 """
 
+import json
 import re
 
 import numpy as np
@@ -75,6 +76,51 @@ def test_a_figure_at_its_bound_passes(at_least):
     assert verify.Figure("gap", [1.0, 1.0], 1.0, at_least=at_least).passed
     past = np.nextafter(1.0, 0.0 if at_least else 2.0)
     assert not verify.Figure("gap", [1.0, past], 1.0, at_least=at_least).passed
+
+
+@pytest.mark.parametrize("at_least", [False, True], ids=["ceiling", "floor"])
+def test_worst_is_the_first_nan(at_least):
+    # numpy's argmax and argmin stop at the first NaN, so the verdict and the row a
+    # refusal names both see it
+    values = [1.0, 0.5, np.nan, 2.0, np.nan]
+    fig = verify.Figure("gap", values, 1.0, at_least=at_least)
+    assert fig.worst == 2 and np.isnan(fig.value) and not fig.passed
+
+
+def test_worst_of_a_floor_is_its_smallest():
+    values = [3.0, 0.5, 4.0, 0.5]
+    floor = verify.Figure("ratio", values, 1.0, at_least=True)
+    assert floor.worst == int(np.argmin(values)) == 1 and floor.value == 0.5
+    ceiling = verify.Figure("ratio", values, 1.0)
+    assert ceiling.worst == int(np.argmax(values)) == 2 and ceiling.value == 4.0
+    for fig in (floor, ceiling):
+        assert fig.value == np.ravel(fig.values)[fig.worst]
+
+
+def test_worst_is_flattened():
+    # criterion 4's figure holds one 15-long array per random set: worst indexes them
+    # flattened, so worst // 15 is the set and worst % 15 the coefficient
+    (fig,) = verify.criterion_4().figures
+    assert len(fig.values) == 100 and {len(v) for v in fig.values} == {15}
+    assert fig.worst == int(np.argmax(np.ravel(fig.values)))
+    assert fig.value == np.ravel(fig.values)[fig.worst]
+    assert fig.value == fig.values[fig.worst // 15][fig.worst % 15]
+    assert fig.value == np.max(fig.values)
+
+
+@pytest.mark.slow
+def test_criterion_3_judges_the_spectrum_rows(capsys):
+    # criterion 3 forms its ode_residual and oracle_gap figures with judge_rows, as
+    # spectrum --verify does for each family it prints: over the same families, the
+    # figures are the worst that spectrum prints, bit for bit
+    printed = []
+    for alpha in ("0", "1"):
+        assert main(["spectrum", "--n", "0..8", "--l", "0..3", "--alpha", alpha, "--k", "1",
+                     "--verify", "--format", "json"]) == 0
+        printed.append(json.loads(capsys.readouterr().out)["diagnostics"])
+    figures = {fig.label: fig.value for fig in verify.criterion_3().figures}
+    assert figures["ode_residual"] == max(diag["max_ode_residual"] for diag in printed)
+    assert figures["oracle_gap"] == max(diag["max_oracle_gap"] for diag in printed)
 
 
 @pytest.mark.parametrize(

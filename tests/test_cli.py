@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from biheun.cli import build_parser, main
 from biheun.model import PhysicalSystem, _vieta_residuals, quartic_roots
 from biheun.oracle import RadialGrid, confirm
 from biheun.quantize import solve_family, wavefunction
+from biheun.verify import confirm_solutions
 
 
 def run_cli(args, capsys):
@@ -164,14 +166,33 @@ class TestSpectrum:
         assert rows == [n + 1] and solves == [n + 1]
 
     def test_first_refused_branch_is_named(self, capsys, monkeypatch):
-        # every branch of the family is refuted; the error names the lowest one
-        monkeypatch.setattr(biheun.oracle, "RTOL", 1e-300)
+        # every branch of the family is refuted; the error names the worst row of the
+        # first figure that fails, the branch with the largest oracle_gap, not the lowest
+        monkeypatch.setattr(biheun.verify, "RTOL", 1e-300)
         code, out, err = run_cli(
-            ["spectrum", "--n", "2", "--alpha", "1", "--k", "1", "--verify"], capsys)
+            ["spectrum", "--n", "2", "--alpha", "2", "--k", "1", "--verify"], capsys)
         assert code == 3 and out == ""
-        assert re.fullmatch(r"solver error: oracle did not confirm epsilon=\S+ for "
-                            r"\(n=2, l=0, branch=0\): level 2 reads \S+ on the mesh, "
-                            r"relative gap \S+\n", err)
+        gaps = [c.gap for c in confirm_solutions(solve_family(2, 0, 2.0, 1.0))]
+        branch = int(np.argmax(gaps))
+        assert branch > 0
+        assert err == (f"solver error: (n=2, l=0, branch={branch}): "
+                       f"oracle_gap {gaps[branch]:.3e} exceeds 1e-300\n")
+
+    def test_printed_figure_is_the_judged_figure(self, capsys, monkeypatch):
+        # a NaN gap on branch 1 printed with exit 0, and max_oracle_gap read 5.27e-15: a
+        # verdict formed before the figure, and Python's max, both missed the NaN
+        confirm_all = biheun.verify.confirm_all
+
+        def nan_on_branch_1(*args):
+            checks = confirm_all(*args)
+            checks[1] = dataclasses.replace(checks[1], gap=float("nan"))
+            return checks
+
+        monkeypatch.setattr(biheun.verify, "confirm_all", nan_on_branch_1)
+        code, out, err = run_cli(["spectrum", "--n", "3", "--l", "0", "--alpha", "1", "--verify",
+                                  "--format", "json"], capsys)
+        assert code == 3 and out == ""
+        assert err == "solver error: (n=3, l=0, branch=1): oracle_gap nan exceeds 1e-09\n"
 
     def test_certificate_above_bound_is_solver_error(self, capsys):
         # branch 250's ode_residual read 0.22 (56 rows above 1e-12) with exit 0
@@ -197,7 +218,8 @@ class TestSpectrum:
         )
         assert code == 3
         assert out == ""
-        assert "oracle did not confirm" in err and "(n=0, l=0, branch=0)" in err
+        assert re.fullmatch(r"solver error: \(n=0, l=0, branch=0\): oracle_gap \S+ exceeds 1e-09\n",
+                            err)
 
     @pytest.mark.parametrize("verify", [[], ["--verify"]])
     @pytest.mark.parametrize("alpha, k", [("1e300", "1"), ("1e300", "1e-300")])
@@ -221,7 +243,7 @@ class TestSpectrum:
         # the gap divides by max(1, |eps|), and |eps| >= 1.5e-150 here, so a mesh that
         # read 2 eps would pass it: hold each row to RTOL relative to |eps| itself
         for gap, eps in zip(column(out, "oracle_gap"), column(out, "epsilon")):
-            assert gap * max(1.0, abs(eps)) / abs(eps) <= biheun.oracle.RTOL
+            assert gap * max(1.0, abs(eps)) / abs(eps) <= biheun.verify.RTOL
 
     def test_tiny_k_unconfirmed_is_solver_error(self, capsys):
         # the same division at alpha/K = 1e85, where the mesh refutes the row
@@ -239,7 +261,7 @@ class TestSpectrum:
             capsys,
         )
         assert code == 3 and out == ""
-        assert "oracle did not confirm" in err and "(n=1, l=5, branch=0)" in err
+        assert err == "solver error: (n=1, l=5, branch=0): oracle_gap 1.000e+00 exceeds 1e-09\n"
 
     def test_overflowing_beta_is_config_error(self, capsys):
         # beta = b K^3 overflows at K^3 = 1e225: PhysicalSystem refuses the infinite beta
@@ -560,7 +582,8 @@ class TestWavefunction:
         )
         assert code == 3
         assert out == ""
-        assert "(n=30, l=0, branch=0)" in err
+        assert re.fullmatch(r"solver error: \(n=30, l=0, branch=0\): max_rel_difference \S+ "
+                            r"exceeds 1e-05\n", err)
 
     def test_json_stage_timings_and_worst_difference(self, capsys):
         start = time.perf_counter()
@@ -582,8 +605,8 @@ class TestWavefunction:
         assert diag["max_rel_difference"] <= 1e-5
 
     def test_wrong_node_count_is_solver_error(self, capsys, monkeypatch):
-        # confirm judges the node count with the gap, and the error names both from
-        # the verdict
+        # the node count is judged with the gap, and the error names the count's distance
+        # from the level that was judged: 3 nodes at level 2
         from biheun import oracle
 
         monkeypatch.setattr(oracle, "node_count", lambda vector: 3)
@@ -592,8 +615,7 @@ class TestWavefunction:
         )
         assert code == 3
         assert out == ""
-        assert "(n=3, l=1, branch=1)" in err
-        assert re.search(r"relative gap \S+, 3 nodes", err)
+        assert err == "solver error: (n=3, l=1, branch=1): nodes_off_level 1 exceeds 0\n"
 
     def test_branch_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -755,9 +777,7 @@ class TestConfigHandling:
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         # absurdly tight oracle tolerance cannot be met
-        from biheun import oracle
-
-        monkeypatch.setattr(oracle, "RTOL", 1e-300)
+        monkeypatch.setattr(biheun.verify, "RTOL", 1e-300)
         code, _, err = run_cli(
             ["spectrum", "--n", "0", "--l", "0", "--alpha", "1", "--k", "1", "--verify"],
             capsys,

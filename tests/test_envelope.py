@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from biheun.oracle import confirm  # noqa: E402
 from biheun.quantize import certify, solve_family  # noqa: E402
+from judging import confirmed  # noqa: E402
 from perfbench import reference  # noqa: E402
 
 
@@ -38,7 +39,7 @@ def _check_family(n, l, alpha, k):
         assert ode_residual <= 1e-12
         assert sol.level == n - branch
         assert _sign_changes(sol.heun_coefficients) == sol.level
-        assert confirm(sol.system(), sol.epsilon, sol.level).passed
+        assert confirmed(confirm(sol.system(), sol.epsilon, sol.level))
 
 
 @pytest.mark.parametrize("l, alpha, k", [(0, 0.0, 1.0), (1, 2.5, 0.3), (3, 0.7, 3.7)])

@@ -11,7 +11,6 @@ from biheun.model import PhysicalSystem, quartic_roots, roots_in_r
 from biheun.oracle import (
     _LARGEST_MESH,
     _MESH_BASE,
-    RTOL,
     RadialGrid,
     _mesh,
     confirm,
@@ -19,6 +18,8 @@ from biheun.oracle import (
     node_count,
 )
 from biheun.quantize import _assemble_solution, solve_family
+from biheun.verify import RTOL
+from judging import confirmed
 
 
 def _real_roots(sys, eps):
@@ -106,7 +107,7 @@ class TestRadialGrid:
         sol = solve_family(32, 0, 0.0, 3.0)[0]
         sys = sol.system()
         c = confirm(sys, sol.epsilon, sol.level)
-        assert c.passed and c.gap <= 1e-9
+        assert confirmed(c) and c.gap <= 1e-9
 
     @pytest.mark.parametrize(
         "n, l, alpha, k, branch",
@@ -153,7 +154,7 @@ class TestRadialGrid:
         # l = 10^6 for a million points
         sys = PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=0)
         assert RadialGrid.auto(sys, 1e6).points == _LARGEST_MESH == 600
-        assert not confirm(sys, 1e6, 0).passed
+        assert not confirmed(confirm(sys, 1e6, 0))
         assert RadialGrid.auto(PhysicalSystem(alpha=1.0, beta=0.0, k=1.0, l=10**6)).points == 600
 
     @pytest.mark.parametrize(
@@ -425,25 +426,25 @@ class TestConfirm:
     def test_exact_limit(self, oscillator):
         sys, _ = oscillator
         c = confirm(sys, 1.5, 0)
-        assert c.passed and c.level == 0
+        assert confirmed(c) and c.level == 0
         assert c.gap < 1e-8
         assert c.gap == abs(c.energy - 1.5) / 1.5
         assert c.vector is None
 
     def test_out_of_range(self, oscillator):
         sys, _ = oscillator
-        assert not confirm(sys, 100.0, 0).passed
+        assert not confirmed(confirm(sys, 100.0, 0))
 
     def test_quasi_exact_lookup(self):
         # alpha=1, beta=1, k=1, l=0 is the n=0 quasi-exact state at eps=1.375
         sys = PhysicalSystem(alpha=1.0, beta=1.0, k=1.0, l=0)
         c = confirm(sys, 1.375, 0)
-        assert c.passed and c.level == 0 and c.gap < 1e-8
+        assert confirmed(c) and c.level == 0 and c.gap < 1e-8
 
     def test_vector_on_request(self, oscillator):
         sys, _ = oscillator
         c = confirm(sys, 3.5, 1, vector=True)
-        assert c.passed
+        assert confirmed(c)
         [(_, f)] = oracle._solve([sys], [c.grid], [1], True)
         assert np.allclose(c.vector, f, atol=1e-8)
 
@@ -458,19 +459,19 @@ class TestConfirm:
         """Negative control: an n=4 state confirms at its level, not at level +- 1."""
         for sol in solve_family(4, 1, 1.0, 1.0):
             sys = sol.system()
-            assert confirm(sys, sol.epsilon, sol.level).passed
+            assert confirmed(confirm(sys, sol.epsilon, sol.level))
             for wrong in (sol.level - 1, sol.level + 1):
                 if wrong >= 0:
-                    assert not confirm(sys, sol.epsilon, wrong).passed
+                    assert not confirmed(confirm(sys, sol.epsilon, wrong))
 
     def test_vector_with_wrong_node_count_fails(self, oscillator, monkeypatch):
         # Sturm: the level-1 vector must have 1 node, whatever the energy gap reads
         sys, _ = oscillator
-        assert confirm(sys, 3.5, 1, vector=True).passed
+        assert confirmed(confirm(sys, 3.5, 1, vector=True))
         monkeypatch.setattr(oracle, "node_count", lambda vector: 2)
         c = confirm(sys, 3.5, 1, vector=True)
-        assert c.gap <= RTOL and not c.passed
-        assert confirm(sys, 3.5, 1).passed  # no vector, no node count
+        assert c.gap <= RTOL and not confirmed(c)
+        assert confirmed(confirm(sys, 3.5, 1))  # no vector, no node count
 
     @pytest.mark.parametrize("n, l", [(140, 0), (140, 1), (140, 2), (140, 3), (180, 0)])
     def test_top_level_beyond_400_points(self, n, l):
@@ -479,7 +480,7 @@ class TestConfirm:
         sol = solve_family(n, l, 1.0, 1.0)[0]
         c = confirm(sol.system(), sol.epsilon, sol.level)
         assert c.grid.points == _MESH_BASE + 3 * n + l
-        assert c.passed and c.level == n
+        assert confirmed(c) and c.level == n
 
     def test_refutes_b_off_by_1e_6(self):
         """RTOL has teeth: b off by 1e-6 relative (beta and epsilon rebuilt from it)
@@ -491,7 +492,7 @@ class TestConfirm:
             for sol in solve_family(n, l, alpha, k):
                 bad = _assemble_solution(n, l, alpha, k, sol.b_root * (1 + 1e-6),
                                          sol.heun_coefficients, sol.level)
-                refuted += not confirm(bad.system(), bad.epsilon, bad.level).passed
+                refuted += not confirmed(confirm(bad.system(), bad.epsilon, bad.level))
         assert refuted == 34
 
 
@@ -504,7 +505,7 @@ class TestConfirmAll:
                                                 (25, 0, 1e4, 1.0), (3, 1, 0.0, 1e-300),
                                                 (1, 5, 1e6, 1e-300)])
     def test_family_equals_one_by_one(self, n, l, alpha, k):
-        # grid, level, energy, gap and passed, in order, bit for bit; at (1, 5, 1e6,
+        # grid, level, energy and gap (the figures judged), in order, bit for bit; at (1, 5, 1e6,
         # 1e-300) every branch is refuted
         states = _states(solve_family(n, l, alpha, k))
         batch = confirm_all(*states)
@@ -531,7 +532,7 @@ class TestConfirmAll:
             assert sorted(stacks) == [(4, 39, 39), (4, 300, 300), (4, 300, 300)]
             monkeypatch.undo()
             assert [c.grid.points for c in batch] == [300] * 6 + [39] * 4 + [300] * 2
-            assert all(c.passed for c in batch)
+            assert all(confirmed(c) for c in batch)
             if not vector:
                 assert batch == [confirm(*state) for state in zip(*_states(sols))]
                 continue
@@ -544,10 +545,10 @@ class TestConfirmAll:
         states = _states(solve_family(4, 1, 1.0, 1.0))
         batch = confirm_all(*states, vector=True)
         for c, one in zip(batch, [confirm(*state, vector=True) for state in zip(*states)]):
-            assert (c.grid, c.level, c.energy, c.gap, c.passed) == (
-                one.grid, one.level, one.energy, one.gap, one.passed)
+            assert (c.grid, c.level, c.energy, c.gap, confirmed(c)) == (
+                one.grid, one.level, one.energy, one.gap, confirmed(one))
             assert np.array_equal(c.vector, one.vector)
-            assert c.passed and node_count(c.vector) == c.level
+            assert confirmed(c) and node_count(c.vector) == c.level
 
     def test_nodes_are_the_vectors_node_count(self):
         # the verdict carries the count it judged; at k = 1e-300 level 1 reads 0 nodes
@@ -588,7 +589,7 @@ def test_tail_noise_is_not_a_node(n, l, alpha, k):
     r = 16.1 and 16.9 where |f| is 7e-10 of the peak), and wavefunction exited 3."""
     batch = confirm_all(*_states(solve_family(n, l, alpha, k)), vector=True)
     assert [c.nodes for c in batch] == [c.level for c in batch]
-    assert all(c.passed for c in batch)
+    assert all(confirmed(c) for c in batch)
 
 
 def _positive_zeros(coeffs):
@@ -606,7 +607,7 @@ def test_level_is_sturm_index():
         for branch, sol in enumerate(solve_family(n, l, alpha, k)):
             assert sol.level == n - branch == _positive_zeros(sol.heun_coefficients)
             c = confirm(sol.system(), sol.epsilon, sol.level, vector=True)
-            assert c.passed and node_count(c.vector) == sol.level
+            assert confirmed(c) and node_count(c.vector) == sol.level
 
 
 @pytest.mark.parametrize("n", [0, 2, 5, 8])
@@ -616,7 +617,7 @@ def test_level_is_node_count_at_large_l(n, l):
     near r = 0, which read as false nodes in 10 of 42 such families from l = 40."""
     for sol in solve_family(n, l, 1.0, 1.0):
         c = confirm(sol.system(), sol.epsilon, sol.level, vector=True)
-        assert c.passed and node_count(c.vector) == sol.level
+        assert confirmed(c) and node_count(c.vector) == sol.level
 
 
 @pytest.mark.slow
@@ -632,7 +633,7 @@ def test_sized_grid_confirms_every_state(alpha_over_K):
         for sol in solve_family(n, l, alpha_over_K * k**0.25, k):
             sys = sol.system()
             c = confirm(sys, sol.epsilon, sol.level)
-            assert c.passed, (n, l, sol.level, c.gap)
+            assert confirmed(c), (n, l, sol.level, c.gap)
             worst = max(worst, c.gap)
     if alpha_over_K <= 3.0:
         assert worst <= 1e-8

@@ -14,6 +14,7 @@ from biheun.verify import (
     closed_form_n1,
     termination_residual,
 )
+from judging import confirmed
 
 
 class TestAssembledEnergy:
@@ -240,7 +241,7 @@ class TestSolveFamily:
         # n = 2.0 gave float n and level, which confirm refused with a TypeError
         for s in solve_family(2.0, 0, 1.0, 1.0):
             assert type(s.n) is int and type(s.level) is int
-            assert confirm(s.system(), s.epsilon, s.level).passed
+            assert confirmed(confirm(s.system(), s.epsilon, s.level))
 
     def test_rejects_non_finite_k(self):
         # k = inf returned one solution with eps = NaN; k = NaN was reported as
@@ -516,7 +517,7 @@ class TestWavefunction:
         sol = closed_form_n0(0, 1.0, 1.0)
         sys = sol.system()
         c = confirm(sys, sol.epsilon, sol.level, vector=True)
-        assert c.passed
+        assert confirmed(c)
         r = c.grid.nodes()
         w = c.grid.weights()
         r_poly = wavefunction(sol, r)

@@ -147,9 +147,13 @@ def test_solutions_reach_the_oracle_through_confirm_solutions():
     assert callers == ["oracle.confirm", "verify.confirm_solutions", "verify.criterion_5"]
 
 
+BOUNDS = {"RTOL", "ODE_RTOL", "TERMINATION_RTOL", "WAVEFUNCTION_RTOL"}
+
+
 def test_verdicts_come_from_the_record():
-    # a criterion returns its figures; verify.Figure holds the one verdict and NaN rule,
-    # so no criterion compares a figure with its bound itself
+    # a criterion returns its figures, and verify.judge_rows forms a printed row's;
+    # verify.Figure holds the one verdict and NaN rule, so no criterion, and no other
+    # module, compares a figure with its bound itself, and every bound lives in verify
     tree = ast.parse((Path(biheun.__file__).parent / "verify.py").read_text())
     functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
     criteria = {name for name in functions if re.fullmatch(r"criterion_\d+", name)}
@@ -159,6 +163,17 @@ def test_verdicts_come_from_the_record():
                if isinstance(node, ast.Compare)
                and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)]
     assert ordered == []
+    compared, assigned = [], []
+    for path in sorted(Path(biheun.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                compared += [f"{path.name}:{node.lineno}" for sub in ast.walk(node)
+                             if (getattr(sub, "id", None) or getattr(sub, "attr", None)) in BOUNDS]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(path.stem, t.id) for t in targets if getattr(t, "id", None) in BOUNDS]
+    assert compared == []
+    assert sorted(assigned) == sorted(("verify", name) for name in BOUNDS)
 
 
 def test_one_list_of_commands():
